@@ -39,7 +39,6 @@ _EXPORTS = {
         "dual_function",
         "maximize_dual",
         "powers_given_location",
-        "solve_pointwise_subproblem",
         "solve_relaxed",
     ],
     "outage_planner.sca_planner": [

@@ -23,10 +23,10 @@ from outage_planner.power_recovery import (
 from outage_planner.relaxed_optimum import GridSpec
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 from outage_planner.sca_planner import (
-    TraceEntry,
-    _state_from_plan,
+    DEFAULT_ROUNDS,
     direct_flight,
     itinerary_trajectory,
+    plan_sca,
     trajectory_step,
 )
 
@@ -48,34 +48,21 @@ def _evaluated(name, trajectory, schedule, scenario, **details):
 
 
 def run_trajectory_only(
-    scenario: Scenario,
-    init: Trajectory | None = None,
-    max_rounds: int = 50,
-    rel_improvement: float = 1e-4,
+    scenario: Scenario, max_rounds: int = DEFAULT_ROUNDS
 ) -> BenchmarkResult:
     """Optimize only the trajectory; powers stay at the full budgets."""
-    trajectory = init if init is not None else direct_flight(scenario)
-    powers = np.broadcast_to(
-        scenario.power_budgets[:, None],
-        (scenario.n_sensors, scenario.n_slots),
-    ).copy()
-    state = _state_from_plan(trajectory, powers, scenario)
-    steps = 0
-    for _ in range(max_rounds):
-        before = state.objective
-        state, ok = trajectory_step(state, scenario)
-        steps += 1
-        state.trace.append(TraceEntry(steps, state.objective, "trajectory", ok))
-        if not ok:
-            break
-        if state.objective - before <= rel_improvement * max(abs(before), 1e-12):
-            break
+    state = plan_sca(
+        scenario,
+        direct_flight(scenario),
+        steps=(("trajectory", trajectory_step),),
+        max_rounds=max_rounds,
+    )
     return _evaluated(
         "trajectory_only",
         state.trajectory,
-        PowerSchedule(state.powers),
+        state.schedule,
         scenario,
-        steps=steps,
+        steps=len(state.trace),
         objective=state.objective,
     )
 

@@ -29,28 +29,28 @@ import csv
 import json
 import logging
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from outage_planner.benchmarks import (
+    FHF_GRID_POINTS,
     BenchmarkResult,
     run_fly_hover_fly,
     run_power_only,
     run_trajectory_only,
 )
 from outage_planner.channel import snr_series
-from outage_planner.pipeline import plan_joint
+from outage_planner.pipeline import JointPlan, plan_joint
 from outage_planner.power_recovery import recover_powers
 from outage_planner.relaxed_optimum import GridSpec, hover_plan_record, solve_relaxed
+from outage_planner.sca_planner import DEFAULT_ROUNDS
 from outage_planner.scenario import (
     Scenario,
     ScenarioError,
     Trajectory,
     load_scenario,
     plan_violations,
-    validate_plan,
     watts_to_dbm,
 )
 
@@ -60,28 +60,6 @@ COMMANDS = ("relaxed", "sca", "recover", "benchmark", "sweep-power", "sweep-dura
 SCHEMES = ("fly_hover_fly", "joint", "power_only", "relaxed", "trajectory_only")
 DEFAULT_POWER_SWEEP = (26.0, 28.0, 30.0, 32.0, 34.0, 36.0)
 DEFAULT_DURATION_SWEEP = ((10.0, 16), (20.0, 32), (40.0, 64), (80.0, 128))
-
-
-@dataclass(frozen=True)
-class RunRequest:
-    """One CLI invocation, fully parsed."""
-
-    command: str
-    scenario_path: Path
-    out_dir: Path
-    grid: int = 81
-    t_s: float | None = None
-    p_ave_dbm: float | None = None
-    n_slots: int | None = None
-    budget_norm: str = "horizon"
-    init: str = "shf"
-    max_rounds: int = 50
-    scheme: str | None = None
-    trajectory_path: Path | None = None
-    p_list: tuple[float, ...] = DEFAULT_POWER_SWEEP
-    t_list: tuple[float, ...] = tuple(t for t, _ in DEFAULT_DURATION_SWEEP)
-    n_list: tuple[int, ...] = tuple(n for _, n in DEFAULT_DURATION_SWEEP)
-    schemes: tuple[str, ...] = SCHEMES
 
 
 def _fmt(value) -> str:
@@ -131,8 +109,15 @@ def _write_trajectory(path: Path, trajectory: Trajectory) -> None:
 
 def _read_trajectory(path: Path, scenario: Scenario) -> Trajectory:
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        pts = [(float(row["x_m"]), float(row["y_m"])) for row in reader]
+        try:
+            pts = [
+                (float(row["x_m"]), float(row["y_m"]))
+                for row in csv.DictReader(fh)
+            ]
+        except KeyError as exc:
+            raise ScenarioError("trajectory", f"missing column {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError("trajectory", f"bad waypoint: {exc}") from exc
     if len(pts) != scenario.n_slots + 1:
         raise ScenarioError(
             "trajectory",
@@ -166,23 +151,34 @@ def _violation_records(scenario, trajectory, schedule) -> list[dict]:
     ]
 
 
-def _load(req: RunRequest) -> Scenario:
-    scenario = load_scenario(req.scenario_path)
-    if req.t_s is not None or req.n_slots is not None or req.p_ave_dbm is not None:
+def _load(args) -> Scenario:
+    scenario = load_scenario(args.scenario)
+    if args.t_s is not None or args.n_slots is not None or args.p_ave_dbm is not None:
         scenario = scenario.with_overrides(
-            duration=req.t_s, n_slots=req.n_slots, p_ave_dbm=req.p_ave_dbm
+            duration=args.t_s, n_slots=args.n_slots, p_ave_dbm=args.p_ave_dbm
         )
     return scenario
 
 
-def _cmd_relaxed(req: RunRequest) -> None:
-    scenario = _load(req)
-    grid = GridSpec.from_scenario(scenario, resolution=req.grid)
+def _plan_joint(scenario: Scenario, args) -> JointPlan:
+    grid = GridSpec.from_scenario(scenario, resolution=args.grid)
+    return plan_joint(
+        scenario,
+        grid=grid,
+        init=args.init,
+        max_rounds=args.max_rounds,
+        budget_norm=args.budget_norm,
+    )
+
+
+def _cmd_relaxed(args) -> None:
+    scenario = _load(args)
+    grid = GridSpec.from_scenario(scenario, resolution=args.grid)
     dual, plan = solve_relaxed(scenario, grid)
     record = hover_plan_record(plan, scenario)
     record["dual_value"] = dual.value
     record["ellipsoid_iterations"] = dual.iterations
-    _write_json(req.out_dir / "hover_plan.json", record)
+    _write_json(args.out / "hover_plan.json", record)
     header = ["hover", "x_m", "y_m", "duration_s"] + [
         f"p_{k + 1}_dbm" for k in range(scenario.n_sensors)
     ]
@@ -194,35 +190,28 @@ def _cmd_relaxed(req: RunRequest) -> None:
             [str(i + 1), _fmt(loc[0]), _fmt(loc[1]), _fmt(tau)]
             + [_power_dbm(p) for p in prow]
         )
-    _write_csv(req.out_dir / "hover_locations.csv", header, rows)
+    _write_csv(args.out / "hover_locations.csv", header, rows)
     _write_json(
-        req.out_dir / "summary.json",
+        args.out / "summary.json",
         {
             "command": "relaxed",
             "outage": plan.outage,
             "dual_value": dual.value,
             "n_hover_locations": int(plan.locations.shape[0]),
-            "grid": req.grid,
+            "grid": args.grid,
         },
     )
 
 
-def _cmd_sca(req: RunRequest) -> None:
-    scenario = _load(req)
-    grid = GridSpec.from_scenario(scenario, resolution=req.grid)
-    result = plan_joint(
-        scenario,
-        grid=grid,
-        init=req.init,
-        max_rounds=req.max_rounds,
-        budget_norm=req.budget_norm,
-    )
-    _write_trajectory(req.out_dir / "trajectory.csv", result.trajectory)
+def _cmd_sca(args) -> None:
+    scenario = _load(args)
+    result = _plan_joint(scenario, args)
+    _write_trajectory(args.out / "trajectory.csv", result.trajectory)
     _write_schedule(
-        req.out_dir / "schedule.csv", scenario, result.trajectory, result.schedule
+        args.out / "schedule.csv", scenario, result.trajectory, result.schedule
     )
     _write_csv(
-        req.out_dir / "sca_trace.csv",
+        args.out / "sca_trace.csv",
         ["iter", "objective", "step_kind", "accepted"],
         [
             [str(e.iteration), _fmt(e.objective), e.step_kind, str(int(e.accepted))]
@@ -231,19 +220,19 @@ def _cmd_sca(req: RunRequest) -> None:
     )
     if result.relaxed is not None:
         _write_json(
-            req.out_dir / "hover_plan.json",
+            args.out / "hover_plan.json",
             hover_plan_record(result.relaxed, scenario),
         )
     _write_json(
-        req.out_dir / "summary.json",
+        args.out / "summary.json",
         {
             "command": "sca",
             "outage": result.outage,
             "n_active": result.recovered.n_active,
             "sca_objective": result.sca.objective,
             "relaxed_outage": None if result.relaxed is None else result.relaxed.outage,
-            "init": req.init,
-            "budget_norm": req.budget_norm,
+            "init": args.init,
+            "budget_norm": args.budget_norm,
             "violations": _violation_records(
                 scenario, result.trajectory, result.schedule
             ),
@@ -251,22 +240,22 @@ def _cmd_sca(req: RunRequest) -> None:
     )
 
 
-def _cmd_recover(req: RunRequest) -> None:
-    scenario = _load(req)
-    if req.trajectory_path is None:
+def _cmd_recover(args) -> None:
+    scenario = _load(args)
+    if args.trajectory is None:
         raise ScenarioError("trajectory", "recover needs --trajectory CSV")
-    trajectory = _read_trajectory(req.trajectory_path, scenario)
-    recovered = recover_powers(scenario, trajectory, req.budget_norm)
+    trajectory = _read_trajectory(args.trajectory, scenario)
+    recovered = recover_powers(scenario, trajectory, args.budget_norm)
     _write_schedule(
-        req.out_dir / "schedule.csv", scenario, trajectory, recovered.schedule
+        args.out / "schedule.csv", scenario, trajectory, recovered.schedule
     )
     _write_json(
-        req.out_dir / "summary.json",
+        args.out / "summary.json",
         {
             "command": "recover",
             "outage": recovered.outage,
             "n_active": recovered.n_active,
-            "budget_norm": req.budget_norm,
+            "budget_norm": args.budget_norm,
             "violations": _violation_records(
                 scenario, trajectory, recovered.schedule
             ),
@@ -274,26 +263,27 @@ def _cmd_recover(req: RunRequest) -> None:
     )
 
 
-def _run_benchmark(scenario, scheme: str, req: RunRequest) -> BenchmarkResult:
+def _run_benchmark(scenario, scheme: str, args) -> BenchmarkResult:
     if scheme == "trajectory_only":
-        return run_trajectory_only(scenario, max_rounds=req.max_rounds)
+        return run_trajectory_only(scenario, max_rounds=args.max_rounds)
     if scheme == "power_only":
-        return run_power_only(scenario, budget_norm=req.budget_norm)
+        return run_power_only(scenario, budget_norm=args.budget_norm)
     if scheme == "fly_hover_fly":
-        grid = GridSpec.from_scenario(scenario, resolution=min(req.grid, 41))
-        return run_fly_hover_fly(scenario, grid, budget_norm=req.budget_norm)
+        resolution = min(args.grid, FHF_GRID_POINTS)
+        grid = GridSpec.from_scenario(scenario, resolution=resolution)
+        return run_fly_hover_fly(scenario, grid, budget_norm=args.budget_norm)
     raise ScenarioError("scheme", f"unknown benchmark scheme {scheme!r}")
 
 
-def _cmd_benchmark(req: RunRequest) -> None:
-    scenario = _load(req)
-    result = _run_benchmark(scenario, req.scheme, req)
-    _write_trajectory(req.out_dir / "trajectory.csv", result.trajectory)
+def _cmd_benchmark(args) -> None:
+    scenario = _load(args)
+    result = _run_benchmark(scenario, args.scheme, args)
+    _write_trajectory(args.out / "trajectory.csv", result.trajectory)
     _write_schedule(
-        req.out_dir / "schedule.csv", scenario, result.trajectory, result.schedule
+        args.out / "schedule.csv", scenario, result.trajectory, result.schedule
     )
     _write_json(
-        req.out_dir / "summary.json",
+        args.out / "summary.json",
         {
             "command": "benchmark",
             "scheme": result.name,
@@ -309,34 +299,36 @@ def _cmd_benchmark(req: RunRequest) -> None:
     )
 
 
-def _scheme_outage(scenario, scheme: str, req: RunRequest) -> float:
-    if scheme == "relaxed":
-        grid = GridSpec.from_scenario(scenario, resolution=req.grid)
-        _, plan = solve_relaxed(scenario, grid)
-        return plan.outage
-    if scheme == "joint":
-        grid = GridSpec.from_scenario(scenario, resolution=req.grid)
-        result = plan_joint(
-            scenario,
-            grid=grid,
-            init=req.init,
-            max_rounds=req.max_rounds,
-            budget_norm=req.budget_norm,
-        )
-        return result.outage
-    return _run_benchmark(scenario, scheme, req).outage
+def _scheme_outages(scenario, args) -> dict[str, float]:
+    """Outage of every listed scheme; the relaxation is solved at most once."""
+    outages = {}
+    relaxed = None
+    if "joint" in args.schemes:
+        joint = _plan_joint(scenario, args)
+        outages["joint"] = joint.outage
+        relaxed = joint.relaxed  # None unless the joint run used shf init
+    if "relaxed" in args.schemes:
+        if relaxed is None:
+            grid = GridSpec.from_scenario(scenario, resolution=args.grid)
+            _, relaxed = solve_relaxed(scenario, grid)
+        outages["relaxed"] = relaxed.outage
+    for scheme in args.schemes:
+        if scheme not in outages:
+            outages[scheme] = _run_benchmark(scenario, scheme, args).outage
+    return outages
 
 
-def _sweep(req: RunRequest, points) -> None:
+def _sweep(args, points) -> None:
     """points: iterable of (p_ave_dbm or None, t_s or None, n_slots or None)."""
-    scenario0 = _load(req)
+    scenario0 = _load(args)
     rows = []
     for p_dbm, t_s, n_slots in points:
         scenario = scenario0.with_overrides(
             duration=t_s, n_slots=n_slots, p_ave_dbm=p_dbm
         )
-        for scheme in req.schemes:
-            outage = _scheme_outage(scenario, scheme, req)
+        outages = _scheme_outages(scenario, args)
+        for scheme in args.schemes:
+            outage = outages[scheme]
             p_val = p_dbm if p_dbm is not None else float(
                 np.mean([watts_to_dbm(b) for b in scenario.power_budgets])
             )
@@ -344,29 +336,29 @@ def _sweep(req: RunRequest, points) -> None:
             log.info("sweep point scheme=%s p=%g t=%g outage=%g", *rows[-1])
     rows.sort()
     rows = [(s, _fmt(p), _fmt(t), _fmt(o)) for s, p, t, o in rows]
-    name = "sweep_power.csv" if req.command == "sweep-power" else "sweep_duration.csv"
+    name = "sweep_power.csv" if args.command == "sweep-power" else "sweep_duration.csv"
     _write_csv(
-        req.out_dir / name, ["scheme", "p_ave_dbm", "t_s", "outage"], rows
+        args.out / name, ["scheme", "p_ave_dbm", "t_s", "outage"], rows
     )
     _write_json(
-        req.out_dir / "summary.json",
+        args.out / "summary.json",
         {
-            "command": req.command,
-            "schemes": list(req.schemes),
+            "command": args.command,
+            "schemes": list(args.schemes),
             "n_rows": len(rows),
-            "budget_norm": req.budget_norm,
+            "budget_norm": args.budget_norm,
         },
     )
 
 
-def _cmd_sweep_power(req: RunRequest) -> None:
-    _sweep(req, [(p, None, None) for p in req.p_list])
+def _cmd_sweep_power(args) -> None:
+    _sweep(args, [(p, None, None) for p in args.p_list])
 
 
-def _cmd_sweep_duration(req: RunRequest) -> None:
-    if len(req.t_list) != len(req.n_list):
+def _cmd_sweep_duration(args) -> None:
+    if len(args.t_list) != len(args.n_list):
         raise ScenarioError("t_list", "--t-list and --n-list need equal lengths")
-    _sweep(req, [(req.p_ave_dbm, t, n) for t, n in zip(req.t_list, req.n_list)])
+    _sweep(args, [(args.p_ave_dbm, t, n) for t, n in zip(args.t_list, args.n_list)])
 
 
 _DISPATCH = {
@@ -377,12 +369,6 @@ _DISPATCH = {
     "sweep-power": _cmd_sweep_power,
     "sweep-duration": _cmd_sweep_duration,
 }
-
-
-def run(req: RunRequest) -> int:
-    req.out_dir.mkdir(parents=True, exist_ok=True)
-    _DISPATCH[req.command](req)
-    return 0
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -413,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="denominator of the recovery power budget",
     )
     parser.add_argument("--init", choices=("shf", "direct"), default="shf")
-    parser.add_argument("--max-rounds", type=int, default=50)
+    parser.add_argument("--max-rounds", type=int, default=DEFAULT_ROUNDS)
     parser.add_argument(
         "--scheme",
         choices=("trajectory_only", "power_only", "fly_hover_fly"),
@@ -444,6 +430,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(code: int, error: str, message: str, **field) -> int:
+    """Print a one-line JSON error record to stderr and return ``code``."""
+    record = {"error": error, **field, "message": message}
+    print(json.dumps(record), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -452,60 +445,24 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     if args.command == "benchmark" and args.scheme is None:
-        print(
-            json.dumps({"error": "ScenarioError", "field": "scheme",
-                        "message": "benchmark requires --scheme"}),
-            file=sys.stderr,
+        return _error(
+            2, "ScenarioError", "benchmark requires --scheme", field="scheme"
         )
-        return 2
     unknown = [s for s in args.schemes if s not in SCHEMES]
     if unknown:
-        print(
-            json.dumps({"error": "ScenarioError", "field": "schemes",
-                        "message": f"unknown schemes: {unknown}"}),
-            file=sys.stderr,
+        return _error(
+            2, "ScenarioError", f"unknown schemes: {unknown}", field="schemes"
         )
-        return 2
-    req = RunRequest(
-        command=args.command,
-        scenario_path=args.scenario,
-        out_dir=args.out,
-        grid=args.grid,
-        t_s=args.t_s,
-        p_ave_dbm=args.p_ave_dbm,
-        n_slots=args.n_slots,
-        budget_norm=args.budget_norm,
-        init=args.init,
-        max_rounds=args.max_rounds,
-        scheme=args.scheme,
-        trajectory_path=args.trajectory,
-        p_list=args.p_list,
-        t_list=args.t_list,
-        n_list=args.n_list,
-        schemes=args.schemes,
-    )
     try:
-        return run(req)
+        args.out.mkdir(parents=True, exist_ok=True)
+        _DISPATCH[args.command](args)
+        return 0
     except ScenarioError as exc:
-        print(
-            json.dumps(
-                {"error": "ScenarioError", "field": exc.field, "message": str(exc)}
-            ),
-            file=sys.stderr,
-        )
-        return 2
+        return _error(2, "ScenarioError", str(exc), field=exc.field)
     except FileNotFoundError as exc:
-        print(
-            json.dumps({"error": "FileNotFoundError", "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
+        return _error(2, "FileNotFoundError", str(exc))
     except Exception as exc:  # pragma: no cover - defensive
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 1
+        return _error(1, type(exc).__name__, str(exc))
 
 
 if __name__ == "__main__":

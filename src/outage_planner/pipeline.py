@@ -21,6 +21,7 @@ from outage_planner.relaxed_optimum import (
 )
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 from outage_planner.sca_planner import (
+    DEFAULT_ROUNDS,
     ScaState,
     direct_flight,
     init_shf,
@@ -56,7 +57,7 @@ def plan_joint(
     scenario: Scenario,
     grid: GridSpec | None = None,
     init: str = "shf",
-    max_rounds: int = 50,
+    max_rounds: int = DEFAULT_ROUNDS,
     budget_norm: str = "horizon",
 ) -> JointPlan:
     """Run the full joint pipeline on a scenario.

@@ -16,13 +16,13 @@ v(mu) - sum_k mu_k * budget_k, an outage-probability lower bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from outage_planner.channel import gain_at, snr
 from outage_planner.convex_core import LinearProgram, solve_lp
-from outage_planner.scenario import Scenario
+from outage_planner.scenario import Scenario, ScenarioError
 
 # prices at or below this are treated as zero (degenerate branch)
 EPS_MU = 1e-12
@@ -45,6 +45,12 @@ class GridSpec:
     y_max: float
     nx: int = 81
     ny: int = 81
+
+    def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ScenarioError(
+                "grid", f"need at least one point per axis, got {self.nx} x {self.ny}"
+            )
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, resolution: int = 81) -> "GridSpec":
@@ -77,22 +83,17 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SubproblemSolution:
-    """Optimal per-point decision for given prices: transmit or stay silent."""
-
-    branch: str                  # "transmit" | "outage"
-    location: np.ndarray | None  # grid minimizer (2,), None for outage
-    powers: np.ndarray           # (K,) watts; zeros on the outage branch
-    value: float                 # min(1, priced transmit cost)
-
-
-@dataclass(frozen=True)
 class DualPoint:
-    """Dual evaluation: prices, dual value, and a supergradient there."""
+    """Dual evaluation: prices, dual value, and a supergradient there.
+
+    ``grid_index`` is the flat index of the grid minimizer on the transmit
+    branch and None on the outage branch.
+    """
 
     mu: np.ndarray
     value: float
     subgradient: np.ndarray
+    grid_index: int | None = None
     iterations: int = 0
 
 
@@ -192,49 +193,22 @@ def _transmit_costs(
     return costs
 
 
-def solve_pointwise_subproblem(
-    mu: np.ndarray, scenario: Scenario, grid: GridSpec
-) -> SubproblemSolution:
-    """Minimize outage-indicator + priced power cost over the grid.
-
-    The transmit branch pays the cheapest threshold-meeting power cost at
-    the best grid point; the outage branch pays exactly 1 with all sensors
-    silent.  Grid ties resolve to the first point in row-major order.
-    """
-    mu = np.asarray(mu, dtype=float)
-    points = grid.points()
-    gains = gain_at(points, scenario)
-    costs = _transmit_costs(mu, scenario, gains)
-    idx = int(np.argmin(costs))
-    cost_min = float(costs[idx])
-    if cost_min < 1.0:
-        powers = _powers_from_gains(mu, gains[idx], scenario)
-        return SubproblemSolution(
-            "transmit", points[idx].copy(), powers, cost_min
-        )
-    return SubproblemSolution(
-        "outage", None, np.zeros(scenario.n_sensors), 1.0
-    )
-
-
 def dual_function(
-    mu: np.ndarray, scenario: Scenario, grid: GridSpec
+    mu: np.ndarray, scenario: Scenario, gains: np.ndarray
 ) -> DualPoint:
     """Evaluate the time-normalized dual and one supergradient at mu.
 
-    value = min(1, cheapest transmit cost over the grid) - mu @ budgets;
-    the supergradient is the subproblem's minimizing power vector minus the
-    budgets (zero powers on the outage branch).
+    ``gains`` is ``gain_at(grid.points(), scenario)``.  The per-point
+    subproblem either transmits at the grid point of cheapest priced
+    threshold-meeting power (ties resolve to the first point in row-major
+    order) or stays silent in outage at cost exactly 1.  value =
+    min(1, cheapest transmit cost) - mu @ budgets; the supergradient is the
+    minimizing power vector minus the budgets (zero powers on the outage
+    branch).
     """
     mu = np.asarray(mu, dtype=float)
     if np.any(mu < 0.0):
         raise ValueError("prices must be nonnegative")
-    points = grid.points()
-    gains = gain_at(points, scenario)
-    return _dual_eval(mu, scenario, points, gains)
-
-
-def _dual_eval(mu, scenario, points, gains) -> DualPoint:
     budgets = scenario.power_budgets
     costs = _transmit_costs(mu, scenario, gains)
     idx = int(np.argmin(costs))
@@ -242,7 +216,7 @@ def _dual_eval(mu, scenario, points, gains) -> DualPoint:
     if cost_min < 1.0:
         powers = _powers_from_gains(mu, gains[idx], scenario)
         value = cost_min - float(mu @ budgets)
-        return DualPoint(mu.copy(), value, powers - budgets)
+        return DualPoint(mu.copy(), value, powers - budgets, idx)
     value = 1.0 - float(mu @ budgets)
     return DualPoint(mu.copy(), value, -budgets)
 
@@ -276,8 +250,7 @@ def maximize_dual(
         # twice the central-cut iteration estimate for the default vol_tol
         max_iter = int(75 * k * (k + 1)) + 500
 
-    points = grid.points()
-    gains = gain_at(points, scenario)
+    gains = gain_at(grid.points(), scenario)
     mu_max = default_mu_box(scenario)
 
     center = np.full(k, mu_max / 2.0)
@@ -301,7 +274,7 @@ def maximize_dual(
             h = np.zeros(k)
             h[violating[0]] = -1.0  # feasibility cut: z_k >= center_k
         else:
-            point = _dual_eval(center, scenario, points, gains)
+            point = dual_function(center, scenario, gains)
             if best is None or point.value > best.value:
                 best = point
             h = -point.subgradient  # maximize: cut along -supergradient
@@ -324,8 +297,8 @@ def maximize_dual(
             break
 
     if best is None:  # pathological: every center was cut infeasible
-        best = _dual_eval(np.zeros(k), scenario, points, gains)
-    return DualPoint(best.mu, best.value, best.subgradient, iterations)
+        best = dual_function(np.zeros(k), scenario, gains)
+    return replace(best, iterations=iterations)
 
 
 def _cluster_tie_points(tie_flat: np.ndarray, grid: GridSpec) -> list[np.ndarray]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -396,36 +397,39 @@ def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
 def plan_sca(
     scenario: Scenario,
     init: Trajectory,
+    *,
+    steps: Sequence[tuple[str, Callable]] | None = None,
     max_rounds: int = DEFAULT_ROUNDS,
-    rel_improvement: float = DEFAULT_REL_IMPROVEMENT,
 ) -> ScaState:
-    """Alternate trajectory and power steps from a feasible initialization.
+    """Run rounds of SCA steps from a feasible initialization.
 
-    Powers start uniformly at the budgets.  The loop stops when a full
-    round improves the clipped objective by less than ``rel_improvement``
-    (relative), when both steps of a round are rejected, or after
-    ``max_rounds`` rounds.  The trace records every step.
+    ``steps`` is a sequence of ``(kind, step_fn)`` pairs run in order each
+    round; the default alternates ``trajectory_step`` and ``power_step``.
+    Powers start uniformly at the budgets.  The loop stops when no step of
+    a round is accepted, when a round improves the clipped objective by at
+    most ``DEFAULT_REL_IMPROVEMENT`` (relative), or after ``max_rounds``
+    rounds.  The trace records every step.
     """
+    if steps is None:
+        steps = (("trajectory", trajectory_step), ("power", power_step))
     powers0 = np.broadcast_to(
         scenario.power_budgets[:, None],
         (scenario.n_sensors, scenario.n_slots),
     ).copy()
     state = _state_from_plan(init, powers0, scenario)
-    step_no = 0
     for _ in range(max_rounds):
         before = state.objective
-        state, ok_t = trajectory_step(state, scenario)
-        step_no += 1
-        state.trace.append(
-            TraceEntry(step_no, state.objective, "trajectory", ok_t)
-        )
-        state, ok_p = power_step(state, scenario)
-        step_no += 1
-        state.trace.append(TraceEntry(step_no, state.objective, "power", ok_p))
-        if not (ok_t or ok_p):
+        accepted = False
+        for kind, step_fn in steps:
+            state, ok = step_fn(state, scenario)
+            accepted |= ok
+            state.trace.append(
+                TraceEntry(len(state.trace) + 1, state.objective, kind, ok)
+            )
+        if not accepted:
             break
         gain = state.objective - before
-        if gain <= rel_improvement * max(abs(before), 1e-12):
+        if gain <= DEFAULT_REL_IMPROVEMENT * max(abs(before), 1e-12):
             break
     return state
 

@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 from outage_planner.cli import main
+from outage_planner.pipeline import plan_joint
+from outage_planner.relaxed_optimum import GridSpec, solve_relaxed
+from outage_planner.scenario import load_scenario
 from tests.conftest import small_doc
 
 
@@ -98,6 +101,39 @@ def test_recover_requires_trajectory(tmp_path, scenario_file, capsys):
     assert record["error"] == "ScenarioError"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "waypoint,t_s,x,y\n0,0,0,0\n",
+        "waypoint,t_s,x_m,y_m\n0,0,zero,0\n",
+        "waypoint,t_s,x_m,y_m\n0,0,1\n",
+    ],
+    ids=["no_x_m_column", "non_numeric_cell", "short_row"],
+)
+def test_recover_bad_trajectory_csv(tmp_path, scenario_file, capsys, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    code = main(
+        ["recover", "--scenario", str(scenario_file),
+         "--out", str(tmp_path / "rec"), "--trajectory", str(path)]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ScenarioError"
+    assert record["field"] == "trajectory"
+
+
+def test_empty_grid_is_input_error(tmp_path, scenario_file, capsys):
+    code = main(
+        ["relaxed", "--scenario", str(scenario_file),
+         "--out", str(tmp_path / "o"), "--grid", "0"]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ScenarioError"
+    assert record["field"] == "grid"
+
+
 def test_benchmark_command(tmp_path, scenario_file):
     out = tmp_path / "bench"
     code = main(
@@ -136,6 +172,25 @@ def test_sweep_power_rows_sorted(tmp_path, scenario_file):
     assert keys == sorted(keys)
     for row in body:
         assert 0.0 <= float(row[3]) <= 1.0
+
+
+def test_sweep_rows_match_library(tmp_path, scenario_file):
+    out = tmp_path / "sweep"
+    code = main(
+        ["sweep-power", "--scenario", str(scenario_file), "--out", str(out),
+         "--grid", "21", "--p-list", "24,27", "--schemes", "joint,relaxed"]
+    )
+    assert code == 0
+    body = read_csv(out / "sweep_power.csv")[1:]
+    rows = {(r[0], float(r[1])): r[3] for r in body}
+    assert len(rows) == 4
+    for p_dbm in (24.0, 27.0):
+        scn = load_scenario(small_doc()).with_overrides(p_ave_dbm=p_dbm)
+        grid = GridSpec.from_scenario(scn, resolution=21)
+        relaxed = solve_relaxed(scn, grid)[1].outage
+        joint = plan_joint(scn, grid=grid).outage
+        assert rows[("relaxed", p_dbm)] == "%.12g" % relaxed
+        assert rows[("joint", p_dbm)] == "%.12g" % joint
 
 
 def test_sweep_duration_axes(tmp_path, scenario_file):

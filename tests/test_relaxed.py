@@ -17,7 +17,6 @@ from outage_planner.relaxed_optimum import (
     hover_plan_record,
     maximize_dual,
     powers_given_location,
-    solve_pointwise_subproblem,
     solve_relaxed,
 )
 from outage_planner.scenario import load_scenario
@@ -106,30 +105,35 @@ def test_grid_spec_row_major_points(small_scenario):
 
 
 def test_subproblem_branches(small_scenario):
-    grid = GridSpec.from_scenario(small_scenario, resolution=21)
+    points = GridSpec.from_scenario(small_scenario, resolution=21).points()
+    gains = gain_at(points, small_scenario)
+    budgets = small_scenario.power_budgets
+
     mu = np.full(small_scenario.n_sensors, 1e-4)
-    sol = solve_pointwise_subproblem(mu, small_scenario, grid)
-    assert sol.branch == "transmit"
-    assert sol.value < 1.0
-    assert snr(sol.location, sol.powers, small_scenario) >= (
+    point = dual_function(mu, small_scenario, gains)
+    assert point.grid_index is not None           # transmit branch
+    assert point.value + mu @ budgets < 1.0        # priced transmit cost
+    powers = point.subgradient + budgets
+    assert snr(points[point.grid_index], powers, small_scenario) >= (
         small_scenario.gamma_min * (1 - 1e-9)
     )
 
     pricey = np.full(small_scenario.n_sensors, 1e4)
-    sol2 = solve_pointwise_subproblem(pricey, small_scenario, grid)
-    assert sol2.branch == "outage"
-    assert sol2.value == 1.0
-    assert not sol2.powers.any()
+    silent = dual_function(pricey, small_scenario, gains)
+    assert silent.grid_index is None              # outage branch
+    assert silent.value == 1.0 - float(pricey @ budgets)  # pays exactly 1
+    assert not (silent.subgradient + budgets).any()  # zero powers
 
 
 def test_dual_supergradient_inequality(small_scenario):
     grid = GridSpec.from_scenario(small_scenario, resolution=21)
+    gains = gain_at(grid.points(), small_scenario)
     rng = np.random.default_rng(31)
     for _ in range(8):
         mu_a = rng.uniform(0.0, 2.0, size=small_scenario.n_sensors)
         mu_b = rng.uniform(0.0, 2.0, size=small_scenario.n_sensors)
-        at_a = dual_function(mu_a, small_scenario, grid)
-        at_b = dual_function(mu_b, small_scenario, grid)
+        at_a = dual_function(mu_a, small_scenario, gains)
+        at_b = dual_function(mu_b, small_scenario, gains)
         # concavity: g(b) <= g(a) + s_a . (b - a)
         assert at_b.value <= at_a.value + at_a.subgradient @ (mu_b - mu_a) + 1e-12
 
@@ -137,10 +141,11 @@ def test_dual_supergradient_inequality(small_scenario):
 def test_maximize_dual_beats_random_prices(small_scenario):
     grid = GridSpec.from_scenario(small_scenario, resolution=21)
     best = maximize_dual(small_scenario, grid)
+    gains = gain_at(grid.points(), small_scenario)
     rng = np.random.default_rng(37)
     for _ in range(10):
         mu = rng.uniform(0.0, 1.0, size=small_scenario.n_sensors)
-        probe = dual_function(mu, small_scenario, grid)
+        probe = dual_function(mu, small_scenario, gains)
         assert best.value >= probe.value - 1e-6
     assert best.iterations > 0
 
