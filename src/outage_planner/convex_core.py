@@ -6,8 +6,14 @@ Three primitives, all dependency-free and reproducible run to run:
   (anti-cycling, deterministic) for small linear programs with inequality
   rows and variable lower bounds.
 * ``solve_barrier``: log-barrier interior-point method for smooth convex
-  programs.  Constraints are supplied in vectorized blocks so large
-  structured programs assemble their Newton systems efficiently.
+  programs.  Constraints are supplied in vectorized blocks.  By default the
+  Newton system is assembled densely from the blocks; a program whose
+  Hessian has structure supplies its own ``newton`` assembler instead, and
+  both paths share one ridge fallback, decrement test and line search.
+* ``solve_bordered``: block elimination for the bordered block-diagonal
+  Newton systems of the per-slot power programs: one batched solve over
+  the diagonal blocks and one small Schur-complement solve for the border
+  (Boyd & Vandenberghe, *Convex Optimization*, App. C.4).
 * ``bisect_max_feasible``: largest-feasible-integer search for monotone
   predicates, with a verification pass and a linear-scan fallback when the
   monotonicity assumption fails.
@@ -199,10 +205,11 @@ class GenericBlock:
     ``value`` maps x to the (m_i,) constraint values, ``jacobian`` to the
     (m_i, n) Jacobian.  ``hessian_comb(x, w)`` must return
     sum_j w_j * hess(g_j)(x) as an (n, n) array, or None when every
-    constraint in the block is affine.
+    constraint in the block is affine.  A program with its own ``newton``
+    assembler needs only the values, and may leave ``jacobian`` None.
     """
 
-    def __init__(self, value, jacobian, hessian_comb=None):
+    def __init__(self, value, jacobian=None, hessian_comb=None):
         self._value = value
         self._jacobian = jacobian
         self._hessian_comb = hessian_comb
@@ -246,6 +253,13 @@ class SmoothConvexProgram:
 
     ``objective`` and ``gradient`` are required; ``hessian`` may be None for
     affine objectives.  ``x0`` must be strictly feasible for every block.
+
+    ``newton``, when given, replaces the dense assembly from the blocks'
+    Jacobians: ``newton(x, t)`` returns the gradient of the barrier
+    t f(x) - sum log(-g(x)), the trace of its Hessian H, and a function
+    ``solve(rhs, ridge)`` returning the solution of (H + ridge I) dx = rhs
+    (raising ``np.linalg.LinAlgError`` when that system is singular).  The
+    blocks then serve only their values, to the line search.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -253,6 +267,7 @@ class SmoothConvexProgram:
     x0: np.ndarray
     blocks: list = field(default_factory=list)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    newton: Callable[[np.ndarray, float], tuple] | None = None
 
 
 def _barrier_value(program, t, x):
@@ -260,10 +275,50 @@ def _barrier_value(program, t, x):
     total = t * program.objective(x)
     for block in program.blocks:
         g = block.value(x)
-        if np.any(g >= 0.0) or not np.all(np.isfinite(g)):
+        if (g >= 0.0).any() or not np.isfinite(g).all():
             return float("inf")
         total -= np.log(-g).sum()
     return float(total)
+
+
+def _dense_newton(program, x, t):
+    """Newton system assembled densely from the blocks' Jacobians."""
+    n = x.size
+    grad = t * np.asarray(program.gradient(x), dtype=float)
+    hess = np.zeros((n, n))
+    if program.hessian is not None:
+        hess += t * np.asarray(program.hessian(x), dtype=float)
+    for block in program.blocks:
+        block.add_newton_terms(x, block.value(x), grad, hess)
+
+    def solve(rhs, ridge):
+        return np.linalg.solve(hess + ridge * np.eye(n) if ridge else hess, rhs)
+
+    return grad, float(np.trace(hess)), solve
+
+
+def solve_bordered(blocks, border, corner, rhs, rhs_border):
+    """Solve [[blockdiag(H_n), C], [C^T, B]] [x; y] = [r; rho] by elimination.
+
+    ``blocks`` (N, s, s) holds the diagonal blocks H_n, ``border``
+    (N, s, r) the rows of C that meet block n, ``corner`` (r, r) the
+    symmetric B, ``rhs`` (N, s) and ``rhs_border`` (r,) the right-hand
+    side.  One batched solve gives H^-1 [r, C] block by block; the r x r
+    Schur complement S = B - C^T H^-1 C then yields y, and
+    x = H^-1 (r - C y).  B may be indefinite (a constraint row eliminated
+    into the border has entry -g^2), but every H_n must be nonsingular.
+    Costs O(N s^3 + N s^2 r + r^3) against O((N s + r)^3) for the dense
+    system.  Returns x (N, s) and y (r,); raises ``np.linalg.LinAlgError``
+    when a block or S is singular.
+    """
+    r = corner.shape[0]
+    stacked = np.concatenate([rhs[:, :, None], border], axis=2)
+    both = np.linalg.solve(blocks, stacked)
+    h_rhs, h_border = both[:, :, 0], both[:, :, 1:]
+    flat = border.reshape(-1, r)
+    schur = corner - flat.T @ h_border.reshape(-1, r)
+    y = np.linalg.solve(schur, rhs_border - flat.T @ h_rhs.ravel())
+    return h_rhs - h_border @ y, y
 
 
 def solve_barrier(
@@ -294,8 +349,10 @@ def solve_barrier(
     for block in program.blocks:
         g = block.value(x)
         m += g.size
-        if np.any(g >= 0.0):
+        if not np.all(g < 0.0):  # NaN is infeasible, as in the line search
             raise ValueError("no strictly feasible start found")
+
+    newton = program.newton or (lambda x, t: _dense_newton(program, x, t))
 
     t = float(t0)
     newton_used = 0
@@ -304,33 +361,18 @@ def solve_barrier(
     while True:
         # centering stage at barrier parameter t
         stage_used = 0
+        phi_x = None  # barrier value at x for this t, once the search knows it
         while stage_used < max_stage_newton:
             if newton_used >= max_newton:
                 status = STATUS_MAX_ITERS
                 break
-            grad = t * np.asarray(program.gradient(x), dtype=float)
-            hess = np.zeros((n, n))
-            if program.hessian is not None:
-                hess += t * np.asarray(program.hessian(x), dtype=float)
-            feasible = True
-            for block in program.blocks:
-                g = block.value(x)
-                if np.any(g >= 0.0):
-                    feasible = False
-                    break
-                block.add_newton_terms(x, g, grad, hess)
-            if not feasible:  # cannot happen with feasible line search
-                status = STATUS_MAX_ITERS
-                break
-
+            grad, hess_trace, solve = newton(x, t)
             step = None
             ridge = 0.0
-            base = np.trace(hess) / n + 1.0
+            base = hess_trace / n + 1.0
             for attempt in range(6):
                 try:
-                    step = np.linalg.solve(
-                        hess + ridge * np.eye(n) if ridge else hess, -grad
-                    )
+                    step = solve(-grad, ridge)
                 except np.linalg.LinAlgError:
                     step = None
                 if step is not None and grad @ step < 0.0:
@@ -342,7 +384,7 @@ def solve_barrier(
             decrement = -float(grad @ step)
             if 0.5 * decrement <= newton_tol:
                 break
-            phi0 = _barrier_value(program, t, x)
+            phi0 = _barrier_value(program, t, x) if phi_x is None else phi_x
             if 0.5 * decrement <= 1e-12 * abs(phi0):
                 break  # below the float resolution of the barrier value
 
@@ -353,7 +395,7 @@ def solve_barrier(
                 cand = x + alpha * step
                 phi = _barrier_value(program, t, cand)
                 if phi <= phi0 + armijo_c * alpha * slope:
-                    x = cand
+                    x, phi_x = cand, phi
                     accepted = True
                     break
                 alpha *= 0.5

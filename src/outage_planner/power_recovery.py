@@ -34,6 +34,7 @@ from outage_planner.convex_core import (
     SmoothConvexProgram,
     bisect_max_feasible,
     solve_barrier,
+    solve_bordered,
 )
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 
@@ -121,34 +122,57 @@ def feasibility_for_subset(
         amp = (e_over_b * np.sqrt(np.maximum(p_of(z), 0.0))).sum(axis=0)
         return 1.0 - z[idx_t] - amp
 
-    def thresh_jacobian(z):
-        p = p_of(z)
-        jac = np.zeros((m, nv))
-        coef = -e_over_b / (2.0 * np.sqrt(p))             # (K, m)
-        cols = np.arange(k)[:, None] * m + np.arange(m)[None, :]
-        jac[np.broadcast_to(np.arange(m), (k, m)), cols] = coef
-        jac[:, idx_t] = -1.0
-        return jac
-
-    def thresh_hessian(z, w):
-        p = p_of(z)
-        h = np.zeros((nv, nv))
-        diag = h.ravel()[:: nv + 1]
-        diag[: k * m] += ((w[None, :] * e_over_b) / (4.0 * p**1.5)).ravel()
-        return h
-
-    budget_jac = np.zeros((k, nv))
-    for kk in range(k):
-        budget_jac[kk, kk * m : (kk + 1) * m] = 1.0 / m
-
     def budget_value(z):
         return p_of(z).mean(axis=1) - cap_mean
 
     blocks = [
-        GenericBlock(thresh_value, thresh_jacobian, thresh_hessian),
-        GenericBlock(budget_value, lambda z: budget_jac, None),
+        GenericBlock(thresh_value),
+        GenericBlock(budget_value),
         BoundBlock(np.arange(k * m), -1.0, 0.0),
     ]
+
+    # Newton system: one K-block per slot (its powers), bordered by the
+    # shared shortfall t and the K budget rows, each budget row eliminated
+    # into the border as y_k = (budget row k) . dz / g_k^2 (entry -g_k^2)
+    budget_border = np.zeros((m, k, k))
+    budget_border[:, np.arange(k), np.arange(k)] = 1.0 / m
+    diag = np.arange(k)
+
+    def newton(z, t):
+        p = p_of(z)
+        w = -1.0 / thresh_value(z)                    # (m,) > 0
+        g_b = budget_value(z)
+        jac_p = -e_over_b / (2.0 * np.sqrt(p))        # (K, m)
+        grad = t * grad_f
+        grad[: k * m] += (
+            jac_p * w - 1.0 / p - (1.0 / m) / g_b[:, None]
+        ).ravel()
+        grad[idx_t] -= w.sum()
+        hess = jac_p.T[:, :, None] * (jac_p * w**2).T[:, None, :]
+        curv = (w * e_over_b) / (4.0 * p**1.5) + 1.0 / p**2
+        hess[:, diag, diag] += curv.T
+        border = np.concatenate(                       # d2/(dp dt), budgets
+            [-(jac_p * w**2).T[:, :, None], budget_border], axis=2
+        )
+        h_tt = (w**2).sum()
+        hess_trace = float(
+            np.trace(hess, axis1=1, axis2=2).sum()
+            + h_tt
+            + (1.0 / (m * g_b**2)).sum()
+        )
+
+        def solve(rhs, ridge):
+            corner = np.diag(np.concatenate([[h_tt + ridge], -(g_b**2)]))
+            x, y = solve_bordered(
+                hess + ridge * np.eye(k) if ridge else hess,
+                border,
+                corner,
+                rhs[: k * m].reshape(k, m).T,
+                np.concatenate([rhs[idx_t:], np.zeros(k)]),
+            )
+            return np.concatenate([x.T.ravel(), y[:1]])
+
+        return grad, hess_trace, solve
 
     z0 = np.empty(nv)
     z0[: k * m] = 0.45 * cap_mean
@@ -162,6 +186,7 @@ def feasibility_for_subset(
         gradient=lambda z: grad_f,
         x0=z0,
         blocks=blocks,
+        newton=newton,
     )
     outcome = solve_barrier(program, gap_tol=1e-11, max_newton=400)
     if outcome.status != STATUS_OPTIMAL:

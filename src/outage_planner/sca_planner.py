@@ -35,6 +35,7 @@ from outage_planner.convex_core import (
     STATUS_OPTIMAL,
     SmoothConvexProgram,
     solve_barrier,
+    solve_bordered,
 )
 from outage_planner.relaxed_optimum import HoverPlan
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
@@ -220,35 +221,27 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
         diffs = np.diff(chain(z), axis=0)
         return (diffs * diffs).sum(axis=1) / leg2 - 1.0
 
+    # segment row r runs from chain point r to r + 1; free waypoint j is
+    # chain point j + 1, so it is the head of row j and the tail of row j + 1
+    heads = np.arange(n_free)
+
     def speed_jacobian(z):
-        diffs = np.diff(chain(z), axis=0)          # (N, 2)
+        d = 2.0 * np.diff(chain(z), axis=0) / leg2  # (N, 2)
         jac = np.zeros((n, nv))
-        for row in range(n):                       # segment row: q[row] -> q[row+1]
-            d = 2.0 * diffs[row] / leg2
-            if 1 <= row + 1 <= n - 1:              # head endpoint is variable
-                jac[row, 2 * row : 2 * row + 2] = d
-            if 1 <= row <= n - 1:                  # tail endpoint is variable
-                jac[row, 2 * (row - 1) : 2 * row] = -d
+        per_wp = jac[:, :nq].reshape(n, n_free, 2)
+        per_wp[heads, heads] = d[:-1]
+        per_wp[heads + 1, heads] = -d[1:]
         return jac
 
     def speed_hessian(z, w):
+        val = 2.0 * w / leg2                       # (N,)
         h = np.zeros((nv, nv))
-        for row in range(n):
-            blocks = []
-            if 1 <= row + 1 <= n - 1:
-                blocks.append(2 * row)
-            if 1 <= row <= n - 1:
-                blocks.append(2 * (row - 1))
-            val = 2.0 * w[row] / leg2
-            for b in blocks:
-                h[b, b] += val
-                h[b + 1, b + 1] += val
-            if len(blocks) == 2:
-                b1, b2 = blocks
-                h[b1, b2] -= val
-                h[b2, b1] -= val
-                h[b1 + 1, b2 + 1] -= val
-                h[b2 + 1, b1 + 1] -= val
+        per_wp = h[:nq, :nq].reshape(n_free, 2, n_free, 2)
+        j, xy = heads[:, None], np.arange(2)
+        per_wp[j, xy, j, xy] = (val[:-1] + val[1:])[:, None]
+        # rows 1..N-2 couple waypoints j and j + 1 in each coordinate
+        per_wp[j[1:], xy, j[:-1], xy] = -val[1:-1, None]
+        per_wp[j[:-1], xy, j[1:], xy] = -val[1:-1, None]
         return h
 
     blocks = [
@@ -328,36 +321,56 @@ def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
         amp = (e_full.T * np.sqrt(p)).sum(axis=0)  # (N,)
         return z[idx_a] + off - beta * amp
 
-    def surrogate_jacobian(z):
-        p = p_of(z)
-        jac = np.zeros((n, nv))
-        coef = -(beta[None, :] * e_full.T) / (2.0 * np.sqrt(p))  # (K, N)
-        cols = (np.arange(k)[:, None] * n + np.arange(n)[None, :])
-        jac[np.broadcast_to(np.arange(n), (k, n)), cols] = coef
-        jac[np.arange(n), idx_a] = 1.0
-        return jac
-
-    def surrogate_hessian(z, w):
-        p = p_of(z)
-        h = np.zeros((nv, nv))
-        diag = h.ravel()[:: nv + 1]
-        contrib = (w[None, :] * beta[None, :] * e_full.T) / (4.0 * p**1.5)
-        diag[: k * n] += contrib.ravel()
-        return h
-
-    budget_jac = np.zeros((k, nv))
-    for kk in range(k):
-        budget_jac[kk, kk * n : (kk + 1) * n] = 1.0 / n
-
     def budget_value(z):
         return p_of(z).mean(axis=1) - 1.0
 
     blocks = [
         BoundBlock(idx_a, +1.0, 1.0),
-        GenericBlock(surrogate_value, surrogate_jacobian, surrogate_hessian),
+        GenericBlock(surrogate_value),
         BoundBlock(np.arange(k * n), -1.0, 0.0),               # p' >= 0
-        GenericBlock(budget_value, lambda z: budget_jac, None),
+        GenericBlock(budget_value),
     ]
+
+    # Newton system: one (K + 1)-block per slot (its powers, then A_n),
+    # bordered by the K budget rows, each eliminated into the border as
+    # y_k = (budget row k) . dz / g_k^2 with corner entry -g_k^2
+    budget_border = np.zeros((n, k + 1, k))
+    budget_border[:, np.arange(k), np.arange(k)] = 1.0 / n
+    diag = np.arange(k)
+
+    def newton(z, t):
+        p = p_of(z)
+        w_s = -1.0 / surrogate_value(z)              # (N,) > 0
+        g_a = z[idx_a] - 1.0
+        g_b = budget_value(z)
+        jac_p = -(beta[None, :] * e_full.T) / (2.0 * np.sqrt(p))  # (K, N)
+        grad = t * grad_f
+        grad[: k * n] += (
+            jac_p * w_s - 1.0 / p - (1.0 / n) / g_b[:, None]
+        ).ravel()
+        grad[idx_a] += w_s - 1.0 / g_a
+        rows = np.empty((n, k + 1))
+        rows[:, :k] = jac_p.T
+        rows[:, k] = 1.0
+        hess = rows[:, :, None] * (rows * (w_s**2)[:, None])[:, None, :]
+        curv = (w_s * beta * e_full.T) / (4.0 * p**1.5) + 1.0 / p**2
+        hess[:, diag, diag] += curv.T
+        hess[:, k, k] += 1.0 / g_a**2
+        hess_trace = float(
+            np.trace(hess, axis1=1, axis2=2).sum() + (1.0 / (n * g_b**2)).sum()
+        )
+
+        def solve(rhs, ridge):
+            x, _ = solve_bordered(
+                hess + ridge * np.eye(k + 1) if ridge else hess,
+                budget_border,
+                -np.diag(g_b**2),
+                np.column_stack([rhs[: k * n].reshape(k, n).T, rhs[idx_a]]),
+                np.zeros(k),
+            )
+            return np.concatenate([x[:, :k].T.ravel(), x[:, k]])
+
+        return grad, hess_trace, solve
 
     p_prev = state.powers / budgets[:, None]
     p0 = np.maximum(0.99 * p_prev, 1e-9)
@@ -375,6 +388,7 @@ def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
         gradient=lambda z: grad_f,
         x0=z0,
         blocks=blocks,
+        newton=newton,
     )
     try:
         outcome = solve_barrier(

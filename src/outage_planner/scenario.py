@@ -55,6 +55,19 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
+def _budget_watts(value_dbm: float, field_name: str) -> float:
+    """A sensor's average-power budget in watts: positive and finite."""
+    try:
+        watts = dbm_to_watts(value_dbm)
+    except OverflowError:
+        watts = math.inf
+    if not 0.0 < watts < math.inf:
+        raise ScenarioError(
+            field_name, "average power budget must be positive and finite"
+        )
+    return watts
+
+
 def watts_to_dbm(value_w: float) -> float:
     """Convert a power in watts to dBm.  Requires value > 0."""
     if value_w <= 0.0:
@@ -71,10 +84,10 @@ class SensorSite:
     avg_power_budget: float  # watts, > 0
 
     def __post_init__(self):
-        if self.avg_power_budget <= 0.0:
+        if not 0.0 < self.avg_power_budget < math.inf:
             raise ScenarioError(
                 f"sensors[{self.sensor_id - 1}].p_ave_dbm",
-                "average power budget must be positive",
+                "average power budget must be positive and finite",
             )
 
 
@@ -156,7 +169,7 @@ class Scenario:
         power budget replaced.  Used by the CLI sweep commands."""
         sensors = self.sensors
         if p_ave_dbm is not None:
-            budget = dbm_to_watts(p_ave_dbm)
+            budget = _budget_watts(p_ave_dbm, "p_ave_dbm")
             sensors = tuple(
                 replace(s, avg_power_budget=budget) for s in self.sensors
             )
@@ -272,7 +285,9 @@ def load_scenario(source) -> Scenario:
         SensorSite(
             sensor_id=i + 1,
             position=(float(item["x"]), float(item["y"])),
-            avg_power_budget=dbm_to_watts(float(item["p_ave_dbm"])),
+            avg_power_budget=_budget_watts(
+                float(item["p_ave_dbm"]), f"sensors[{i}].p_ave_dbm"
+            ),
         )
         for i, item in enumerate(doc["sensors"])
     )

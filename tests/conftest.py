@@ -82,3 +82,22 @@ def random_scenario(seed: int, k_hi: int = 4, n_hi: int = 16) -> Scenario:
     )
     doc["gamma_min"] = best * float(rng.uniform(0.25, 0.7))
     return load_scenario(doc)
+
+
+def captured_barrier(monkeypatch, module, run):
+    """Run ``run()`` and return (program, outcome) of its one barrier solve.
+
+    ``module`` is the planner module whose ``solve_barrier`` the call looks
+    up; the real solver still runs.
+    """
+    seen = []
+    real = module.solve_barrier
+
+    def capture(program, **kwargs):
+        seen.append((program, real(program, **kwargs)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(module, "solve_barrier", capture)
+    run()
+    assert len(seen) == 1
+    return seen[0]

@@ -232,6 +232,31 @@ def test_overrides_apply(tmp_path, scenario_file):
     assert float(tr_rows[-1][1]) == pytest.approx(10.0)
 
 
+@pytest.mark.parametrize("p_dbm", ["nan", "1e9"])
+def test_bad_budget_override_is_input_error(tmp_path, scenario_file, capsys, p_dbm):
+    code = main(
+        ["relaxed", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
+         "--grid", "11", "--p-ave-dbm", p_dbm]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ScenarioError"
+    assert record["field"] == "p_ave_dbm"
+
+
+def test_nan_budget_in_scenario_file_is_input_error(tmp_path, capsys):
+    doc = small_doc()
+    doc["sensors"][0]["p_ave_dbm"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))   # Python's json writes a bare NaN
+    code = main(
+        ["relaxed", "--scenario", str(path), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == "sensors[0].p_ave_dbm"
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     code = main(
         ["relaxed", "--scenario", str(tmp_path / "nope.json"),

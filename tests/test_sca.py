@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from outage_planner import sca_planner
 from outage_planner.channel import gain_at, snr_series
+from outage_planner.convex_core import GenericBlock
 from outage_planner.relaxed_optimum import GridSpec, solve_relaxed
 from outage_planner.scenario import (
     PowerSchedule,
@@ -21,7 +23,7 @@ from outage_planner.sca_planner import (
     plan_sca,
     square_sum_lower_bound,
 )
-from tests.conftest import small_doc
+from tests.conftest import DEMO_SCENARIO, captured_barrier, small_doc
 
 
 def true_amplitude(power, q, sensor_xy, scenario):
@@ -200,3 +202,65 @@ def test_plan_sca_objective_cap(small_scenario):
     np.testing.assert_allclose(
         state.amplitudes, np.sqrt(state.powers * gains.T), rtol=1e-12
     )
+
+
+def _speed_rows_loop_reference(scenario, state):
+    """Per-row loops for the speed constraints' Jacobian and Hessian."""
+    n = scenario.n_slots
+    nv = 2 * (n - 1) + n
+    leg2 = (scenario.v_max * state.trajectory.slot_length) ** 2
+    q_i, q_f = np.asarray(scenario.q_start), np.asarray(scenario.q_final)
+
+    def jacobian(z):
+        chain = np.vstack([q_i, z[: 2 * (n - 1)].reshape(-1, 2), q_f])
+        diffs = np.diff(chain, axis=0)
+        jac = np.zeros((n, nv))
+        for row in range(n):
+            d = 2.0 * diffs[row] / leg2
+            if row + 1 <= n - 1:                   # head endpoint is free
+                jac[row, 2 * row : 2 * row + 2] = d
+            if row >= 1:                           # tail endpoint is free
+                jac[row, 2 * (row - 1) : 2 * row] = -d
+        return jac
+
+    def hessian(z, w):
+        h = np.zeros((nv, nv))
+        for row in range(n):
+            free = [b for b, ok in ((2 * row, row + 1 <= n - 1),
+                                    (2 * (row - 1), row >= 1)) if ok]
+            val = 2.0 * w[row] / leg2
+            for b in free:
+                h[b, b] += val
+                h[b + 1, b + 1] += val
+            if len(free) == 2:
+                b1, b2 = free
+                for c in (0, 1):
+                    h[b1 + c, b2 + c] -= val
+                    h[b2 + c, b1 + c] -= val
+        return h
+
+    return jacobian, hessian
+
+
+@pytest.mark.parametrize("n_slots", [2, 3, 16])
+def test_speed_rows_match_loop_reference(monkeypatch, n_slots):
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=n_slots)
+    powers = np.broadcast_to(
+        scn.power_budgets[:, None], (scn.n_sensors, n_slots)
+    ).copy()
+    state = sca_planner._state_from_plan(direct_flight(scn), powers, scn)
+    program, _ = captured_barrier(
+        monkeypatch, sca_planner, lambda: sca_planner.trajectory_step(state, scn)
+    )
+    speed = program.blocks[3]
+    reference = GenericBlock(speed.value, *_speed_rows_loop_reference(scn, state))
+    rng = np.random.default_rng(n_slots)
+    z = program.x0.copy()
+    z[: 2 * (n_slots - 1)] += rng.normal(scale=2.0, size=2 * (n_slots - 1))
+    terms = []
+    for block in (speed, reference):
+        grad, hess = np.zeros(z.size), np.zeros((z.size, z.size))
+        block.add_newton_terms(z, block.value(z), grad, hess)
+        terms.append((grad, hess))
+    assert np.array_equal(terms[0][0], terms[1][0])
+    assert np.array_equal(terms[0][1], terms[1][1])

@@ -87,6 +87,29 @@ def test_sensor_budget_must_be_positive():
         SensorSite(sensor_id=1, position=(0.0, 0.0), avg_power_budget=0.0)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_sensor_budget_must_be_finite(budget):
+    with pytest.raises(ScenarioError):
+        SensorSite(sensor_id=1, position=(0.0, 0.0), avg_power_budget=budget)
+
+
+@pytest.mark.parametrize("p_dbm", [float("nan"), float("inf"), 1e9])
+def test_with_overrides_rejects_bad_budget(p_dbm):
+    scn = load_scenario(small_doc())
+    with pytest.raises(ScenarioError) as err:
+        scn.with_overrides(p_ave_dbm=p_dbm)
+    assert err.value.field == "p_ave_dbm"
+
+
+@pytest.mark.parametrize("p_dbm", [float("nan"), float("inf"), 1e9])
+def test_load_scenario_rejects_bad_budget(p_dbm):
+    doc = small_doc()
+    doc["sensors"][1]["p_ave_dbm"] = p_dbm
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.field == "sensors[1].p_ave_dbm"
+
+
 def test_with_overrides():
     scn = load_scenario(small_doc())
     scn2 = scn.with_overrides(duration=16.0, n_slots=32, p_ave_dbm=30.0)
