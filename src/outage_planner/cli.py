@@ -4,25 +4,7 @@ Loads a scenario, runs a solver or a parameter sweep, and writes
 deterministic CSV/JSON artifacts (12 significant digits, sorted rows) to
 an output directory.  Commands: relaxed, sca, recover, benchmark,
 sweep-power, sweep-duration.
-
-The environment variable OUTAGE_PLANNER_THREADS caps numerical thread
-counts; it is applied before numpy is imported, which is why this module
-must not be imported after numpy in entry-point contexts (the package
-__init__ imports lazily for the same reason).
 """
-
-import os
-
-_threads = os.environ.get("OUTAGE_PLANNER_THREADS")
-if _threads:
-    for _var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ.setdefault(_var, _threads)
 
 import argparse
 import csv
@@ -43,7 +25,12 @@ from outage_planner.benchmarks import (
 from outage_planner.channel import snr_series
 from outage_planner.pipeline import JointPlan, plan_joint
 from outage_planner.power_recovery import recover_powers
-from outage_planner.relaxed_optimum import GridSpec, hover_plan_record, solve_relaxed
+from outage_planner.relaxed_optimum import (
+    DEFAULT_GRID_POINTS,
+    GridSpec,
+    hover_plan_record,
+    solve_relaxed,
+)
 from outage_planner.sca_planner import DEFAULT_ROUNDS
 from outage_planner.scenario import (
     Scenario,
@@ -388,7 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--scenario", required=True, type=Path)
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--grid", type=int, default=81, help="grid resolution per axis")
+    parser.add_argument(
+        "--grid", type=int, default=DEFAULT_GRID_POINTS, help="grid resolution per axis"
+    )
     parser.add_argument("--t-s", type=float, default=None, help="override mission duration")
     parser.add_argument("--p-ave-dbm", type=float, default=None, help="override all budgets")
     parser.add_argument("--n-slots", type=int, default=None, help="override slot count")

@@ -59,13 +59,14 @@ class LinearProgram:
 
 _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-10
+_MAX_PIVOTS = 100_000   # per simplex phase
 
 
-def _bland_pivot(tableau, basis, allowed, max_pivots):
+def _bland_pivot(tableau, basis, allowed):
     """Run Bland-rule pivots in place.  Returns (status, pivot_count)."""
     m = len(basis)
     pivots = 0
-    while pivots < max_pivots:
+    while pivots < _MAX_PIVOTS:
         cost = tableau[-1, :-1]
         entering = -1
         for j in np.flatnonzero(allowed):
@@ -93,7 +94,7 @@ def _bland_pivot(tableau, basis, allowed, max_pivots):
     return STATUS_MAX_ITERS, pivots
 
 
-def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> SolveOutcome:
+def solve_lp(lp: LinearProgram) -> SolveOutcome:
     """Solve a small LP exactly (to numerical tolerance) with the simplex.
 
     Status is one of optimal / infeasible / unbounded / max-iters.  On
@@ -141,7 +142,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> SolveOutcome:
         for i, bi in enumerate(basis):
             if bi >= n + m:
                 tableau[-1] -= tableau[i]
-        status, piv = _bland_pivot(tableau, basis, allowed, max_pivots)
+        status, piv = _bland_pivot(tableau, basis, allowed)
         total_pivots += piv
         if status == STATUS_MAX_ITERS:
             return SolveOutcome(lb.copy(), float(c @ lb), status, total_pivots)
@@ -182,7 +183,7 @@ def solve_lp(lp: LinearProgram, max_pivots: int = 100_000) -> SolveOutcome:
     for i, bi in enumerate(basis):
         if bi < n and c[bi] != 0.0:
             tableau[-1] -= c[bi] * tableau[i]
-    status, piv = _bland_pivot(tableau, basis, allowed, max_pivots)
+    status, piv = _bland_pivot(tableau, basis, allowed)
     total_pivots += piv
 
     y = np.zeros(n + tableau.shape[1] - n - 1)
@@ -321,24 +322,28 @@ def solve_bordered(blocks, border, corner, rhs, rhs_border):
     return h_rhs - h_border @ y, y
 
 
+# log-barrier schedule
+_T0 = 1.0                # first barrier parameter
+_MU = 10.0               # growth of the barrier parameter per stage
+_ARMIJO_C = 0.01         # slope fraction of the backtracking search
+_NEWTON_TOL = 1e-10      # centering stops once lambda^2 / 2 is below this
+_MAX_STAGE_NEWTON = 60   # Newton steps per centering stage
+
+
 def solve_barrier(
     program: SmoothConvexProgram,
     gap_tol: float = 1e-9,
     max_newton: int = 200,
-    t0: float = 1.0,
-    mu: float = 10.0,
-    armijo_c: float = 0.01,
-    newton_tol: float = 1e-10,
-    max_stage_newton: int = 60,
 ) -> SolveOutcome:
     """Minimize a smooth convex program with the log-barrier method.
 
-    The barrier parameter starts at ``t0`` and is multiplied by ``mu`` after
-    each centering stage; each stage runs damped Newton steps with Armijo
-    backtracking (halving, slope fraction ``armijo_c``) until the Newton
-    decrement satisfies lambda^2 / 2 <= ``newton_tol``, the decrement falls
-    below the float resolution of the barrier value, or the stage budget
-    ``max_stage_newton`` runs out.  The loop exits once the duality-gap
+    The barrier parameter starts at ``_T0`` and is multiplied by ``_MU``
+    after each centering stage; each stage runs damped Newton steps with
+    Armijo backtracking (halving, slope fraction ``_ARMIJO_C``) until the
+    Newton decrement satisfies lambda^2 / 2 <= ``_NEWTON_TOL``, the
+    decrement falls below the float resolution of the barrier value, or the
+    stage budget ``_MAX_STAGE_NEWTON`` runs out; ``max_newton`` caps the
+    steps of all stages together.  The loop exits once the duality-gap
     estimate m / t drops below ``gap_tol``.  Iterates stay strictly feasible
     throughout, so constraint satisfaction of the returned point is exact.
     Raises ValueError if ``x0`` is not strictly feasible.
@@ -354,7 +359,7 @@ def solve_barrier(
 
     newton = program.newton or (lambda x, t: _dense_newton(program, x, t))
 
-    t = float(t0)
+    t = _T0
     newton_used = 0
     status = STATUS_OPTIMAL
 
@@ -362,7 +367,7 @@ def solve_barrier(
         # centering stage at barrier parameter t
         stage_used = 0
         phi_x = None  # barrier value at x for this t, once the search knows it
-        while stage_used < max_stage_newton:
+        while stage_used < _MAX_STAGE_NEWTON:
             if newton_used >= max_newton:
                 status = STATUS_MAX_ITERS
                 break
@@ -382,7 +387,7 @@ def solve_barrier(
                 break  # numerically stuck; let the outer loop decide
 
             decrement = -float(grad @ step)
-            if 0.5 * decrement <= newton_tol:
+            if 0.5 * decrement <= _NEWTON_TOL:
                 break
             phi0 = _barrier_value(program, t, x) if phi_x is None else phi_x
             if 0.5 * decrement <= 1e-12 * abs(phi0):
@@ -394,7 +399,7 @@ def solve_barrier(
             for _ in range(60):
                 cand = x + alpha * step
                 phi = _barrier_value(program, t, cand)
-                if phi <= phi0 + armijo_c * alpha * slope:
+                if phi <= phi0 + _ARMIJO_C * alpha * slope:
                     x, phi_x = cand, phi
                     accepted = True
                     break
@@ -411,7 +416,7 @@ def solve_barrier(
             break
         if gap <= gap_tol:
             break
-        t *= mu
+        t *= _MU
 
     return SolveOutcome(
         x, float(program.objective(x)), status, newton_used, gap=m / t

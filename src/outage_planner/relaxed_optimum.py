@@ -28,6 +28,7 @@ from outage_planner.scenario import Scenario, ScenarioError
 EPS_MU = 1e-12
 # relative tie tolerance for collecting grid minimizers into the hover set
 EPS_TIE = 1e-6
+DEFAULT_GRID_POINTS = 81   # default location grid resolution per axis
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,8 @@ class GridSpec:
     x_max: float
     y_min: float
     y_max: float
-    nx: int = 81
-    ny: int = 81
+    nx: int
+    ny: int
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -53,7 +54,9 @@ class GridSpec:
             )
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, resolution: int = 81) -> "GridSpec":
+    def from_scenario(
+        cls, scenario: Scenario, resolution: int = DEFAULT_GRID_POINTS
+    ) -> "GridSpec":
         """Bounding box of the sensors expanded by the altitude on each side."""
         xy = scenario.sensor_xy
         h = scenario.altitude
@@ -227,28 +230,21 @@ def default_mu_box(scenario: Scenario) -> float:
     return 2.0 / (k * float(scenario.power_budgets.min()))
 
 
-def maximize_dual(
-    scenario: Scenario,
-    grid: GridSpec,
-    max_iter: int | None = None,
-    vol_tol: float | None = None,
-) -> DualPoint:
+def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     """Maximize the dual over the price box with the ellipsoid method.
 
     The initial ellipsoid is the ball circumscribing [0, mu_max]^K with
     mu_max = 2 / (K * min_k budget_k).  Centers with a negative component
     receive a feasibility cut on the lowest violating coordinate; feasible
     centers receive an objective cut from the supergradient.  The search
-    stops when the ellipsoid volume has shrunk by ``vol_tol`` relative to
-    the start (default: an 1e-8 per-axis length scale) or after
+    stops when the ellipsoid volume has shrunk by ``vol_tol`` = 1e-8**K
+    relative to the start (an 1e-8 per-axis length scale) or after
     ``max_iter`` cuts, and returns the best evaluated center.
     """
     k = scenario.n_sensors
-    if vol_tol is None:
-        vol_tol = float(1e-8**k)
-    if max_iter is None:
-        # twice the central-cut iteration estimate for the default vol_tol
-        max_iter = int(75 * k * (k + 1)) + 500
+    vol_tol = float(1e-8**k)
+    # twice the central-cut iteration estimate for this vol_tol
+    max_iter = int(75 * k * (k + 1)) + 500
 
     gains = gain_at(grid.points(), scenario)
     mu_max = default_mu_box(scenario)
@@ -387,15 +383,12 @@ def build_hover_plan(
 
 
 def solve_relaxed(
-    scenario: Scenario,
-    grid: GridSpec | None = None,
-    max_iter: int | None = None,
-    vol_tol: float | None = None,
+    scenario: Scenario, grid: GridSpec | None = None
 ) -> tuple[DualPoint, HoverPlan]:
     """Full relaxed pipeline: maximize the dual, then recover a hover plan."""
     if grid is None:
         grid = GridSpec.from_scenario(scenario)
-    dual = maximize_dual(scenario, grid, max_iter=max_iter, vol_tol=vol_tol)
+    dual = maximize_dual(scenario, grid)
     plan = build_hover_plan(dual.mu, scenario, grid)
     return dual, plan
 

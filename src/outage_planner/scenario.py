@@ -55,12 +55,18 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
+def _from_db(convert, value: float) -> float:
+    """``convert(value)`` with an overflow read as +inf, so that the range
+    checks of SensorSite and Scenario reject it with the field's name."""
+    try:
+        return convert(value)
+    except OverflowError:
+        return math.inf
+
+
 def _budget_watts(value_dbm: float, field_name: str) -> float:
     """A sensor's average-power budget in watts: positive and finite."""
-    try:
-        watts = dbm_to_watts(value_dbm)
-    except OverflowError:
-        watts = math.inf
+    watts = _from_db(dbm_to_watts, value_dbm)
     if not 0.0 < watts < math.inf:
         raise ScenarioError(
             field_name, "average power budget must be positive and finite"
@@ -84,9 +90,13 @@ class SensorSite:
     avg_power_budget: float  # watts, > 0
 
     def __post_init__(self):
+        prefix = f"sensors[{self.sensor_id - 1}]"
+        for axis, value in zip("xy", self.position):
+            if not math.isfinite(value):
+                raise ScenarioError(f"{prefix}.{axis}", "must be finite")
         if not 0.0 < self.avg_power_budget < math.inf:
             raise ScenarioError(
-                f"sensors[{self.sensor_id - 1}].p_ave_dbm",
+                f"{prefix}.p_ave_dbm",
                 "average power budget must be positive and finite",
             )
 
@@ -117,15 +127,18 @@ class Scenario:
             ("t_s", self.duration),
         ]
         for name, value in _check_positive:
-            if not value > 0.0:
-                raise ScenarioError(name, "must be positive")
+            if not 0.0 < value < math.inf:
+                raise ScenarioError(name, "must be positive and finite")
+        for name, point in (("q_i", self.q_start), ("q_f", self.q_final)):
+            if not all(math.isfinite(v) for v in point):
+                raise ScenarioError(name, "coordinates must be finite")
         if not self.sensors:
             raise ScenarioError("sensors", "at least one sensor is required")
         ids = [s.sensor_id for s in self.sensors]
         if ids != list(range(1, len(self.sensors) + 1)):
             raise ScenarioError("sensors", "ids must be contiguous from 1")
-        if self.alpha < 2.0:
-            raise ScenarioError("alpha", "path-loss exponent must be >= 2")
+        if not 2.0 <= self.alpha < math.inf:
+            raise ScenarioError("alpha", "path-loss exponent must be finite and >= 2")
         if self.n_slots < 1:
             raise ScenarioError("n_slots", "must be a positive integer")
         dist = math.dist(self.q_start, self.q_final)
@@ -285,18 +298,16 @@ def load_scenario(source) -> Scenario:
         SensorSite(
             sensor_id=i + 1,
             position=(float(item["x"]), float(item["y"])),
-            avg_power_budget=_budget_watts(
-                float(item["p_ave_dbm"]), f"sensors[{i}].p_ave_dbm"
-            ),
+            avg_power_budget=_from_db(dbm_to_watts, float(item["p_ave_dbm"])),
         )
         for i, item in enumerate(doc["sensors"])
     )
     return Scenario(
         sensors=sensors,
         altitude=float(doc["h_m"]),
-        beta0=db_to_linear(float(doc["beta0_db"])),
+        beta0=_from_db(db_to_linear, float(doc["beta0_db"])),
         alpha=float(doc["alpha"]),
-        noise_power=dbm_to_watts(float(doc["noise_dbm"])),
+        noise_power=_from_db(dbm_to_watts, float(doc["noise_dbm"])),
         gamma_min=float(doc["gamma_min"]),
         v_max=float(doc["vmax_mps"]),
         duration=float(doc["t_s"]),

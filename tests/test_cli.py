@@ -244,6 +244,17 @@ def test_bad_budget_override_is_input_error(tmp_path, scenario_file, capsys, p_d
     assert record["field"] == "p_ave_dbm"
 
 
+def test_infinite_duration_override_is_input_error(tmp_path, scenario_file, capsys):
+    code = main(
+        ["sca", "--scenario", str(scenario_file), "--out", str(tmp_path / "o"),
+         "--grid", "11", "--t-s", "inf"]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ScenarioError"
+    assert record["field"] == "t_s"
+
+
 def test_nan_budget_in_scenario_file_is_input_error(tmp_path, capsys):
     doc = small_doc()
     doc["sensors"][0]["p_ave_dbm"] = float("nan")

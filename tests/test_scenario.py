@@ -110,6 +110,48 @@ def test_load_scenario_rejects_bad_budget(p_dbm):
     assert err.value.field == "sensors[1].p_ave_dbm"
 
 
+def _set_field(doc: dict, field: str, value: float) -> None:
+    """Set a scalar field, the first coordinate of an endpoint, or a
+    coordinate of the second sensor (``sensors[1].x``)."""
+    if field.startswith("sensors[1]."):
+        doc["sensors"][1][field.split(".")[1]] = value
+    elif field in ("q_i", "q_f"):
+        doc[field] = [value, 0.0]
+    else:
+        doc[field] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "field",
+    ["h_m", "beta0_db", "alpha", "noise_dbm", "gamma_min", "vmax_mps", "t_s",
+     "q_i", "q_f", "sensors[1].x", "sensors[1].y"],
+)
+def test_load_scenario_rejects_non_finite(field, value):
+    doc = small_doc()
+    _set_field(doc, field, value)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.field == field
+    assert "finite" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["beta0_db", "noise_dbm"])
+def test_load_scenario_rejects_overflowing_decibels(field):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(small_doc(**{field: 1e9}))
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+def test_with_overrides_rejects_non_finite_duration(duration):
+    scn = load_scenario(small_doc())
+    with pytest.raises(ScenarioError) as err:
+        scn.with_overrides(duration=duration)
+    assert err.value.field == "t_s"
+    assert "finite" in str(err.value)
+
+
 def test_with_overrides():
     scn = load_scenario(small_doc())
     scn2 = scn.with_overrides(duration=16.0, n_slots=32, p_ave_dbm=30.0)
