@@ -1,6 +1,6 @@
 """Deterministic convex solvers used by the planning modules.
 
-Three primitives, all dependency-free and reproducible run to run:
+Four primitives, all dependency-free and reproducible run to run:
 
 * ``solve_lp``: two-phase tableau simplex with Bland's pivoting rule
   (anti-cycling, deterministic) for small linear programs with inequality
@@ -11,9 +11,9 @@ Three primitives, all dependency-free and reproducible run to run:
   Hessian has structure supplies its own ``newton`` assembler instead, and
   both paths share one ridge fallback, decrement test and line search.
 * ``solve_bordered``: block elimination for the bordered block-diagonal
-  Newton systems of the per-slot power programs: one batched solve over
-  the diagonal blocks and one small Schur-complement solve for the border
-  (Boyd & Vandenberghe, *Convex Optimization*, App. C.4).
+  Newton system of the SCA power step: one batched solve over the
+  per-slot diagonal blocks and one small Schur-complement solve for the
+  budget border (Boyd & Vandenberghe, *Convex Optimization*, App. C.4).
 * ``bisect_max_feasible``: largest-feasible-integer search for monotone
   predicates, with a verification pass and a linear-scan fallback when the
   monotonicity assumption fails.
@@ -300,6 +300,9 @@ def _dense_newton(program, x, t):
 
 def solve_bordered(blocks, border, corner, rhs, rhs_border):
     """Solve [[blockdiag(H_n), C], [C^T, B]] [x; y] = [r; rho] by elimination.
+
+    This is the Newton system of the SCA power step (one block per slot,
+    bordered by the K average-power budgets).
 
     ``blocks`` (N, s, s) holds the diagonal blocks H_n, ``border``
     (N, s, r) the rows of C that meet block n, ``corner`` (r, r) the

@@ -2,13 +2,23 @@
 
 Given waypoints, the largest set of non-outage slots is found by ranking
 slots by the SNR they reach under full-budget transmission and searching
-for the longest feasible prefix of that ranking.  Feasibility of a slot
-subset is a convex program: each active slot needs summed received
-amplitude at least sqrt(gamma * noise), concave in the powers, under the
-average-power budgets.  It is solved in phase-1 form (minimize the
-threshold shortfall t) with the log-barrier method.
+for the longest feasible prefix of that ranking.  A slot subset is
+feasible when every slot's summed received amplitude can reach
+b = sqrt(gamma * noise) within the average-power budgets.
 
-The threshold used by the solver is inflated by a tiny relative margin so
+That question is decided in price space.  At prices nu >= 0 on the
+sensors' budgets the cheapest powers meeting the threshold in slot n have
+a closed form (the paper's per-slot optimal-power structure) and priced
+cost 1 / s_n(nu) in budget shares, s_n = sum_k g_kn C_k / (b^2 nu_k), with
+C_k the energy sensor k may spend.  By weak duality (Boyd & Vandenberghe,
+*Convex Optimization*, §5) f(nu) = sum_n 1 / s_n(nu) on the price simplex
+bounds the least worst-case budget share rho* from below, while the
+closed-form powers' largest share max_k u_k(nu) bounds it from above.
+Newton's method on the K-price concave program tightens the sandwich
+until it settles the verdict; a feasible verdict returns the closed-form
+powers themselves, scaled into the budgets.
+
+The threshold used by the test is inflated by a tiny relative margin so
 that accepted slots clear the outage test strictly even after floating
 point round-off in the plan/evaluation pipeline.
 
@@ -27,20 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from outage_planner.channel import gain_at, snr_series
-from outage_planner.convex_core import (
-    BoundBlock,
-    GenericBlock,
-    STATUS_OPTIMAL,
-    SmoothConvexProgram,
+# solve_barrier is not called here, but stays a module attribute: the
+# benchmark's tracer (perfbench/tracing.py) wraps it under this module
+from outage_planner.convex_core import (  # noqa: F401
     bisect_max_feasible,
     solve_barrier,
-    solve_bordered,
 )
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 
-THRESH_INFLATION = 3e-9   # relative inflation of gamma inside the solver
-ACCEPT_SHORTFALL = 1e-9   # max phase-1 shortfall still declared feasible
+THRESH_INFLATION = 3e-9   # relative inflation of gamma inside the test
+ACCEPT_USAGE = 1 + 2e-9   # max budget share still declared feasible: a
+                          # 1e-9 amplitude shortfall, (1 - 1e-9)^-2 - 1
 CERT_MARGIN = 1e-6        # slack for the closed-form equal-split certificate
+RANK_CAP = 1 - 1e-6       # schedule SNR above RANK_CAP * gamma ranks as served
+_PRICE_MAX_NEWTON = 30    # Newton steps of the price test before giving up
+_ARMIJO_C = 0.01          # slope fraction of its backtracking search
 
 BUDGET_NORMS = ("horizon", "active_slots")
 
@@ -51,12 +62,18 @@ class RecoveredSchedule:
 
     ``active_slots`` are the 0-based slots guaranteed non-outage (sorted);
     ``ranking`` is the full slot order searched (best SNR first).
+    ``probes`` counts the feasibility tests solved (prefix lengths the
+    equal-split certificate did not settle), and ``fallback_used`` is true
+    when the bisection found the verdicts non-monotone and fell back to a
+    linear scan.
     """
 
     schedule: PowerSchedule
     active_slots: np.ndarray
     ranking: np.ndarray
     outage: float
+    probes: int = 0
+    fallback_used: bool = False
 
     @property
     def n_active(self) -> int:
@@ -75,12 +92,14 @@ def _solver_threshold(scenario: Scenario) -> float:
     )
 
 
-def _budget_cap(budget_norm: str, m: int, n: int) -> float:
-    # cap on mean(p') where p' is power in units of budget * N / m
+def _budget_capacity(
+    scenario: Scenario, budget_norm: str, m: int
+) -> np.ndarray:
+    """Energy C_k each sensor may spend over m served slots, shape (K,)."""
     if budget_norm == "horizon":
-        return 1.0
+        return scenario.power_budgets * scenario.n_slots
     if budget_norm == "active_slots":
-        return m / n
+        return scenario.power_budgets * m
     raise ValueError(f"budget_norm must be one of {BUDGET_NORMS}")
 
 
@@ -103,100 +122,62 @@ def feasibility_for_subset(
     if slots.min() < 0 or slots.max() >= n or np.unique(slots).size < slots.size:
         raise ValueError("slots must be distinct indices in [0, n_slots)")
 
-    m = slots.size
-    cap_mean = _budget_cap(budget_norm, m, n)
-    b = _solver_threshold(scenario)
-    gains = gain_at(trajectory.slot_positions[slots], scenario)  # (m, K)
-    scale = scenario.power_budgets * n / m                       # (K,)
-    e_over_b = np.sqrt(gains * scale[None, :]).T / b             # (K, m)
+    capacity = _budget_capacity(scenario, budget_norm, slots.size)
+    gains = gain_at(trajectory.slot_positions[slots], scenario).T    # (K, m)
+    h = gains * capacity[:, None] / _solver_threshold(scenario) ** 2
 
-    nv = k * m + 1
-    idx_t = nv - 1
+    def priced(nu):
+        # s_n = sum_k h_kn / nu_k; 1 / s_n is the priced cost of slot n
+        s = (h / nu[:, None]).sum(axis=0)
+        return float((1.0 / s).sum()), s
 
-    def p_of(z):
-        return z[: k * m].reshape(k, m)
+    # The cheapest threshold-meeting powers at prices nu spend the share
+    # x_kn = h_kn / (nu_k s_n)^2 of C_k in slot n.  Their usage u = x 1 and
+    # f(nu) = nu . u = sum_n 1 / s_n sandwich the least worst-case share
+    # rho*: f(nu) <= rho* <= max_k u_k, with equality at the maximizer of
+    # the concave f over the price simplex, which Newton's method seeks.
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    nu = np.sqrt(h.sum(axis=1))
+    nu /= nu.sum()
+    for _ in range(_PRICE_MAX_NEWTON):
+        f, s = priced(nu)
+        a = h / (nu**2)[:, None]
+        x = a / s**2
+        usage = x.sum(axis=1)
+        top = float(usage.max())
+        if top <= ACCEPT_USAGE:
+            powers = np.zeros((k, n))
+            powers[:, slots] = x * (capacity / max(1.0, top))[:, None]
+            return True, powers
+        if f > ACCEPT_USAGE:
+            return False, None
 
-    def thresh_value(z):
-        # negative powers are rejected by the bound block; clip so the
-        # amplitude stays finite during infeasible line-search probes
-        amp = (e_over_b * np.sqrt(np.maximum(p_of(z), 0.0))).sum(axis=0)
-        return 1.0 - z[idx_t] - amp
-
-    def budget_value(z):
-        return p_of(z).mean(axis=1) - cap_mean
-
-    blocks = [
-        GenericBlock(thresh_value),
-        GenericBlock(budget_value),
-        BoundBlock(np.arange(k * m), -1.0, 0.0),
-    ]
-
-    # Newton system: one K-block per slot (its powers), bordered by the
-    # shared shortfall t and the K budget rows, each budget row eliminated
-    # into the border as y_k = (budget row k) . dz / g_k^2 (entry -g_k^2)
-    budget_border = np.zeros((m, k, k))
-    budget_border[:, np.arange(k), np.arange(k)] = 1.0 / m
-    diag = np.arange(k)
-
-    def newton(z, t):
-        p = p_of(z)
-        w = -1.0 / thresh_value(z)                    # (m,) > 0
-        g_b = budget_value(z)
-        jac_p = -e_over_b / (2.0 * np.sqrt(p))        # (K, m)
-        grad = t * grad_f
-        grad[: k * m] += (
-            jac_p * w - 1.0 / p - (1.0 / m) / g_b[:, None]
-        ).ravel()
-        grad[idx_t] -= w.sum()
-        hess = jac_p.T[:, :, None] * (jac_p * w**2).T[:, None, :]
-        curv = (w * e_over_b) / (4.0 * p**1.5) + 1.0 / p**2
-        hess[:, diag, diag] += curv.T
-        border = np.concatenate(                       # d2/(dp dt), budgets
-            [-(jac_p * w**2).T[:, :, None], budget_border], axis=2
-        )
-        h_tt = (w**2).sum()
-        hess_trace = float(
-            np.trace(hess, axis1=1, axis2=2).sum()
-            + h_tt
-            + (1.0 / (m * g_b**2)).sum()
-        )
-
-        def solve(rhs, ridge):
-            corner = np.diag(np.concatenate([[h_tt + ridge], -(g_b**2)]))
-            x, y = solve_bordered(
-                hess + ridge * np.eye(k) if ridge else hess,
-                border,
-                corner,
-                rhs[: k * m].reshape(k, m).T,
-                np.concatenate([rhs[idx_t:], np.zeros(k)]),
-            )
-            return np.concatenate([x.T.ravel(), y[:1]])
-
-        return grad, hess_trace, solve
-
-    z0 = np.empty(nv)
-    z0[: k * m] = 0.45 * cap_mean
-    amp0 = (e_over_b * np.sqrt(p_of(z0))).sum(axis=0)
-    z0[idx_t] = max(0.0, float((1.0 - amp0).max())) + 0.5
-
-    grad_f = np.zeros(nv)
-    grad_f[idx_t] = 1.0
-    program = SmoothConvexProgram(
-        objective=lambda z: float(z[idx_t]),
-        gradient=lambda z: grad_f,
-        x0=z0,
-        blocks=blocks,
-        newton=newton,
-    )
-    outcome = solve_barrier(program, gap_tol=1e-11, max_newton=400)
-    if outcome.status != STATUS_OPTIMAL:
-        return False, None
-    if outcome.x[idx_t] > ACCEPT_SHORTFALL:
-        return False, None
-
-    powers = np.zeros((k, n))
-    powers[:, slots] = p_of(outcome.x) * scale[:, None]
-    return True, powers
+        # Newton step of max f subject to sum(nu) = 1; the gradient of f
+        # is u, and f is homogeneous of degree one, so its Hessian is
+        # singular along nu and only the bordered system is solvable
+        kkt[:k, :k] = 2.0 * (a / s**3) @ a.T - np.diag(2.0 * usage / nu)
+        rhs[:k] = -usage
+        try:
+            step = np.linalg.solve(kkt, rhs)[:k]
+        except np.linalg.LinAlgError:
+            break
+        slope = float(usage @ step)
+        if not slope > 1e-15 * f:
+            break  # converged short of a verdict
+        shrink = step < 0.0
+        room = np.min(nu[shrink] / -step[shrink], initial=np.inf)
+        alpha = min(1.0, 0.99 * float(room))  # fraction to the boundary
+        for _ in range(60):
+            cand = nu + alpha * step
+            if priced(cand)[0] >= f + _ARMIJO_C * alpha * slope:
+                break
+            alpha *= 0.5
+        else:
+            break
+        nu = cand / cand.sum()
+    return False, None  # undecided: the conservative verdict
 
 
 def _equal_split_prefix(
@@ -250,16 +231,26 @@ def _rank_and_gains(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ranking, channel gains and full-budget amplitudes in rank order).
 
-    Slots are ranked by the SNR of ``schedule`` when one is given (e.g. the
-    SCA iterate's powers), otherwise by full-budget SNR.
+    Slots are ranked by full-budget SNR, or when a ``schedule`` is given
+    (e.g. the SCA iterate's powers) by its SNR capped just below gamma
+    first.  The cap ties every slot the schedule serves, so float noise in
+    the schedule cannot reorder them; full-budget SNR, then slot index,
+    break the ties.
     """
     n = scenario.n_slots
     k = scenario.n_sensors
+    full = PowerSchedule(
+        np.broadcast_to(scenario.power_budgets[:, None], (k, n)).copy()
+    )
+    full_snr = snr_series(trajectory, full, scenario)
     if schedule is None:
-        full = np.broadcast_to(scenario.power_budgets[:, None], (k, n)).copy()
-        schedule = PowerSchedule(full)
-    snr_vals = snr_series(trajectory, schedule, scenario)
-    ranking = rank_slots(snr_vals)
+        ranking = rank_slots(full_snr)
+    else:
+        capped = np.minimum(
+            snr_series(trajectory, schedule, scenario),
+            scenario.gamma_min * RANK_CAP,
+        )
+        ranking = np.lexsort((np.arange(n), -full_snr, -capped))
     gains_ranked = gain_at(trajectory.slot_positions, scenario)[ranking]
     full_amp_ranked = np.sqrt(
         gains_ranked * scenario.power_budgets[None, :]
@@ -306,36 +297,30 @@ def recover_powers(
 
     memo: dict[int, tuple[bool, np.ndarray | None]] = {}
 
-    def probe(v: int) -> bool:
-        if v == 0:
-            return True
-        if v <= cert_v and v not in memo:
-            return True   # certified without a solve
+    def solve(v: int) -> tuple[bool, np.ndarray | None]:
         if v not in memo:
             memo[v] = feasibility_for_subset(
                 scenario, trajectory, ranking[:v], budget_norm
             )
-        return memo[v][0]
+        return memo[v]
+
+    def probe(v: int) -> bool:
+        if v == 0 or (v <= cert_v and v not in memo):
+            return True   # certified without a solve
+        return solve(v)[0]
 
     result = bisect_max_feasible(probe, 0, hi)
     v_star = result.value
 
-    if v_star == 0:
-        powers = np.zeros((k, n))
-    else:
-        if v_star in memo and memo[v_star][0]:
-            powers = memo[v_star][1]
+    powers = np.zeros((k, n))
+    if v_star > 0:
+        feasible, solved = solve(v_star)
+        if feasible:
+            powers = solved
         else:
-            feasible, powers = feasibility_for_subset(
-                scenario, trajectory, ranking[:v_star], budget_norm
-            )
-            if not feasible:
-                # certificate guarantees the closed-form split works
-                powers = np.zeros((k, n))
-                split = scenario.power_budgets * (
-                    n / v_star if budget_norm == "horizon" else 1.0
-                )
-                powers[:, ranking[:v_star]] = split[:, None]
+            # certificate guarantees the closed-form split works
+            split = _budget_capacity(scenario, budget_norm, v_star) / v_star
+            powers[:, ranking[:v_star]] = split[:, None]
 
     active = np.sort(ranking[:v_star])
     return RecoveredSchedule(
@@ -343,4 +328,6 @@ def recover_powers(
         active_slots=active,
         ranking=ranking,
         outage=(n - v_star) / n,
+        probes=len(memo),
+        fallback_used=result.fallback_used,
     )

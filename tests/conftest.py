@@ -1,11 +1,21 @@
-"""Shared fixtures: the bundled demo scenario and randomized small instances."""
+"""Shared fixtures: the bundled demo scenario, randomized small instances
+and the log-barrier reference for the recovery feasibility test."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from outage_planner.channel import snr
+from outage_planner import power_recovery
+from outage_planner.channel import gain_at, snr
+from outage_planner.convex_core import (
+    BoundBlock,
+    GenericBlock,
+    STATUS_OPTIMAL,
+    SmoothConvexProgram,
+    solve_barrier,
+    solve_bordered,
+)
 from outage_planner.scenario import Scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -101,3 +111,109 @@ def captured_barrier(monkeypatch, module, run):
     run()
     assert len(seen) == 1
     return seen[0]
+
+
+BARRIER_ACCEPT_SHORTFALL = 1e-9   # max phase-1 shortfall the reference accepts
+
+
+def barrier_feasibility_reference(scenario, trajectory, slots, budget_norm):
+    """Verdict of the phase-1 log-barrier feasibility program for ``slots``.
+
+    The reference for ``power_recovery.feasibility_for_subset``: minimize the
+    shared threshold shortfall t over powers p' (in units of budget * N / m)
+    subject to 1 - t - amplitude/b <= 0 per slot, the average-power budgets
+    and p' >= 0; the subset is feasible when the optimum has t <= 1e-9.
+    Returns (feasible, powers) like the function it checks.
+    """
+    slots = np.asarray(slots, dtype=int)
+    n = scenario.n_slots
+    k = scenario.n_sensors
+    m = slots.size
+    cap_mean = 1.0 if budget_norm == "horizon" else m / n
+    b = power_recovery._solver_threshold(scenario)
+    gains = gain_at(trajectory.slot_positions[slots], scenario)  # (m, K)
+    scale = scenario.power_budgets * n / m                       # (K,)
+    e_over_b = np.sqrt(gains * scale[None, :]).T / b             # (K, m)
+
+    nv = k * m + 1
+    idx_t = nv - 1
+
+    def p_of(z):
+        return z[: k * m].reshape(k, m)
+
+    def thresh_value(z):
+        amp = (e_over_b * np.sqrt(np.maximum(p_of(z), 0.0))).sum(axis=0)
+        return 1.0 - z[idx_t] - amp
+
+    def budget_value(z):
+        return p_of(z).mean(axis=1) - cap_mean
+
+    blocks = [
+        GenericBlock(thresh_value),
+        GenericBlock(budget_value),
+        BoundBlock(np.arange(k * m), -1.0, 0.0),
+    ]
+
+    # one K-block per slot bordered by t and the K budget rows
+    budget_border = np.zeros((m, k, k))
+    budget_border[:, np.arange(k), np.arange(k)] = 1.0 / m
+    diag = np.arange(k)
+
+    def newton(z, t):
+        p = p_of(z)
+        w = -1.0 / thresh_value(z)
+        g_b = budget_value(z)
+        jac_p = -e_over_b / (2.0 * np.sqrt(p))
+        grad = t * grad_f
+        grad[: k * m] += (
+            jac_p * w - 1.0 / p - (1.0 / m) / g_b[:, None]
+        ).ravel()
+        grad[idx_t] -= w.sum()
+        hess = jac_p.T[:, :, None] * (jac_p * w**2).T[:, None, :]
+        curv = (w * e_over_b) / (4.0 * p**1.5) + 1.0 / p**2
+        hess[:, diag, diag] += curv.T
+        border = np.concatenate(
+            [-(jac_p * w**2).T[:, :, None], budget_border], axis=2
+        )
+        h_tt = (w**2).sum()
+        hess_trace = float(
+            np.trace(hess, axis1=1, axis2=2).sum()
+            + h_tt
+            + (1.0 / (m * g_b**2)).sum()
+        )
+
+        def solve(rhs, ridge):
+            corner = np.diag(np.concatenate([[h_tt + ridge], -(g_b**2)]))
+            x, y = solve_bordered(
+                hess + ridge * np.eye(k) if ridge else hess,
+                border,
+                corner,
+                rhs[: k * m].reshape(k, m).T,
+                np.concatenate([rhs[idx_t:], np.zeros(k)]),
+            )
+            return np.concatenate([x.T.ravel(), y[:1]])
+
+        return grad, hess_trace, solve
+
+    z0 = np.empty(nv)
+    z0[: k * m] = 0.45 * cap_mean
+    amp0 = (e_over_b * np.sqrt(p_of(z0))).sum(axis=0)
+    z0[idx_t] = max(0.0, float((1.0 - amp0).max())) + 0.5
+
+    grad_f = np.zeros(nv)
+    grad_f[idx_t] = 1.0
+    program = SmoothConvexProgram(
+        objective=lambda z: float(z[idx_t]),
+        gradient=lambda z: grad_f,
+        x0=z0,
+        blocks=blocks,
+        newton=newton,
+    )
+    outcome = solve_barrier(program, gap_tol=1e-11, max_newton=400)
+    if outcome.status != STATUS_OPTIMAL:
+        return False, None
+    if outcome.x[idx_t] > BARRIER_ACCEPT_SHORTFALL:
+        return False, None
+    powers = np.zeros((k, n))
+    powers[:, slots] = p_of(outcome.x) * scale[:, None]
+    return True, powers

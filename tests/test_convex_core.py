@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from outage_planner import power_recovery, sca_planner
+from outage_planner import sca_planner
 from outage_planner.channel import gain_at
 from outage_planner.convex_core import (
     STATUS_INFEASIBLE,
@@ -273,36 +273,6 @@ def _power_step_dense_blocks(program, state, scn):
     ]
 
 
-def _probe_dense_blocks(program, scn, trajectory, slots):
-    """Dense Jacobians of the feasibility probe's constraints, by hand."""
-    n, k, m = scn.n_slots, scn.n_sensors, len(slots)
-    nv = k * m + 1
-    b = power_recovery._solver_threshold(scn)
-    gains = gain_at(trajectory.slot_positions[slots], scn)
-    e = np.sqrt(gains * (scn.power_budgets * n / m)[None, :]).T / b  # (K, m)
-    cols = np.arange(k)[:, None] * m + np.arange(m)[None, :]
-    rows = np.broadcast_to(np.arange(m), (k, m))
-
-    def thresh_jacobian(z):
-        p = z[: k * m].reshape(k, m)
-        jac = np.zeros((m, nv))
-        jac[rows, cols] = -e / (2.0 * np.sqrt(p))
-        jac[:, -1] = -1.0
-        return jac
-
-    def thresh_hessian(z, w):
-        p = z[: k * m].reshape(k, m)
-        return np.diag(np.append((w * e / (4.0 * p**1.5)).ravel(), 0.0))
-
-    budget_jac = np.zeros((k, nv))
-    budget_jac[np.arange(k)[:, None], cols] = 1.0 / m
-    return [
-        GenericBlock(program.blocks[0].value, thresh_jacobian, thresh_hessian),
-        GenericBlock(program.blocks[1].value, lambda z: budget_jac),
-        BoundBlock(np.arange(k * m), -1.0, 0.0),
-    ]
-
-
 def _assert_newton_matches_dense(program, dense_blocks, outcome):
     dense = SmoothConvexProgram(
         program.objective, program.gradient, program.x0, dense_blocks
@@ -335,24 +305,6 @@ def test_power_step_newton_matches_dense_assembly(monkeypatch):
     assert outcome.status == STATUS_OPTIMAL
     _assert_newton_matches_dense(
         program, _power_step_dense_blocks(program, state, scn), outcome
-    )
-
-
-@pytest.mark.parametrize("budget_norm", power_recovery.BUDGET_NORMS)
-def test_feasibility_probe_newton_matches_dense_assembly(monkeypatch, budget_norm):
-    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=12)
-    trajectory = sca_planner.direct_flight(scn)
-    slots = np.array([0, 2, 3, 5, 8, 11])
-    program, outcome = captured_barrier(
-        monkeypatch,
-        power_recovery,
-        lambda: power_recovery.feasibility_for_subset(
-            scn, trajectory, slots, budget_norm
-        ),
-    )
-    assert outcome.status == STATUS_OPTIMAL
-    _assert_newton_matches_dense(
-        program, _probe_dense_blocks(program, scn, trajectory, slots), outcome
     )
 
 

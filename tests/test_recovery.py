@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from outage_planner.channel import snr_series
+from outage_planner import power_recovery
+from outage_planner.benchmarks import run_fly_hover_fly
+from outage_planner.channel import outage_probability, snr_series
 from outage_planner.power_recovery import (
+    BUDGET_NORMS,
     feasibility_for_subset,
     max_active_upper_bound,
     rank_slots,
@@ -16,7 +19,27 @@ from outage_planner.scenario import (
     plan_violations,
 )
 from outage_planner.sca_planner import direct_flight
-from tests.conftest import small_doc
+from tests.conftest import (
+    DEMO_SCENARIO,
+    barrier_feasibility_reference,
+    random_scenario,
+    small_doc,
+)
+
+
+def full_budget_schedule(scn) -> PowerSchedule:
+    return PowerSchedule(
+        np.repeat(scn.power_budgets[:, None], scn.n_slots, axis=1)
+    )
+
+
+def assert_serves(scn, trajectory, schedule, slots):
+    """No violated residual, SNR >= gamma on ``slots``, silence elsewhere."""
+    assert plan_violations(scn, trajectory, schedule) == []
+    series = snr_series(trajectory, schedule, scn)
+    assert np.all(series[slots] >= scn.gamma_min)
+    silent = np.setdiff1d(np.arange(scn.n_slots), slots)
+    assert not schedule.powers[:, silent].any()
 
 
 def test_rank_slots_orderings():
@@ -136,3 +159,141 @@ def test_recovery_accepts_schedule_ranking(small_scenario):
         (small_scenario.n_slots - guided.n_active) / small_scenario.n_slots,
         abs=0,
     )
+
+
+@pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
+def test_price_test_matches_barrier_reference(budget_norm):
+    verdicts = set()
+    for seed in range(6):
+        scn = random_scenario(seed)
+        tr = direct_flight(scn)
+        ranking = rank_slots(snr_series(tr, full_budget_schedule(scn), scn))
+        for v in range(1, scn.n_slots + 1):
+            slots = ranking[:v]
+            ok, powers = feasibility_for_subset(scn, tr, slots, budget_norm)
+            ref, _ = barrier_feasibility_reference(scn, tr, slots, budget_norm)
+            assert ok == ref, (seed, v)
+            verdicts.add(ok)
+            if ok:
+                assert_serves(scn, tr, PowerSchedule(powers), slots)
+            else:
+                assert powers is None
+    assert verdicts == {True, False}
+
+
+def test_schedule_ranking_ignores_float_noise():
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=16)
+    tr = direct_flight(scn)
+    # a recovered schedule serves its slots at gamma up to float noise
+    base = recover_powers(scn, tr)
+    assert base.n_active >= 4
+    powers = base.schedule.powers
+    rng = np.random.default_rng(0)
+    noisy = powers * (1.0 + 1e-12 * rng.standard_normal(powers.shape))
+    # the raw SNR order of those slots is set by the noise ...
+    assert not np.array_equal(
+        rank_slots(snr_series(tr, PowerSchedule(powers), scn)),
+        rank_slots(snr_series(tr, PowerSchedule(noisy), scn)),
+    )
+    # ... and the ranking recovery searches does not see it
+    clean = recover_powers(scn, tr, schedule=PowerSchedule(powers))
+    perturbed = recover_powers(scn, tr, schedule=PowerSchedule(noisy))
+    np.testing.assert_array_equal(clean.ranking, perturbed.ranking)
+    np.testing.assert_array_equal(clean.active_slots, perturbed.active_slots)
+    # served slots come first, in full-budget SNR order
+    np.testing.assert_array_equal(
+        clean.ranking[: base.n_active], base.ranking[: base.n_active]
+    )
+
+
+def test_recovery_reports_bisection_record(monkeypatch):
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=32)
+    calls = []
+    real = power_recovery.feasibility_for_subset
+
+    def counted(*args):
+        calls.append(args[2].size)
+        return real(*args)
+
+    monkeypatch.setattr(power_recovery, "feasibility_for_subset", counted)
+    rec = recover_powers(scn, direct_flight(scn))
+    assert not rec.fallback_used
+    assert rec.probes == len(calls) > 0
+    assert rec.n_active in calls   # the served prefix was solved, not split
+
+
+def with_threshold(doc: dict, fraction: float) -> dict:
+    """``doc`` with gamma at a fraction of its best full-budget slot SNR."""
+    scn = load_scenario(doc)
+    series = snr_series(direct_flight(scn), full_budget_schedule(scn), scn)
+    return dict(doc, gamma_min=float(series.max()) * fraction)
+
+
+DEGENERATE = {
+    "one sensor": with_threshold(
+        small_doc(sensors=[{"x": 30.0, "y": 20.0, "p_ave_dbm": 27.0}]), 0.8
+    ),
+    "one slot": with_threshold(small_doc(n_slots=1), 0.8),
+    "co-located sensors": with_threshold(
+        small_doc(
+            sensors=[
+                {"x": 40.0, "y": 25.0, "p_ave_dbm": 27.0},
+                {"x": 40.0, "y": 25.0, "p_ave_dbm": 24.0},
+            ]
+        ),
+        0.8,
+    ),
+    "free-space loss": with_threshold(small_doc(alpha=2.0), 1.0),
+    "stationary": with_threshold(small_doc(q_f=[0.0, 0.0]), 0.8),
+    "trivial threshold": small_doc(gamma_min=1e-6),
+    "unreachable threshold": small_doc(gamma_min=1e12),
+}
+
+
+@pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_inputs_recover_valid_plans(case, budget_norm):
+    scn = load_scenario(DEGENERATE[case])
+    tr = direct_flight(scn)
+    for schedule in (None, full_budget_schedule(scn)):
+        rec = recover_powers(scn, tr, budget_norm, schedule=schedule)
+        assert_serves(scn, tr, rec.schedule, rec.active_slots)
+        assert rec.outage == (scn.n_slots - rec.n_active) / scn.n_slots
+        if case == "trivial threshold":
+            assert rec.outage == 0.0
+        elif case == "unreachable threshold":
+            assert rec.outage == 1.0
+        else:
+            assert rec.n_active > 0
+
+
+def test_fly_hover_fly_at_bundled_size(demo_scenario):
+    assert demo_scenario.n_slots == 128
+    res = run_fly_hover_fly(demo_scenario)
+    assert_serves(
+        demo_scenario,
+        res.trajectory,
+        res.schedule,
+        np.flatnonzero(res.schedule.powers.any(axis=0)),
+    )
+    assert res.outage == outage_probability(
+        res.trajectory, res.schedule, demo_scenario
+    )
+    assert res.outage == (128 - res.details["n_active"]) / 128
+    assert 0 < res.details["evaluations"]
+    # the hover itinerary beats recovering powers on the straight flight
+    direct = recover_powers(demo_scenario, direct_flight(demo_scenario))
+    assert res.outage < direct.outage
+
+
+@pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
+def test_undecided_test_falls_back_to_equal_split(monkeypatch, budget_norm):
+    scn = load_scenario(with_threshold(small_doc(), 0.5))
+    tr = direct_flight(scn)
+    monkeypatch.setattr(
+        power_recovery, "feasibility_for_subset", lambda *args: (False, None)
+    )
+    rec = recover_powers(scn, tr, budget_norm)
+    # only the certified prefix is served, at its closed-form equal split
+    assert rec.n_active > 0
+    assert_serves(scn, tr, rec.schedule, rec.active_slots)
