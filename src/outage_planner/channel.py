@@ -66,10 +66,19 @@ def snr_series(
     trajectory: Trajectory, schedule: PowerSchedule, scenario: Scenario
 ) -> np.ndarray:
     """Per-slot SNR along a plan, shape (N,).  Slot n uses waypoint q[n]."""
+    return snr_from_gains(
+        schedule, gain_at(trajectory.slot_positions, scenario), scenario
+    )
+
+
+def snr_from_gains(
+    schedule: PowerSchedule, gains: np.ndarray, scenario: Scenario
+) -> np.ndarray:
+    """Per-slot SNR of ``schedule`` given its slots' (N, K) channel gains."""
     p = schedule.powers
-    if p.shape != (scenario.n_sensors, trajectory.n_slots):
+    if p.shape != gains.T.shape:
         raise ValueError("power schedule does not match trajectory and scenario")
-    amps = np.sqrt(p.T * gain_at(trajectory.slot_positions, scenario))
+    amps = np.sqrt(p.T * gains)
     return amps.sum(axis=1) ** 2 / scenario.noise_power
 
 

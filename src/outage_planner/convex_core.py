@@ -6,14 +6,14 @@ Four primitives, all dependency-free and reproducible run to run:
   (anti-cycling, deterministic) for small linear programs with inequality
   rows and variable lower bounds.
 * ``solve_barrier``: log-barrier interior-point method for smooth convex
-  programs.  Constraints are supplied in vectorized blocks.  By default the
-  Newton system is assembled densely from the blocks; a program whose
-  Hessian has structure supplies its own ``newton`` assembler instead, and
-  both paths share one ridge fallback, decrement test and line search.
-* ``solve_bordered``: block elimination for the bordered block-diagonal
-  Newton system of the SCA power step: one batched solve over the
-  per-slot diagonal blocks and one small Schur-complement solve for the
-  budget border (Boyd & Vandenberghe, *Convex Optimization*, App. C.4).
+  programs.  Constraints are supplied in vectorized blocks, and the Newton
+  system is assembled densely from their Jacobians and Hessians.
+  ``newton_direction`` is its ridge-guarded Newton solve, shared with the
+  SCA power step.
+* ``solve_price_feasibility``: decides whether per-slot amplitude targets
+  fit into per-sensor budgets, by Newton's method on the K budget prices
+  of the concave dual (the paper's closed-form per-slot powers).
+  ``ascend_in_orthant`` is its line search, shared with the SCA power step.
 * ``bisect_max_feasible``: largest-feasible-integer search for monotone
   predicates, with a verification pass and a linear-scan fallback when the
   monotonicity assumption fails.
@@ -206,11 +206,10 @@ class GenericBlock:
     ``value`` maps x to the (m_i,) constraint values, ``jacobian`` to the
     (m_i, n) Jacobian.  ``hessian_comb(x, w)`` must return
     sum_j w_j * hess(g_j)(x) as an (n, n) array, or None when every
-    constraint in the block is affine.  A program with its own ``newton``
-    assembler needs only the values, and may leave ``jacobian`` None.
+    constraint in the block is affine.
     """
 
-    def __init__(self, value, jacobian=None, hessian_comb=None):
+    def __init__(self, value, jacobian, hessian_comb=None):
         self._value = value
         self._jacobian = jacobian
         self._hessian_comb = hessian_comb
@@ -254,13 +253,6 @@ class SmoothConvexProgram:
 
     ``objective`` and ``gradient`` are required; ``hessian`` may be None for
     affine objectives.  ``x0`` must be strictly feasible for every block.
-
-    ``newton``, when given, replaces the dense assembly from the blocks'
-    Jacobians: ``newton(x, t)`` returns the gradient of the barrier
-    t f(x) - sum log(-g(x)), the trace of its Hessian H, and a function
-    ``solve(rhs, ridge)`` returning the solution of (H + ridge I) dx = rhs
-    (raising ``np.linalg.LinAlgError`` when that system is singular).  The
-    blocks then serve only their values, to the line search.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -268,7 +260,6 @@ class SmoothConvexProgram:
     x0: np.ndarray
     blocks: list = field(default_factory=list)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    newton: Callable[[np.ndarray, float], tuple] | None = None
 
 
 def _barrier_value(program, t, x):
@@ -283,7 +274,7 @@ def _barrier_value(program, t, x):
 
 
 def _dense_newton(program, x, t):
-    """Newton system assembled densely from the blocks' Jacobians."""
+    """Barrier gradient and Hessian, assembled densely from the blocks."""
     n = x.size
     grad = t * np.asarray(program.gradient(x), dtype=float)
     hess = np.zeros((n, n))
@@ -291,38 +282,28 @@ def _dense_newton(program, x, t):
         hess += t * np.asarray(program.hessian(x), dtype=float)
     for block in program.blocks:
         block.add_newton_terms(x, block.value(x), grad, hess)
-
-    def solve(rhs, ridge):
-        return np.linalg.solve(hess + ridge * np.eye(n) if ridge else hess, rhs)
-
-    return grad, float(np.trace(hess)), solve
+    return grad, hess
 
 
-def solve_bordered(blocks, border, corner, rhs, rhs_border):
-    """Solve [[blockdiag(H_n), C], [C^T, B]] [x; y] = [r; rho] by elimination.
+def newton_direction(hess, grad, base):
+    """Solve hess @ d = -grad for a descent direction (grad @ d < 0).
 
-    This is the Newton system of the SCA power step (one block per slot,
-    bordered by the K average-power budgets).
-
-    ``blocks`` (N, s, s) holds the diagonal blocks H_n, ``border``
-    (N, s, r) the rows of C that meet block n, ``corner`` (r, r) the
-    symmetric B, ``rhs`` (N, s) and ``rhs_border`` (r,) the right-hand
-    side.  One batched solve gives H^-1 [r, C] block by block; the r x r
-    Schur complement S = B - C^T H^-1 C then yields y, and
-    x = H^-1 (r - C y).  B may be indefinite (a constraint row eliminated
-    into the border has entry -g^2), but every H_n must be nonsingular.
-    Costs O(N s^3 + N s^2 r + r^3) against O((N s + r)^3) for the dense
-    system.  Returns x (N, s) and y (r,); raises ``np.linalg.LinAlgError``
-    when a block or S is singular.
+    A singular or indefinite-looking system is retried with a ridge
+    added to the diagonal, starting at 1e-12 * ``base`` and growing
+    100-fold, five times at most.  Returns None when no try descends.
     """
-    r = corner.shape[0]
-    stacked = np.concatenate([rhs[:, :, None], border], axis=2)
-    both = np.linalg.solve(blocks, stacked)
-    h_rhs, h_border = both[:, :, 0], both[:, :, 1:]
-    flat = border.reshape(-1, r)
-    schur = corner - flat.T @ h_border.reshape(-1, r)
-    y = np.linalg.solve(schur, rhs_border - flat.T @ h_rhs.ravel())
-    return h_rhs - h_border @ y, y
+    ridge = 0.0
+    for _ in range(6):
+        try:
+            step = np.linalg.solve(
+                hess + ridge * np.eye(grad.size) if ridge else hess, -grad
+            )
+        except np.linalg.LinAlgError:
+            step = None
+        if step is not None and grad @ step < 0.0:
+            return step
+        ridge = base * 1e-12 if ridge == 0.0 else ridge * 100.0
+    return None
 
 
 # log-barrier schedule
@@ -360,8 +341,6 @@ def solve_barrier(
         if not np.all(g < 0.0):  # NaN is infeasible, as in the line search
             raise ValueError("no strictly feasible start found")
 
-    newton = program.newton or (lambda x, t: _dense_newton(program, x, t))
-
     t = _T0
     newton_used = 0
     status = STATUS_OPTIMAL
@@ -374,19 +353,9 @@ def solve_barrier(
             if newton_used >= max_newton:
                 status = STATUS_MAX_ITERS
                 break
-            grad, hess_trace, solve = newton(x, t)
-            step = None
-            ridge = 0.0
-            base = hess_trace / n + 1.0
-            for attempt in range(6):
-                try:
-                    step = solve(-grad, ridge)
-                except np.linalg.LinAlgError:
-                    step = None
-                if step is not None and grad @ step < 0.0:
-                    break
-                ridge = base * 1e-12 if ridge == 0.0 else ridge * 100.0
-            if step is None or grad @ step >= 0.0:
+            grad, hess = _dense_newton(program, x, t)
+            step = newton_direction(hess, grad, float(np.trace(hess)) / n + 1.0)
+            if step is None:
                 break  # numerically stuck; let the outer loop decide
 
             decrement = -float(grad @ step)
@@ -424,6 +393,95 @@ def solve_barrier(
     return SolveOutcome(
         x, float(program.objective(x)), status, newton_used, gap=m / t
     )
+
+
+# ---------------------------------------------------------------------------
+# Amplitude targets within budgets: Newton's method on the K prices
+# ---------------------------------------------------------------------------
+
+ACCEPT_USAGE = 1 + 2e-9   # max budget share still declared feasible: a
+                          # 1e-9 amplitude shortfall, (1 - 1e-9)^-2 - 1
+_PRICE_MAX_NEWTON = 30    # Newton steps of the price test before giving up
+
+
+def ascend_in_orthant(fun, x, step, value, slope, fraction):
+    """Backtracking line search that increases ``fun`` and keeps x > 0.
+
+    The first trial point lies ``fraction`` of the way from x to the
+    boundary of the positive orthant along ``step`` (at most a full
+    step); the length is then halved until Armijo's condition
+    fun(x + a step) >= value + _ARMIJO_C a slope holds, where ``value``
+    is fun(x) and ``slope`` > 0 its derivative along ``step``.  Returns
+    the accepted point, or None when 60 halvings find none.
+    """
+    shrink = step < 0.0
+    room = np.min(x[shrink] / -step[shrink], initial=np.inf)
+    alpha = min(1.0, fraction * float(room))
+    for _ in range(60):
+        cand = x + alpha * step
+        if fun(cand) >= value + _ARMIJO_C * alpha * slope:
+            return cand
+        alpha *= 0.5
+    return None
+
+
+def solve_price_feasibility(h: np.ndarray) -> np.ndarray | None:
+    """Shares that let every slot reach its amplitude target, or None.
+
+    Slot n (a column of ``h``, shape (K, m), h > 0) is served when
+    sum_k sqrt(h_kn x_kn) >= 1, where x_kn >= 0 is the share of sensor k's
+    budget spent in slot n and sum_n x_kn <= 1 for every sensor.  At
+    prices nu > 0 on the budgets the cheapest shares serving slot n are
+    x_kn = h_kn / (nu_k s_n)^2 with s_n = sum_k h_kn / nu_k.  Their usage
+    u = x 1 and f(nu) = nu . u = sum_n 1 / s_n sandwich the least
+    worst-case share rho*: f(nu) <= rho* <= max_k u_k (weak duality), with
+    equality at the maximizer of the concave f over the price simplex,
+    which Newton's method seeks.  Returns x / max(1, max_k u_k) once
+    max_k u_k <= ``ACCEPT_USAGE``, and None (infeasible) once
+    f > ``ACCEPT_USAGE`` or when ``_PRICE_MAX_NEWTON`` steps or a stalled
+    step leave the verdict open (the conservative answer).
+    """
+    k = h.shape[0]
+
+    def priced(nu):
+        s = (h / nu[:, None]).sum(axis=0)
+        return float((1.0 / s).sum()), s
+
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    nu = np.sqrt(h.sum(axis=1))
+    nu /= nu.sum()
+    for _ in range(_PRICE_MAX_NEWTON):
+        f, s = priced(nu)
+        a = h / (nu**2)[:, None]
+        x = a / s**2
+        usage = x.sum(axis=1)
+        top = float(usage.max())
+        if top <= ACCEPT_USAGE:
+            return x / max(1.0, top)
+        if f > ACCEPT_USAGE:
+            return None
+
+        # Newton step of max f subject to sum(nu) = 1; the gradient of f
+        # is u, and f is homogeneous of degree one, so its Hessian is
+        # singular along nu and only the bordered system is solvable
+        kkt[:k, :k] = 2.0 * (a / s**3) @ a.T - np.diag(2.0 * usage / nu)
+        rhs[:k] = -usage
+        try:
+            step = np.linalg.solve(kkt, rhs)[:k]
+        except np.linalg.LinAlgError:
+            break
+        slope = float(usage @ step)
+        if not slope > 1e-15 * f:
+            break  # converged short of a verdict
+        cand = ascend_in_orthant(
+            lambda v: priced(v)[0], nu, step, f, slope, 0.99
+        )
+        if cand is None:
+            break
+        nu = cand / cand.sum()
+    return None
 
 
 # ---------------------------------------------------------------------------

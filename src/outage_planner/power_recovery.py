@@ -14,9 +14,10 @@ C_k the energy sensor k may spend.  By weak duality (Boyd & Vandenberghe,
 *Convex Optimization*, §5) f(nu) = sum_n 1 / s_n(nu) on the price simplex
 bounds the least worst-case budget share rho* from below, while the
 closed-form powers' largest share max_k u_k(nu) bounds it from above.
-Newton's method on the K-price concave program tightens the sandwich
-until it settles the verdict; a feasible verdict returns the closed-form
-powers themselves, scaled into the budgets.
+Newton's method on the K-price concave program
+(``convex_core.solve_price_feasibility``) tightens the sandwich until it
+settles the verdict; a feasible verdict returns the closed-form powers
+themselves, scaled into the budgets.
 
 The threshold used by the test is inflated by a tiny relative margin so
 that accepted slots clear the outage test strictly even after floating
@@ -36,22 +37,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from outage_planner.channel import gain_at, snr_series
+from outage_planner.channel import gain_at, snr_from_gains
 # solve_barrier is not called here, but stays a module attribute: the
 # benchmark's tracer (perfbench/tracing.py) wraps it under this module
 from outage_planner.convex_core import (  # noqa: F401
     bisect_max_feasible,
     solve_barrier,
+    solve_price_feasibility,
 )
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 
 THRESH_INFLATION = 3e-9   # relative inflation of gamma inside the test
-ACCEPT_USAGE = 1 + 2e-9   # max budget share still declared feasible: a
-                          # 1e-9 amplitude shortfall, (1 - 1e-9)^-2 - 1
 CERT_MARGIN = 1e-6        # slack for the closed-form equal-split certificate
 RANK_CAP = 1 - 1e-6       # schedule SNR above RANK_CAP * gamma ranks as served
-_PRICE_MAX_NEWTON = 30    # Newton steps of the price test before giving up
-_ARMIJO_C = 0.01          # slope fraction of its backtracking search
 
 BUDGET_NORMS = ("horizon", "active_slots")
 
@@ -126,58 +124,12 @@ def feasibility_for_subset(
     gains = gain_at(trajectory.slot_positions[slots], scenario).T    # (K, m)
     h = gains * capacity[:, None] / _solver_threshold(scenario) ** 2
 
-    def priced(nu):
-        # s_n = sum_k h_kn / nu_k; 1 / s_n is the priced cost of slot n
-        s = (h / nu[:, None]).sum(axis=0)
-        return float((1.0 / s).sum()), s
-
-    # The cheapest threshold-meeting powers at prices nu spend the share
-    # x_kn = h_kn / (nu_k s_n)^2 of C_k in slot n.  Their usage u = x 1 and
-    # f(nu) = nu . u = sum_n 1 / s_n sandwich the least worst-case share
-    # rho*: f(nu) <= rho* <= max_k u_k, with equality at the maximizer of
-    # the concave f over the price simplex, which Newton's method seeks.
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, k] = kkt[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    nu = np.sqrt(h.sum(axis=1))
-    nu /= nu.sum()
-    for _ in range(_PRICE_MAX_NEWTON):
-        f, s = priced(nu)
-        a = h / (nu**2)[:, None]
-        x = a / s**2
-        usage = x.sum(axis=1)
-        top = float(usage.max())
-        if top <= ACCEPT_USAGE:
-            powers = np.zeros((k, n))
-            powers[:, slots] = x * (capacity / max(1.0, top))[:, None]
-            return True, powers
-        if f > ACCEPT_USAGE:
-            return False, None
-
-        # Newton step of max f subject to sum(nu) = 1; the gradient of f
-        # is u, and f is homogeneous of degree one, so its Hessian is
-        # singular along nu and only the bordered system is solvable
-        kkt[:k, :k] = 2.0 * (a / s**3) @ a.T - np.diag(2.0 * usage / nu)
-        rhs[:k] = -usage
-        try:
-            step = np.linalg.solve(kkt, rhs)[:k]
-        except np.linalg.LinAlgError:
-            break
-        slope = float(usage @ step)
-        if not slope > 1e-15 * f:
-            break  # converged short of a verdict
-        shrink = step < 0.0
-        room = np.min(nu[shrink] / -step[shrink], initial=np.inf)
-        alpha = min(1.0, 0.99 * float(room))  # fraction to the boundary
-        for _ in range(60):
-            cand = nu + alpha * step
-            if priced(cand)[0] >= f + _ARMIJO_C * alpha * slope:
-                break
-            alpha *= 0.5
-        else:
-            break
-        nu = cand / cand.sum()
-    return False, None  # undecided: the conservative verdict
+    shares = solve_price_feasibility(h)
+    if shares is None:
+        return False, None
+    powers = np.zeros((k, n))
+    powers[:, slots] = shares * capacity[:, None]
+    return True, powers
 
 
 def _equal_split_prefix(
@@ -228,8 +180,8 @@ def _rank_and_gains(
     scenario: Scenario,
     trajectory: Trajectory,
     schedule: PowerSchedule | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ranking, channel gains and full-budget amplitudes in rank order).
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ranking, channel gains in rank order), shapes (N,) and (N, K).
 
     Slots are ranked by full-budget SNR, or when a ``schedule`` is given
     (e.g. the SCA iterate's powers) by its SNR capped just below gamma
@@ -239,23 +191,20 @@ def _rank_and_gains(
     """
     n = scenario.n_slots
     k = scenario.n_sensors
+    gains = gain_at(trajectory.slot_positions, scenario)   # (N, K)
     full = PowerSchedule(
         np.broadcast_to(scenario.power_budgets[:, None], (k, n)).copy()
     )
-    full_snr = snr_series(trajectory, full, scenario)
+    full_snr = snr_from_gains(full, gains, scenario)
     if schedule is None:
         ranking = rank_slots(full_snr)
     else:
         capped = np.minimum(
-            snr_series(trajectory, schedule, scenario),
+            snr_from_gains(schedule, gains, scenario),
             scenario.gamma_min * RANK_CAP,
         )
         ranking = np.lexsort((np.arange(n), -full_snr, -capped))
-    gains_ranked = gain_at(trajectory.slot_positions, scenario)[ranking]
-    full_amp_ranked = np.sqrt(
-        gains_ranked * scenario.power_budgets[None, :]
-    ).sum(axis=1)
-    return ranking, gains_ranked, full_amp_ranked
+    return ranking, gains[ranking]
 
 
 def max_active_upper_bound(
@@ -266,7 +215,7 @@ def max_active_upper_bound(
     """Solver-free upper bound on the non-outage slots recovery can reach."""
     if budget_norm not in BUDGET_NORMS:
         raise ValueError(f"budget_norm must be one of {BUDGET_NORMS}")
-    _, gains_ranked, _ = _rank_and_gains(scenario, trajectory)
+    _, gains_ranked = _rank_and_gains(scenario, trajectory)
     return _pooled_energy_prefix(scenario, gains_ranked, budget_norm)
 
 
@@ -287,9 +236,10 @@ def recover_powers(
         raise ValueError(f"budget_norm must be one of {BUDGET_NORMS}")
     n = scenario.n_slots
     k = scenario.n_sensors
-    ranking, gains_ranked, full_amp_ranked = _rank_and_gains(
-        scenario, trajectory, schedule
-    )
+    ranking, gains_ranked = _rank_and_gains(scenario, trajectory, schedule)
+    full_amp_ranked = np.sqrt(
+        gains_ranked * scenario.power_budgets[None, :]
+    ).sum(axis=1)
 
     cert_v = _equal_split_prefix(scenario, full_amp_ranked, budget_norm)
     hi = _pooled_energy_prefix(scenario, gains_ranked, budget_norm)

@@ -14,9 +14,11 @@ subproblems obtained from two global tangent bounds:
 
 Both subproblems therefore maximize a lower bound that is tight at the
 current iterate, which makes the clipped objective monotone across
-accepted steps.  Steps are solved with the log-barrier Newton method; a
-step is rejected (iterate kept) if the solver fails to converge or the
-exact objective would regress beyond rounding tolerance.
+accepted steps.  The trajectory step is solved with the log-barrier Newton
+method.  The power step is solved in price space: at prices on the K
+budgets each slot's best powers have a closed form, so only the K prices
+are searched.  A step is rejected (iterate kept) if the solver fails to
+converge or the exact objective would regress beyond rounding tolerance.
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from outage_planner.convex_core import (
     GenericBlock,
     STATUS_OPTIMAL,
     SmoothConvexProgram,
+    ascend_in_orthant,
+    newton_direction,
     solve_barrier,
-    solve_bordered,
+    solve_price_feasibility,
 )
 from outage_planner.relaxed_optimum import HoverPlan
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
@@ -43,6 +47,9 @@ from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 OBJ_TOL_REL = 1e-9     # accepted steps may regress at most this (relative)
 DEFAULT_ROUNDS = 50
 DEFAULT_REL_IMPROVEMENT = 1e-4
+_PRICE_STEP_MAX_NEWTON = 50   # dual Newton steps of the power step
+_PRICE_STEP_BOUNDARY = 0.5    # their fraction to the boundary nu = 0; 0.99
+                              # can land on the all-capped plateau and stall
 
 
 @dataclass(frozen=True)
@@ -120,10 +127,10 @@ def _state_from_plan(
     )
 
 
-def _accept(old: ScaState, candidate: ScaState) -> bool:
-    return candidate.objective >= old.objective - OBJ_TOL_REL * max(
-        1.0, abs(old.objective)
-    )
+def _accept(old: ScaState, candidate: ScaState) -> tuple[ScaState, bool]:
+    """(candidate, True) unless its objective regresses, else (old, False)."""
+    floor = old.objective - OBJ_TOL_REL * max(1.0, abs(old.objective))
+    return (candidate, True) if candidate.objective >= floor else (old, False)
 
 
 def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
@@ -137,7 +144,6 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     upper bounds, leaving a concave quadratic cap in the waypoint.
     """
     n = scenario.n_slots
-    k = scenario.n_sensors
     wp = state.trajectory.waypoints
     delta = state.trajectory.slot_length
     leg = scenario.v_max * delta
@@ -281,131 +287,100 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
 
     new_wp = wp.copy()
     new_wp[1:-1] = q_of(outcome.x)
-    candidate = _state_from_plan(
+    return _accept(state, _state_from_plan(
         Trajectory(new_wp, delta), state.powers, scenario, state.trace
-    )
-    if not _accept(state, candidate):
-        return state, False
-    return candidate, True
+    ))
 
 
 def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
     """One SCA power update with the trajectory held fixed.
 
-    The amplitude of sensor k in slot n is sqrt(P * gain), concave in the
-    power, and enters through the tangent bound of the squared amplitude
-    sum; the average-power budgets and nonnegativity complete the program.
-    Powers are rescaled by their budgets and the auxiliaries by
-    gamma * noise so the Newton systems stay well conditioned.
+    In budget shares p' = P / B the step maximizes (gamma / N) sum_n A'_n
+    subject to A'_n <= 1, A'_n <= beta_n S_n - off_n and the budgets
+    mean_n p'_kn <= 1.  S_n = sum_k e_kn sqrt(p'_kn), e_kn = sqrt(g_kn B_k),
+    is the summed amplitude and beta_n S_n - off_n the tangent bound of
+    S_n^2 at the current sum s_n, in units of gamma * noise.  The step is
+    solved in price space by ``_optimal_shares``.
     """
-    n = scenario.n_slots
-    k = scenario.n_sensors
     cap = scenario.gamma_min * scenario.noise_power
     budgets = scenario.power_budgets
     gains = gain_at(state.trajectory.slot_positions, scenario)  # (N, K)
-    e_full = np.sqrt(gains * budgets[None, :])    # amplitude at full budget
-    s_ref = state.amplitudes.sum(axis=0)          # (N,)
-    beta = 2.0 * s_ref / cap                      # (N,)
-    off = s_ref**2 / cap                          # (N,)
-
-    nv = k * n + n
-    idx_a = k * n + np.arange(n)
-
-    def p_of(z):
-        return z[: k * n].reshape(k, n)
-
-    def surrogate_value(z):
-        # negative powers are rejected by the bound block; clip so the
-        # amplitude stays finite during infeasible line-search probes
-        p = np.maximum(p_of(z), 0.0)
-        amp = (e_full.T * np.sqrt(p)).sum(axis=0)  # (N,)
-        return z[idx_a] + off - beta * amp
-
-    def budget_value(z):
-        return p_of(z).mean(axis=1) - 1.0
-
-    blocks = [
-        BoundBlock(idx_a, +1.0, 1.0),
-        GenericBlock(surrogate_value),
-        BoundBlock(np.arange(k * n), -1.0, 0.0),               # p' >= 0
-        GenericBlock(budget_value),
-    ]
-
-    # Newton system: one (K + 1)-block per slot (its powers, then A_n),
-    # bordered by the K budget rows, each eliminated into the border as
-    # y_k = (budget row k) . dz / g_k^2 with corner entry -g_k^2
-    budget_border = np.zeros((n, k + 1, k))
-    budget_border[:, np.arange(k), np.arange(k)] = 1.0 / n
-    diag = np.arange(k)
-
-    def newton(z, t):
-        p = p_of(z)
-        w_s = -1.0 / surrogate_value(z)              # (N,) > 0
-        g_a = z[idx_a] - 1.0
-        g_b = budget_value(z)
-        jac_p = -(beta[None, :] * e_full.T) / (2.0 * np.sqrt(p))  # (K, N)
-        grad = t * grad_f
-        grad[: k * n] += (
-            jac_p * w_s - 1.0 / p - (1.0 / n) / g_b[:, None]
-        ).ravel()
-        grad[idx_a] += w_s - 1.0 / g_a
-        rows = np.empty((n, k + 1))
-        rows[:, :k] = jac_p.T
-        rows[:, k] = 1.0
-        hess = rows[:, :, None] * (rows * (w_s**2)[:, None])[:, None, :]
-        curv = (w_s * beta * e_full.T) / (4.0 * p**1.5) + 1.0 / p**2
-        hess[:, diag, diag] += curv.T
-        hess[:, k, k] += 1.0 / g_a**2
-        hess_trace = float(
-            np.trace(hess, axis1=1, axis2=2).sum() + (1.0 / (n * g_b**2)).sum()
-        )
-
-        def solve(rhs, ridge):
-            x, _ = solve_bordered(
-                hess + ridge * np.eye(k + 1) if ridge else hess,
-                budget_border,
-                -np.diag(g_b**2),
-                np.column_stack([rhs[: k * n].reshape(k, n).T, rhs[idx_a]]),
-                np.zeros(k),
-            )
-            return np.concatenate([x[:, :k].T.ravel(), x[:, k]])
-
-        return grad, hess_trace, solve
-
-    p_prev = state.powers / budgets[:, None]
-    p0 = np.maximum(0.99 * p_prev, 1e-9)
-    z0 = np.zeros(nv)
-    z0[: k * n] = p0.ravel()
-    amp0 = (e_full.T * np.sqrt(p0)).sum(axis=0)
-    z0[idx_a] = np.minimum(1.0, beta * amp0 - off) - 0.01
-
-    gamma = scenario.gamma_min
-    grad_f = np.zeros(nv)
-    grad_f[idx_a] = -gamma / n
-
-    program = SmoothConvexProgram(
-        objective=lambda z: float(grad_f @ z),
-        gradient=lambda z: grad_f,
-        x0=z0,
-        blocks=blocks,
-        newton=newton,
+    s_ref = state.amplitudes.sum(axis=0)                        # (N,)
+    off = s_ref**2 / cap
+    shares = _optimal_shares(
+        gains.T * budgets[:, None], 2.0 * s_ref / cap, off, scenario.gamma_min
     )
-    try:
-        outcome = solve_barrier(
-            program, gap_tol=1e-10 * max(1.0, gamma), max_newton=400
-        )
-    except ValueError:
+    if shares is None:
         return state, False
-    if outcome.status != STATUS_OPTIMAL:
-        return state, False
+    return _accept(state, _state_from_plan(
+        state.trajectory, shares * budgets[:, None], scenario, state.trace
+    ))
 
-    new_powers = p_of(outcome.x) * budgets[:, None]
-    candidate = _state_from_plan(
-        state.trajectory, new_powers, scenario, state.trace
-    )
-    if not _accept(state, candidate):
-        return state, False
-    return candidate, True
+
+def _optimal_shares(e2, beta, off, gamma):
+    """Optimal shares p' (K, N) of the power step, or None on failure.
+
+    At prices nu on the budgets the cheapest shares reaching S_n cost
+    S_n^2 / w_n, w_n = sum_k e2_kn / nu_k (the paper's per-slot power
+    structure), so slot n's best amplitude is
+    S_n = min(gamma beta_n w_n / 2, t_n), where t_n = (1 + off_n) / beta_n
+    caps A'_n at 1.  If recovery's price test finds every t_n reachable,
+    its shares are optimal; a zero price caps every slot, so this covers
+    every slack budget.  Otherwise Newton's method minimizes the convex
+    dual g(nu) = sum_k nu_k + mean_n [gamma min(1, beta_n S_n - off_n)
+    - S_n^2 / w_n] over nu > 0.  Its gradient is 1 - usage of the shares
+    p'_kn = (S_n / w_n)^2 e2_kn / nu_k^2, and it stops once g exceeds the
+    value of those shares, scaled per sensor into the budget, by at most
+    1e-10 max(1, gamma).  None after ``_PRICE_STEP_MAX_NEWTON`` steps.
+    """
+    n = e2.shape[1]
+    top = (1.0 + off) / beta
+    shares = solve_price_feasibility(n * e2 / top**2)
+    if shares is not None:
+        return n * shares
+
+    def dual(nu):
+        w = (e2 / nu[:, None]).sum(axis=0)
+        amp = np.minimum(0.5 * gamma * beta * w, top)
+        value = nu.sum() + np.mean(
+            gamma * np.minimum(1.0, beta * amp - off) - amp**2 / w
+        )
+        return float(value), w, amp
+
+    tol = 1e-10 * max(1.0, gamma)
+    nu = 0.5 * gamma * np.sqrt((beta**2 * e2).mean(axis=1))
+    for _ in range(_PRICE_STEP_MAX_NEWTON):
+        g, w, amp = dual(nu)
+        a = e2 / (nu**2)[:, None]            # -dw_n / dnu_k
+        ratio2 = (amp / w) ** 2
+        p = a * ratio2
+        usage = p.mean(axis=1)
+        p /= np.maximum(1.0, usage)[:, None]
+        primal = gamma * np.mean(
+            np.minimum(1.0, beta * np.sqrt(p * e2).sum(axis=0) - off)
+        )
+        if min(g, gamma) - primal <= tol:
+            return p
+
+        # capped slots add -2 S^2 / w^3 a a^T to the Hessian.  Where every
+        # slot is capped g is linear along nu and the Hessian singular:
+        # the ridge of newton_direction then turns the step into descent
+        curv = np.where(amp < top, 0.0, 2.0 * ratio2 / w)
+        diag = 2.0 * usage / nu
+        hess = np.diag(diag) - (a * curv) @ a.T / n
+        step = newton_direction(hess, 1.0 - usage, diag.mean())
+        if step is None:
+            return None
+        # the search accepts a rise of g within its round-off, so Newton
+        # steps still shrink the gradient once g has settled (the
+        # approximate Armijo test of Hager & Zhang, SIAM J. Optim. 2005)
+        nu = ascend_in_orthant(
+            lambda v: -dual(v)[0], nu, step, -g - 1e-12 * abs(g),
+            float((usage - 1.0) @ step), _PRICE_STEP_BOUNDARY,
+        )
+        if nu is None:
+            return None
+    return None
 
 
 def plan_sca(

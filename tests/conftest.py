@@ -1,5 +1,6 @@
-"""Shared fixtures: the bundled demo scenario, randomized small instances
-and the log-barrier reference for the recovery feasibility test."""
+"""Shared fixtures: the bundled demo scenario, randomized and degenerate
+small instances, and the dense log-barrier references for the two power
+programs (the recovery feasibility test and the SCA power step)."""
 
 from pathlib import Path
 
@@ -7,16 +8,16 @@ import numpy as np
 import pytest
 
 from outage_planner import power_recovery
-from outage_planner.channel import gain_at, snr
+from outage_planner.channel import gain_at, snr, snr_series
 from outage_planner.convex_core import (
     BoundBlock,
     GenericBlock,
     STATUS_OPTIMAL,
     SmoothConvexProgram,
     solve_barrier,
-    solve_bordered,
 )
-from outage_planner.scenario import Scenario, load_scenario
+from outage_planner.sca_planner import direct_flight
+from outage_planner.scenario import PowerSchedule, Scenario, load_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_SCENARIO = REPO_ROOT / "scenarios" / "paper.json"
@@ -94,6 +95,40 @@ def random_scenario(seed: int, k_hi: int = 4, n_hi: int = 16) -> Scenario:
     return load_scenario(doc)
 
 
+def full_budget_schedule(scn) -> PowerSchedule:
+    return PowerSchedule(
+        np.repeat(scn.power_budgets[:, None], scn.n_slots, axis=1)
+    )
+
+
+def with_threshold(doc: dict, fraction: float) -> dict:
+    """``doc`` with gamma at a fraction of its best full-budget slot SNR."""
+    scn = load_scenario(doc)
+    series = snr_series(direct_flight(scn), full_budget_schedule(scn), scn)
+    return dict(doc, gamma_min=float(series.max()) * fraction)
+
+
+DEGENERATE = {
+    "one sensor": with_threshold(
+        small_doc(sensors=[{"x": 30.0, "y": 20.0, "p_ave_dbm": 27.0}]), 0.8
+    ),
+    "one slot": with_threshold(small_doc(n_slots=1), 0.8),
+    "co-located sensors": with_threshold(
+        small_doc(
+            sensors=[
+                {"x": 40.0, "y": 25.0, "p_ave_dbm": 27.0},
+                {"x": 40.0, "y": 25.0, "p_ave_dbm": 24.0},
+            ]
+        ),
+        0.8,
+    ),
+    "free-space loss": with_threshold(small_doc(alpha=2.0), 1.0),
+    "stationary": with_threshold(small_doc(q_f=[0.0, 0.0]), 0.8),
+    "trivial threshold": small_doc(gamma_min=1e-6),
+    "unreachable threshold": small_doc(gamma_min=1e12),
+}
+
+
 def captured_barrier(monkeypatch, module, run):
     """Run ``run()`` and return (program, outcome) of its one barrier solve.
 
@@ -137,6 +172,8 @@ def barrier_feasibility_reference(scenario, trajectory, slots, budget_norm):
 
     nv = k * m + 1
     idx_t = nv - 1
+    cols = np.arange(k)[:, None] * m + np.arange(m)[None, :]
+    rows = np.broadcast_to(np.arange(m), (k, m))
 
     def p_of(z):
         return z[: k * m].reshape(k, m)
@@ -148,52 +185,24 @@ def barrier_feasibility_reference(scenario, trajectory, slots, budget_norm):
     def budget_value(z):
         return p_of(z).mean(axis=1) - cap_mean
 
+    def thresh_jacobian(z):
+        jac = np.zeros((m, nv))
+        jac[rows, cols] = -e_over_b / (2.0 * np.sqrt(p_of(z)))
+        jac[:, idx_t] = -1.0
+        return jac
+
+    def thresh_hessian(z, w):
+        curv = (w * e_over_b) / (4.0 * p_of(z) ** 1.5)
+        return np.diag(np.concatenate([curv.ravel(), [0.0]]))
+
+    budget_jac = np.zeros((k, nv))
+    budget_jac[np.arange(k)[:, None], cols] = 1.0 / m
+
     blocks = [
-        GenericBlock(thresh_value),
-        GenericBlock(budget_value),
+        GenericBlock(thresh_value, thresh_jacobian, thresh_hessian),
+        GenericBlock(budget_value, lambda z: budget_jac),
         BoundBlock(np.arange(k * m), -1.0, 0.0),
     ]
-
-    # one K-block per slot bordered by t and the K budget rows
-    budget_border = np.zeros((m, k, k))
-    budget_border[:, np.arange(k), np.arange(k)] = 1.0 / m
-    diag = np.arange(k)
-
-    def newton(z, t):
-        p = p_of(z)
-        w = -1.0 / thresh_value(z)
-        g_b = budget_value(z)
-        jac_p = -e_over_b / (2.0 * np.sqrt(p))
-        grad = t * grad_f
-        grad[: k * m] += (
-            jac_p * w - 1.0 / p - (1.0 / m) / g_b[:, None]
-        ).ravel()
-        grad[idx_t] -= w.sum()
-        hess = jac_p.T[:, :, None] * (jac_p * w**2).T[:, None, :]
-        curv = (w * e_over_b) / (4.0 * p**1.5) + 1.0 / p**2
-        hess[:, diag, diag] += curv.T
-        border = np.concatenate(
-            [-(jac_p * w**2).T[:, :, None], budget_border], axis=2
-        )
-        h_tt = (w**2).sum()
-        hess_trace = float(
-            np.trace(hess, axis1=1, axis2=2).sum()
-            + h_tt
-            + (1.0 / (m * g_b**2)).sum()
-        )
-
-        def solve(rhs, ridge):
-            corner = np.diag(np.concatenate([[h_tt + ridge], -(g_b**2)]))
-            x, y = solve_bordered(
-                hess + ridge * np.eye(k) if ridge else hess,
-                border,
-                corner,
-                rhs[: k * m].reshape(k, m).T,
-                np.concatenate([rhs[idx_t:], np.zeros(k)]),
-            )
-            return np.concatenate([x.T.ravel(), y[:1]])
-
-        return grad, hess_trace, solve
 
     z0 = np.empty(nv)
     z0[: k * m] = 0.45 * cap_mean
@@ -207,7 +216,6 @@ def barrier_feasibility_reference(scenario, trajectory, slots, budget_norm):
         gradient=lambda z: grad_f,
         x0=z0,
         blocks=blocks,
-        newton=newton,
     )
     outcome = solve_barrier(program, gap_tol=1e-11, max_newton=400)
     if outcome.status != STATUS_OPTIMAL:
@@ -217,3 +225,92 @@ def barrier_feasibility_reference(scenario, trajectory, slots, budget_norm):
     powers = np.zeros((k, n))
     powers[:, slots] = p_of(outcome.x) * scale[:, None]
     return True, powers
+
+
+def power_step_objective(state, scenario, powers):
+    """The power step's objective at ``powers`` (K, N), in watts.
+
+    That is (gamma / N) sum_n min(1, beta_n S_n - off_n), the clipped
+    tangent bound taken at ``state``'s amplitudes.
+    """
+    cap = scenario.gamma_min * scenario.noise_power
+    s_ref = state.amplitudes.sum(axis=0)
+    gains = gain_at(state.trajectory.slot_positions, scenario)
+    amp = np.sqrt(powers * gains.T).sum(axis=0)
+    clipped = np.minimum(1.0, (2.0 * s_ref * amp - s_ref**2) / cap)
+    return scenario.gamma_min * float(clipped.mean())
+
+
+def barrier_power_step_reference(state, scenario):
+    """Optimal powers (K, N) of the SCA power step's program, or None.
+
+    The reference for ``sca_planner.power_step``: the log-barrier program
+    over budget shares p' = P / B and auxiliaries A'_n (in units of
+    gamma * noise), maximizing (gamma / N) sum_n A'_n subject to A'_n <= 1,
+    A'_n <= beta_n sum_k e_kn sqrt(p'_kn) - off_n, p' >= 0 and the budgets
+    mean_n p'_kn <= 1, solved to a duality gap of 1e-10 max(1, gamma) with
+    a dense Newton system.  None when the barrier stops short of optimal.
+    """
+    n, k = scenario.n_slots, scenario.n_sensors
+    nv = k * n + n
+    idx_a = k * n + np.arange(n)
+    cap = scenario.gamma_min * scenario.noise_power
+    budgets = scenario.power_budgets
+    gains = gain_at(state.trajectory.slot_positions, scenario)   # (N, K)
+    e = np.sqrt(gains * budgets[None, :]).T                      # (K, N)
+    s_ref = state.amplitudes.sum(axis=0)
+    beta = 2.0 * s_ref / cap
+    off = s_ref**2 / cap
+    cols = np.arange(k)[:, None] * n + np.arange(n)[None, :]
+    rows = np.broadcast_to(np.arange(n), (k, n))
+
+    def p_of(z):
+        return z[: k * n].reshape(k, n)
+
+    def surrogate_value(z):
+        # negative powers are rejected by the bound block; clip so the
+        # amplitude stays finite during infeasible line-search probes
+        amp = (e * np.sqrt(np.maximum(p_of(z), 0.0))).sum(axis=0)
+        return z[idx_a] + off - beta * amp
+
+    def surrogate_jacobian(z):
+        jac = np.zeros((n, nv))
+        jac[rows, cols] = -(beta * e) / (2.0 * np.sqrt(p_of(z)))
+        jac[np.arange(n), idx_a] = 1.0
+        return jac
+
+    def surrogate_hessian(z, w):
+        curv = w * beta * e / (4.0 * p_of(z) ** 1.5)
+        return np.diag(np.concatenate([curv.ravel(), np.zeros(n)]))
+
+    budget_jac = np.zeros((k, nv))
+    budget_jac[np.arange(k)[:, None], cols] = 1.0 / n
+
+    blocks = [
+        BoundBlock(idx_a, +1.0, 1.0),
+        GenericBlock(surrogate_value, surrogate_jacobian, surrogate_hessian),
+        BoundBlock(np.arange(k * n), -1.0, 0.0),
+        GenericBlock(lambda z: p_of(z).mean(axis=1) - 1.0, lambda z: budget_jac),
+    ]
+
+    p0 = np.maximum(0.99 * state.powers / budgets[:, None], 1e-9)
+    z0 = np.zeros(nv)
+    z0[: k * n] = p0.ravel()
+    amp0 = (e * np.sqrt(p0)).sum(axis=0)
+    z0[idx_a] = np.minimum(1.0, beta * amp0 - off) - 0.01
+
+    gamma = scenario.gamma_min
+    grad_f = np.zeros(nv)
+    grad_f[idx_a] = -gamma / n
+    program = SmoothConvexProgram(
+        objective=lambda z: float(grad_f @ z),
+        gradient=lambda z: grad_f,
+        x0=z0,
+        blocks=blocks,
+    )
+    outcome = solve_barrier(
+        program, gap_tol=1e-10 * max(1.0, gamma), max_newton=400
+    )
+    if outcome.status != STATUS_OPTIMAL:
+        return None
+    return p_of(outcome.x) * budgets[:, None]

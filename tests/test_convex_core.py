@@ -5,8 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from outage_planner import sca_planner
-from outage_planner.channel import gain_at
 from outage_planner.convex_core import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -15,14 +13,11 @@ from outage_planner.convex_core import (
     GenericBlock,
     LinearProgram,
     SmoothConvexProgram,
-    _dense_newton,
     bisect_max_feasible,
     solve_barrier,
-    solve_bordered,
     solve_lp,
+    solve_price_feasibility,
 )
-from outage_planner.scenario import load_scenario
-from tests.conftest import DEMO_SCENARIO, captured_barrier
 
 
 def vertex_oracle(c, a_ub, b_ub, lower, upper):
@@ -211,101 +206,21 @@ def test_barrier_reports_budget_exhaustion():
     assert out.status != STATUS_OPTIMAL
 
 
-@pytest.mark.parametrize("ridge", [0.0, 0.3])
-def test_solve_bordered_matches_dense_solve(ridge):
-    rng = np.random.default_rng(17)
-    nb, s, r = 6, 4, 3
-    a = rng.normal(size=(nb, s, s))
-    blocks = a @ a.transpose(0, 2, 1) + (0.5 + ridge) * np.eye(s)
-    border = rng.normal(size=(nb, s, r))
-    corner = np.zeros((r, r))
-    corner[0, 0] = 40.0 + ridge                         # a primal unknown
-    corner[1:, 1:] = -np.diag(rng.uniform(0.1, 1.0, size=r - 1))  # -g^2
-    rhs = rng.normal(size=(nb, s))
-    rhs_border = rng.normal(size=r)
-
-    dense = np.zeros((nb * s + r, nb * s + r))
-    for i in range(nb):
-        dense[i * s : (i + 1) * s, i * s : (i + 1) * s] = blocks[i]
-    dense[: nb * s, nb * s :] = border.reshape(-1, r)
-    dense[nb * s :, : nb * s] = border.reshape(-1, r).T
-    dense[nb * s :, nb * s :] = corner
-    want = np.linalg.solve(dense, np.concatenate([rhs.ravel(), rhs_border]))
-
-    x, y = solve_bordered(blocks, border, corner, rhs, rhs_border)
-    assert x.shape == (nb, s) and y.shape == (r,)
-    np.testing.assert_allclose(
-        np.concatenate([x.ravel(), y]), want, rtol=1e-10, atol=1e-12
-    )
-
-
-def _power_step_dense_blocks(program, state, scn):
-    """Dense Jacobians of the power step's constraints, derived by hand."""
-    n, k = scn.n_slots, scn.n_sensors
-    nv = k * n + n
-    idx_a = k * n + np.arange(n)
-    cap = scn.gamma_min * scn.noise_power
-    gains = gain_at(state.trajectory.slot_positions, scn)
-    e = np.sqrt(gains * scn.power_budgets[None, :]).T          # (K, N)
-    beta = 2.0 * state.amplitudes.sum(axis=0) / cap             # (N,)
-    cols = np.arange(k)[:, None] * n + np.arange(n)[None, :]
-    rows = np.broadcast_to(np.arange(n), (k, n))
-
-    def surrogate_jacobian(z):
-        p = z[: k * n].reshape(k, n)
-        jac = np.zeros((n, nv))
-        jac[rows, cols] = -(beta * e) / (2.0 * np.sqrt(p))
-        jac[np.arange(n), idx_a] = 1.0
-        return jac
-
-    def surrogate_hessian(z, w):
-        p = z[: k * n].reshape(k, n)
-        return np.diag(np.concatenate([(w * beta * e / (4.0 * p**1.5)).ravel(),
-                                       np.zeros(n)]))
-
-    budget_jac = np.zeros((k, nv))
-    budget_jac[np.arange(k)[:, None], cols] = 1.0 / n
-    return [
-        BoundBlock(idx_a, +1.0, 1.0),
-        GenericBlock(program.blocks[1].value, surrogate_jacobian, surrogate_hessian),
-        BoundBlock(np.arange(k * n), -1.0, 0.0),
-        GenericBlock(program.blocks[3].value, lambda z: budget_jac),
-    ]
-
-
-def _assert_newton_matches_dense(program, dense_blocks, outcome):
-    dense = SmoothConvexProgram(
-        program.objective, program.gradient, program.x0, dense_blocks
-    )
-    # x0 and a point halfway to the optimum: both strictly feasible
-    for z in (program.x0, 0.5 * (program.x0 + outcome.x)):
-        for t in (1.0, 1e4):
-            grad, trace, solve = program.newton(z, t)
-            grad_d, trace_d, solve_d = _dense_newton(dense, z, t)
-            assert np.linalg.norm(grad - grad_d) <= 1e-12 * np.linalg.norm(grad_d)
-            assert trace == pytest.approx(trace_d, rel=1e-12)
-            for ridge in (0.0, 1e-3 * trace_d / z.size):
-                step = solve(-grad_d, ridge)
-                step_d = solve_d(-grad_d, ridge)
-                assert np.linalg.norm(step - step_d) <= 1e-9 * np.linalg.norm(step_d)
-
-
-def test_power_step_newton_matches_dense_assembly(monkeypatch):
-    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=12)
-    rng = np.random.default_rng(3)
-    powers = scn.power_budgets[:, None] * rng.uniform(
-        0.3, 1.0, size=(scn.n_sensors, scn.n_slots)
-    )
-    state = sca_planner._state_from_plan(
-        sca_planner.direct_flight(scn), powers, scn
-    )
-    program, outcome = captured_barrier(
-        monkeypatch, sca_planner, lambda: sca_planner.power_step(state, scn)
-    )
-    assert outcome.status == STATUS_OPTIMAL
-    _assert_newton_matches_dense(
-        program, _power_step_dense_blocks(program, state, scn), outcome
-    )
+def test_price_feasibility_single_sensor_matches_closed_form():
+    # with one sensor slot n needs the share x_n >= 1 / h_n, so the slots
+    # fit into the budget exactly when sum_n 1 / h_n <= 1
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(20):
+        h = rng.uniform(2.0, 12.0, size=(1, int(rng.integers(1, 8))))
+        need = float((1.0 / h).sum())
+        shares = solve_price_feasibility(h)
+        assert (shares is not None) == (need <= 1.0)
+        verdicts.add(shares is not None)
+        if shares is not None:
+            assert shares.sum() <= 1.0 + 1e-12
+            assert (np.sqrt(h * shares) >= 1.0 - 1e-9).all()
+    assert verdicts == {True, False}
 
 
 def test_bisect_max_feasible_monotone():

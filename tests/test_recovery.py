@@ -20,17 +20,14 @@ from outage_planner.scenario import (
 )
 from outage_planner.sca_planner import direct_flight
 from tests.conftest import (
+    DEGENERATE,
     DEMO_SCENARIO,
     barrier_feasibility_reference,
+    full_budget_schedule,
     random_scenario,
     small_doc,
+    with_threshold,
 )
-
-
-def full_budget_schedule(scn) -> PowerSchedule:
-    return PowerSchedule(
-        np.repeat(scn.power_budgets[:, None], scn.n_slots, axis=1)
-    )
 
 
 def assert_serves(scn, trajectory, schedule, slots):
@@ -220,34 +217,6 @@ def test_recovery_reports_bisection_record(monkeypatch):
     assert not rec.fallback_used
     assert rec.probes == len(calls) > 0
     assert rec.n_active in calls   # the served prefix was solved, not split
-
-
-def with_threshold(doc: dict, fraction: float) -> dict:
-    """``doc`` with gamma at a fraction of its best full-budget slot SNR."""
-    scn = load_scenario(doc)
-    series = snr_series(direct_flight(scn), full_budget_schedule(scn), scn)
-    return dict(doc, gamma_min=float(series.max()) * fraction)
-
-
-DEGENERATE = {
-    "one sensor": with_threshold(
-        small_doc(sensors=[{"x": 30.0, "y": 20.0, "p_ave_dbm": 27.0}]), 0.8
-    ),
-    "one slot": with_threshold(small_doc(n_slots=1), 0.8),
-    "co-located sensors": with_threshold(
-        small_doc(
-            sensors=[
-                {"x": 40.0, "y": 25.0, "p_ave_dbm": 27.0},
-                {"x": 40.0, "y": 25.0, "p_ave_dbm": 24.0},
-            ]
-        ),
-        0.8,
-    ),
-    "free-space loss": with_threshold(small_doc(alpha=2.0), 1.0),
-    "stationary": with_threshold(small_doc(q_f=[0.0, 0.0]), 0.8),
-    "trivial threshold": small_doc(gamma_min=1e-6),
-    "unreachable threshold": small_doc(gamma_min=1e12),
-}
 
 
 @pytest.mark.parametrize("budget_norm", BUDGET_NORMS)

@@ -23,7 +23,15 @@ from outage_planner.sca_planner import (
     plan_sca,
     square_sum_lower_bound,
 )
-from tests.conftest import DEMO_SCENARIO, captured_barrier, small_doc
+from tests.conftest import (
+    DEGENERATE,
+    DEMO_SCENARIO,
+    barrier_power_step_reference,
+    captured_barrier,
+    power_step_objective,
+    random_scenario,
+    small_doc,
+)
 
 
 def true_amplitude(power, q, sensor_xy, scenario):
@@ -202,6 +210,74 @@ def test_plan_sca_objective_cap(small_scenario):
     np.testing.assert_allclose(
         state.amplitudes, np.sqrt(state.powers * gains.T), rtol=1e-12
     )
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_plan_sca_on_degenerate_inputs(case):
+    scn = load_scenario(DEGENERATE[case])
+    state = plan_sca(scn, direct_flight(scn))
+    assert plan_violations(scn, state.trajectory, state.schedule) == []
+    objs = [e.objective for e in state.trace]
+    for prev, cur in zip(objs, objs[1:]):
+        assert cur >= prev - 1e-9 * max(1.0, abs(prev))
+
+
+def test_power_step_matches_barrier_reference(monkeypatch):
+    """Every power step of plan_sca reaches the optimum of its program.
+
+    The price step either finds every slot's cap reachable (verdict True)
+    or runs Newton's method on the dual (verdict False); both must occur.
+    """
+    verdicts, solved = {}, []    # caps verdict of each power step, by case
+    feasibility = sca_planner.solve_price_feasibility
+    state_from_plan = sca_planner._state_from_plan
+
+    def recorded_feasibility(h):
+        shares = feasibility(h)
+        verdicts[name].append(shares is not None)
+        return shares
+
+    def recorded_state(trajectory, powers, *args):
+        solved.append(powers)
+        return state_from_plan(trajectory, powers, *args)
+
+    def checked_power_step(state, scn):
+        solved.clear()
+        new, ok = sca_planner.power_step(state, scn)
+        (powers,) = solved            # the step returned a solution
+        reference = barrier_power_step_reference(state, scn)
+        assert reference is not None
+        want = power_step_objective(state, scn, reference)
+        got = power_step_objective(state, scn, powers)
+        assert got == pytest.approx(want, rel=1e-9)
+        assert (powers >= 0.0).all()
+        # budgets hold up to the round-off of rescaling by the usage
+        assert (powers.mean(axis=1) <= scn.power_budgets * (1 + 1e-12)).all()
+        return new, ok
+
+    monkeypatch.setattr(
+        sca_planner, "solve_price_feasibility", recorded_feasibility
+    )
+    monkeypatch.setattr(sca_planner, "_state_from_plan", recorded_state)
+    steps = (
+        ("trajectory", sca_planner.trajectory_step),
+        ("power", checked_power_step),
+    )
+    cases = [("paper", load_scenario(DEMO_SCENARIO).with_overrides(n_slots=16))]
+    cases += [(seed, random_scenario(seed)) for seed in range(8)]
+    # the dual lands on the all-capped plateau, where its Hessian is
+    # singular, and on a kink where g settles before the gap closes
+    cases += [
+        ("free-space loss", load_scenario(DEGENERATE["free-space loss"])),
+        ("wide", random_scenario(16, k_hi=6, n_hi=24)),
+    ]
+    for name, scn in cases:
+        verdicts[name] = []
+        plan_sca(scn, direct_flight(scn), steps=steps)
+        assert verdicts[name], name
+    assert {v for run in verdicts.values() for v in run} == {True, False}
+    # a fraction to the boundary of 0.99 stalls on this step's dual
+    assert verdicts[3][0] is False
 
 
 def _speed_rows_loop_reference(scenario, state):
