@@ -40,15 +40,6 @@ def gain_at(points: np.ndarray, scenario: Scenario) -> np.ndarray:
     return scenario.beta0 * sq ** (-scenario.alpha / 2.0)
 
 
-def amplitude_coefficients(points: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """sqrt(beta0 * d^-alpha) per point and sensor, shape (M, K).
-
-    Multiplying by sqrt(P_k) gives each sensor's received signal amplitude
-    relative to unit noise normalization.
-    """
-    return np.sqrt(gain_at(points, scenario))
-
-
 def snr(q, powers, scenario: Scenario) -> float:
     """Received SNR for one slot: UAV above q, per-sensor powers in watts."""
     p = np.asarray(powers, dtype=float)

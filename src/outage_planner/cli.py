@@ -110,7 +110,10 @@ def _read_trajectory(path: Path, scenario: Scenario) -> Trajectory:
             "trajectory",
             f"expected {scenario.n_slots + 1} waypoints, found {len(pts)}",
         )
-    return Trajectory(np.asarray(pts), scenario.slot_length)
+    waypoints = np.asarray(pts)
+    if not np.isfinite(waypoints).all():
+        raise ScenarioError("trajectory", "waypoints must be finite")
+    return Trajectory(waypoints, scenario.slot_length)
 
 
 def _write_schedule(path: Path, scenario, trajectory, schedule) -> None:

@@ -2,9 +2,10 @@
 
 Four primitives, all dependency-free and reproducible run to run:
 
-* ``solve_lp``: two-phase tableau simplex with Bland's pivoting rule
-  (anti-cycling, deterministic) for small linear programs with inequality
-  rows and variable lower bounds.
+* ``solve_lp``: one-phase tableau simplex with Bland's pivoting rule
+  (anti-cycling, deterministic) for small linear programs in x >= 0 whose
+  inequality rows have a nonnegative right-hand side, so the slack basis
+  is a feasible start.
 * ``solve_barrier``: log-barrier interior-point method for smooth convex
   programs.  Constraints are supplied in vectorized blocks, and the Newton
   system is assembled densely from their Jacobians and Hessians.
@@ -27,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 STATUS_OPTIMAL = "optimal"
-STATUS_INFEASIBLE = "infeasible"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_MAX_ITERS = "max-iters"
 
@@ -40,64 +40,32 @@ class SolveOutcome:
     objective: float
     status: str
     iterations: int
-    gap: float = float("nan")
 
 
 # ---------------------------------------------------------------------------
-# Linear programming: two-phase simplex, Bland's rule
+# Linear programming: one-phase simplex, Bland's rule
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize c @ x  subject to  a_ub @ x <= b_ub,  x >= lower_bounds."""
+    """minimize c @ x  subject to  a_ub @ x <= b_ub,  x >= 0,  b_ub >= 0."""
 
     c: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
-    lower_bounds: np.ndarray | float = 0.0
 
 
 _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-10
-_MAX_PIVOTS = 100_000   # per simplex phase
-
-
-def _bland_pivot(tableau, basis, allowed):
-    """Run Bland-rule pivots in place.  Returns (status, pivot_count)."""
-    m = len(basis)
-    pivots = 0
-    while pivots < _MAX_PIVOTS:
-        cost = tableau[-1, :-1]
-        entering = -1
-        for j in np.flatnonzero(allowed):
-            if cost[j] < -_COST_TOL:
-                entering = int(j)
-                break
-        if entering < 0:
-            return STATUS_OPTIMAL, pivots
-        col = tableau[:m, entering]
-        rows = np.flatnonzero(col > _PIVOT_TOL)
-        if rows.size == 0:
-            return STATUS_UNBOUNDED, pivots
-        ratios = tableau[rows, -1] / col[rows]
-        best = ratios.min()
-        # Bland tie-break: smallest basic-variable index among minimal ratios
-        tied = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
-        leave_row = int(min(tied, key=lambda r: basis[r]))
-        pivot = tableau[leave_row, entering]
-        tableau[leave_row] /= pivot
-        for i in range(m + 1):
-            if i != leave_row and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leave_row]
-        basis[leave_row] = entering
-        pivots += 1
-    return STATUS_MAX_ITERS, pivots
+_MAX_PIVOTS = 100_000   # per solve
 
 
 def solve_lp(lp: LinearProgram) -> SolveOutcome:
     """Solve a small LP exactly (to numerical tolerance) with the simplex.
 
-    Status is one of optimal / infeasible / unbounded / max-iters.  On
+    ``b_ub`` must be nonnegative, so x = 0 is feasible and the simplex
+    starts from the slack basis; a negative or NaN entry raises
+    ValueError.  Status is one of optimal / unbounded / max-iters.  On
     success the solution is an optimal basic (vertex) point; Bland's rule
     makes the pivot sequence deterministic and cycling-free.
     """
@@ -108,92 +76,48 @@ def solve_lp(lp: LinearProgram) -> SolveOutcome:
     m = b.size
     if a.shape != (m, n):
         raise ValueError(f"a_ub must have shape {(m, n)}, got {a.shape}")
-    lb = np.broadcast_to(np.asarray(lp.lower_bounds, dtype=float), (n,)).copy()
+    if not (b >= 0.0).all():
+        raise ValueError("b_ub must be nonnegative, so that x = 0 is feasible")
 
-    # shift to y = x - lb >= 0
-    b_shift = b - a @ lb
-
-    neg = b_shift < 0.0
-    n_art = int(neg.sum())
-    width = n + m + n_art + 1
-    tableau = np.zeros((m + 1, width))
+    tableau = np.zeros((m + 1, n + m + 1))
     tableau[:m, :n] = a
     tableau[:m, n : n + m] = np.eye(m)
-    tableau[:m, -1] = b_shift
-    basis = [n + i for i in range(m)]
-
-    art_cols: list[int] = []
-    next_art = n + m
-    for i in np.flatnonzero(neg):
-        tableau[i, :-1] *= -1.0
-        tableau[i, -1] *= -1.0
-        tableau[i, next_art] = 1.0
-        basis[i] = next_art
-        art_cols.append(next_art)
-        next_art += 1
-
-    total_pivots = 0
-    allowed = np.ones(width - 1, dtype=bool)
-
-    if n_art:
-        # phase 1: minimize the sum of artificials
-        for jcol in art_cols:
-            tableau[-1, jcol] = 1.0
-        for i, bi in enumerate(basis):
-            if bi >= n + m:
-                tableau[-1] -= tableau[i]
-        status, piv = _bland_pivot(tableau, basis, allowed)
-        total_pivots += piv
-        if status == STATUS_MAX_ITERS:
-            return SolveOutcome(lb.copy(), float(c @ lb), status, total_pivots)
-        phase1 = -tableau[-1, -1]
-        scale = max(1.0, float(np.abs(b_shift).max(initial=0.0)))
-        if phase1 > 1e-9 * scale:
-            return SolveOutcome(
-                lb.copy(), float("nan"), STATUS_INFEASIBLE, total_pivots
-            )
-        # drive leftover artificials out of the basis
-        drop_rows = []
-        for i in range(m):
-            if basis[i] >= n + m:
-                row = tableau[i, : n + m]
-                cand = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
-                if cand.size:
-                    j = int(cand[0])
-                    pivot = tableau[i, j]
-                    tableau[i] /= pivot
-                    for r in range(m + 1):
-                        if r != i and tableau[r, j] != 0.0:
-                            tableau[r] -= tableau[r, j] * tableau[i]
-                    basis[i] = j
-                else:
-                    drop_rows.append(i)
-        if drop_rows:
-            keep = [i for i in range(m) if i not in drop_rows]
-            tableau = np.vstack([tableau[keep], tableau[-1:]])
-            basis = [basis[i] for i in keep]
-            m = len(basis)
-        allowed[n + int(b.size) :] = False  # artificials may not re-enter
-        for jcol in art_cols:
-            allowed[jcol] = False
-
-    # phase 2: install the real objective and re-optimize
-    tableau[-1, :] = 0.0
+    tableau[:m, -1] = b
     tableau[-1, :n] = c
-    for i, bi in enumerate(basis):
-        if bi < n and c[bi] != 0.0:
-            tableau[-1] -= c[bi] * tableau[i]
-    status, piv = _bland_pivot(tableau, basis, allowed)
-    total_pivots += piv
+    basis = list(range(n, n + m))
 
-    y = np.zeros(n + tableau.shape[1] - n - 1)
-    for i, bi in enumerate(basis):
-        y[bi] = tableau[i, -1]
-    x = lb + y[:n]
-    objective = float(c @ x)
+    status = STATUS_MAX_ITERS
+    pivots = 0
+    while pivots < _MAX_PIVOTS:
+        # Bland: the first column with a negative reduced cost enters
+        improving = np.flatnonzero(tableau[-1, :-1] < -_COST_TOL)
+        if improving.size == 0:
+            status = STATUS_OPTIMAL
+            break
+        entering = int(improving[0])
+        col = tableau[:m, entering]
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if rows.size == 0:
+            status = STATUS_UNBOUNDED
+            break
+        ratios = tableau[rows, -1] / col[rows]
+        best = ratios.min()
+        # Bland tie-break: smallest basic-variable index among minimal ratios
+        tied = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
+        leave_row = int(min(tied, key=lambda r: basis[r]))
+        tableau[leave_row] /= tableau[leave_row, entering]
+        for i in range(m + 1):
+            if i != leave_row and tableau[i, entering] != 0.0:
+                tableau[i] -= tableau[i, entering] * tableau[leave_row]
+        basis[leave_row] = entering
+        pivots += 1
+
+    y = np.zeros(n + m)
+    y[basis] = tableau[:m, -1]
+    x = y[:n]
     if status == STATUS_UNBOUNDED:
-        return SolveOutcome(x, float("-inf"), status, total_pivots)
-    return SolveOutcome(x, objective, status, total_pivots, gap=0.0)
+        return SolveOutcome(x, float("-inf"), status, pivots)
+    return SolveOutcome(x, float(c @ x), status, pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +307,11 @@ def solve_barrier(
                 # centered enough for the next t to take over
                 break
 
-        gap = m / t
-        if status == STATUS_MAX_ITERS:
-            break
-        if gap <= gap_tol:
+        if status == STATUS_MAX_ITERS or m / t <= gap_tol:
             break
         t *= _MU
 
-    return SolveOutcome(
-        x, float(program.objective(x)), status, newton_used, gap=m / t
-    )
+    return SolveOutcome(x, float(program.objective(x)), status, newton_used)
 
 
 # ---------------------------------------------------------------------------
@@ -497,19 +416,17 @@ class BisectResult:
     probes: int
 
 
-def bisect_max_feasible(
-    probe: Callable[[int], bool], lo: int, hi: int
-) -> BisectResult:
-    """Largest n in [lo, hi] with probe(n) true, assuming probe is monotone.
+def bisect_max_feasible(probe: Callable[[int], bool], hi: int) -> BisectResult:
+    """Largest n in [0, hi] with probe(n) true, assuming probe is monotone.
 
-    Requires probe(lo) true or lo == 0 (n = 0 is treated as vacuously
-    feasible and never probed).  After bisection a verification pass checks
-    probe(result) and not probe(result + 1); if either fails the predicate
-    was not monotone and the result is recomputed by a descending linear
-    scan, which is reported via ``fallback_used``.
+    n = 0 is treated as vacuously feasible and never probed.  After
+    bisection a verification pass checks probe(result) and not
+    probe(result + 1); if either fails the predicate was not monotone and
+    the result is recomputed by a descending linear scan, which is reported
+    via ``fallback_used``.
     """
-    if hi < lo:
-        raise ValueError("hi must be >= lo")
+    if hi < 0:
+        raise ValueError("hi must be >= 0")
     cache: dict[int, bool] = {0: True}
     calls = 0
 
@@ -520,7 +437,7 @@ def bisect_max_feasible(
             cache[nv] = bool(probe(nv))
         return cache[nv]
 
-    a, b = lo, hi
+    a, b = 0, hi
     while a < b:
         mid = (a + b + 1) // 2
         if cached(mid):

@@ -259,7 +259,7 @@ def recover_powers(
             return True   # certified without a solve
         return solve(v)[0]
 
-    result = bisect_max_feasible(probe, 0, hi)
+    result = bisect_max_feasible(probe, hi)
     v_star = result.value
 
     powers = np.zeros((k, n))

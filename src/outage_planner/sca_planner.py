@@ -65,16 +65,14 @@ class ScaState:
     """Current iterate of the alternating optimization.
 
     ``amplitudes`` always holds the exact received amplitudes of the
-    current plan (the linearization point of the next step) and
-    ``slot_received`` the per-slot received power clipped at the threshold
-    scale gamma_min * noise.  ``objective`` is the mean clipped SNR,
-    a number in [0, gamma_min] that increases weakly across accepted steps.
+    current plan (the linearization point of the next step).
+    ``objective`` is the mean SNR clipped at gamma_min, a number in
+    [0, gamma_min] that increases weakly across accepted steps.
     """
 
     trajectory: Trajectory
     powers: np.ndarray        # (K, N) watts
     amplitudes: np.ndarray    # (K, N)
-    slot_received: np.ndarray  # (N,) min(received power, gamma * noise)
     objective: float
     trace: list[TraceEntry] = field(default_factory=list)
 
@@ -119,10 +117,9 @@ def _state_from_plan(
     amps = np.sqrt(powers * gains.T)
     received = amps.sum(axis=0) ** 2
     cap = scenario.gamma_min * scenario.noise_power
-    clipped = np.minimum(received, cap)
-    objective = float(clipped.mean() / scenario.noise_power)
+    objective = float(np.minimum(received, cap).mean() / scenario.noise_power)
     return ScaState(
-        trajectory, powers.copy(), amps, clipped, objective,
+        trajectory, powers.copy(), amps, objective,
         trace if trace is not None else [],
     )
 

@@ -257,7 +257,7 @@ class ConstraintResidual:
 
     @property
     def violated(self) -> bool:
-        return self.residual > self.allowed
+        return not self.residual <= self.allowed  # NaN counts as violated
 
 
 def _scenario_schema() -> dict:

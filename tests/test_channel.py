@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from outage_planner.channel import (
-    amplitude_coefficients,
     distance,
     gain_at,
     outage_indicator,
@@ -35,9 +34,6 @@ def test_gain_matches_manual_formula(small_scenario):
             d = distance(q, sensor, small_scenario.altitude)
             expected = small_scenario.beta0 * d ** (-small_scenario.alpha)
             assert gains[i, k] == pytest.approx(expected, rel=1e-12)
-    np.testing.assert_allclose(
-        amplitude_coefficients(pts, small_scenario), np.sqrt(gains), rtol=1e-12
-    )
 
 
 def test_snr_single_sensor_overhead():

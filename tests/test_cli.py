@@ -101,14 +101,26 @@ def test_recover_requires_trajectory(tmp_path, scenario_file, capsys):
     assert record["error"] == "ScenarioError"
 
 
+def direct_flight_csv(middle_x: str) -> str:
+    """The small scenario's straight flight, middle waypoint's x replaced."""
+    n = small_doc()["n_slots"]
+    rows = ["waypoint,t_s,x_m,y_m"]
+    for i in range(n + 1):
+        x = middle_x if i == n // 2 else repr(80.0 * i / n)
+        rows.append(f"{i},{i},{x},{50.0 * i / n!r}")
+    return "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "waypoint,t_s,x,y\n0,0,0,0\n",
         "waypoint,t_s,x_m,y_m\n0,0,zero,0\n",
         "waypoint,t_s,x_m,y_m\n0,0,1\n",
+        direct_flight_csv("nan"),
+        direct_flight_csv("inf"),
     ],
-    ids=["no_x_m_column", "non_numeric_cell", "short_row"],
+    ids=["no_x_m_column", "non_numeric_cell", "short_row", "nan", "inf"],
 )
 def test_recover_bad_trajectory_csv(tmp_path, scenario_file, capsys, text):
     path = tmp_path / "bad.csv"

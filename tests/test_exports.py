@@ -1,6 +1,10 @@
 """Package exports: a pinned public list; each name is its defining module's object."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,18 @@ def test_all_is_the_pinned_sorted_list():
 def test_export_resolves(name):
     module = importlib.import_module(f"outage_planner.{HOME[name]}")
     assert getattr(outage_planner, name) is getattr(module, name)
+
+
+def test_package_and_cli_import_without_scipy():
+    # scipy may serve the tests as an oracle, never the package itself
+    src = str(Path(outage_planner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, outage_planner, outage_planner.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -210,6 +210,18 @@ def test_validate_plan_flags_speed_violation(small_scenario):
     assert {r.index for r in broken} == {3, 4}
 
 
+def test_validate_plan_flags_nan_waypoint(small_scenario):
+    # a NaN residual compares false against any tolerance; it must still
+    # count as a violation
+    tr, sched = _feasible_plan(small_scenario)
+    wp = tr.waypoints.copy()
+    wp[3, 0] = np.nan
+    bad = Trajectory(wp, tr.slot_length)
+    broken = plan_violations(small_scenario, bad, sched)
+    flagged = {(r.constraint, r.index) for r in broken}
+    assert flagged == {("speed", 3), ("speed", 4)}
+
+
 def test_validate_plan_flags_endpoint_and_budget(small_scenario):
     tr, sched = _feasible_plan(small_scenario)
     wp = tr.waypoints.copy()
