@@ -110,10 +110,9 @@ def _read_trajectory(path: Path, scenario: Scenario) -> Trajectory:
             "trajectory",
             f"expected {scenario.n_slots + 1} waypoints, found {len(pts)}",
         )
-    waypoints = np.asarray(pts)
-    if not np.isfinite(waypoints).all():
-        raise ScenarioError("trajectory", "waypoints must be finite")
-    return Trajectory(waypoints, scenario.slot_length)
+    trajectory = Trajectory(np.asarray(pts), scenario.slot_length)
+    trajectory.require_finite()
+    return trajectory
 
 
 def _write_schedule(path: Path, scenario, trajectory, schedule) -> None:

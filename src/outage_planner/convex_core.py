@@ -7,10 +7,11 @@ Four primitives, all dependency-free and reproducible run to run:
   inequality rows have a nonnegative right-hand side, so the slack basis
   is a feasible start.
 * ``solve_barrier``: log-barrier interior-point method for smooth convex
-  programs.  Constraints are supplied in vectorized blocks, and the Newton
-  system is assembled densely from their Jacobians and Hessians.
-  ``newton_direction`` is its ridge-guarded Newton solve, shared with the
-  SCA power step.
+  programs.  Constraints are supplied in vectorized blocks.  A program
+  with structure supplies its own Newton system (``newton``), as the SCA
+  trajectory step does; otherwise the system is assembled densely from
+  the blocks' Jacobians and Hessians.  ``newton_direction`` is the
+  ridge-guarded Newton solve, shared with the SCA power step.
 * ``solve_price_feasibility``: decides whether per-slot amplitude targets
   fit into per-sensor budgets, by Newton's method on the K budget prices
   of the concave dual (the paper's closed-form per-slot powers).
@@ -130,10 +131,11 @@ class GenericBlock:
     ``value`` maps x to the (m_i,) constraint values, ``jacobian`` to the
     (m_i, n) Jacobian.  ``hessian_comb(x, w)`` must return
     sum_j w_j * hess(g_j)(x) as an (n, n) array, or None when every
-    constraint in the block is affine.
+    constraint in the block is affine.  A program with its own ``newton``
+    system needs only the values, so ``jacobian`` may then be None.
     """
 
-    def __init__(self, value, jacobian, hessian_comb=None):
+    def __init__(self, value, jacobian=None, hessian_comb=None):
         self._value = value
         self._jacobian = jacobian
         self._hessian_comb = hessian_comb
@@ -177,6 +179,11 @@ class SmoothConvexProgram:
 
     ``objective`` and ``gradient`` are required; ``hessian`` may be None for
     affine objectives.  ``x0`` must be strictly feasible for every block.
+    ``newton(x, t)``, when given, replaces the dense assembly: it returns
+    the gradient of the barrier function t f(x) - sum log(-g(x)), the
+    trace of its Hessian H, and ``solve(rhs, ridge)``, which returns the
+    solution of (H + ridge I) d = rhs, or None when that system is not
+    positive definite to working precision.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -184,6 +191,7 @@ class SmoothConvexProgram:
     x0: np.ndarray
     blocks: list = field(default_factory=list)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    newton: Callable | None = None
 
 
 def _barrier_value(program, t, x):
@@ -198,7 +206,10 @@ def _barrier_value(program, t, x):
 
 
 def _dense_newton(program, x, t):
-    """Barrier gradient and Hessian, assembled densely from the blocks."""
+    """The barrier's Newton system, assembled densely from the blocks.
+
+    Returns (gradient, Hessian trace, solve) like ``program.newton``.
+    """
     n = x.size
     grad = t * np.asarray(program.gradient(x), dtype=float)
     hess = np.zeros((n, n))
@@ -206,24 +217,36 @@ def _dense_newton(program, x, t):
         hess += t * np.asarray(program.hessian(x), dtype=float)
     for block in program.blocks:
         block.add_newton_terms(x, block.value(x), grad, hess)
-    return grad, hess
+    return grad, float(np.trace(hess)), dense_solver(hess)
 
 
-def newton_direction(hess, grad, base):
-    """Solve hess @ d = -grad for a descent direction (grad @ d < 0).
+def dense_solver(hess):
+    """``solve(rhs, ridge)`` for (hess + ridge I) d = rhs by LU.
 
-    A singular or indefinite-looking system is retried with a ridge
-    added to the diagonal, starting at 1e-12 * ``base`` and growing
-    100-fold, five times at most.  Returns None when no try descends.
+    Returns None when the system is singular.
+    """
+    def solve(rhs, ridge):
+        try:
+            return np.linalg.solve(
+                hess + ridge * np.eye(rhs.size) if ridge else hess, rhs
+            )
+        except np.linalg.LinAlgError:
+            return None
+
+    return solve
+
+
+def newton_direction(solve, grad, base):
+    """Solve H d = -grad for a descent direction (grad @ d < 0).
+
+    ``solve(rhs, ridge)`` solves (H + ridge I) d = rhs, or returns None.
+    A failed or non-descending solve is retried with a ridge, starting at
+    1e-12 * ``base`` and growing 100-fold, five times at most.  Returns
+    None when no try descends.
     """
     ridge = 0.0
     for _ in range(6):
-        try:
-            step = np.linalg.solve(
-                hess + ridge * np.eye(grad.size) if ridge else hess, -grad
-            )
-        except np.linalg.LinAlgError:
-            step = None
+        step = solve(-grad, ridge)
         if step is not None and grad @ step < 0.0:
             return step
         ridge = base * 1e-12 if ridge == 0.0 else ridge * 100.0
@@ -277,8 +300,11 @@ def solve_barrier(
             if newton_used >= max_newton:
                 status = STATUS_MAX_ITERS
                 break
-            grad, hess = _dense_newton(program, x, t)
-            step = newton_direction(hess, grad, float(np.trace(hess)) / n + 1.0)
+            if program.newton is not None:
+                grad, trace, solve = program.newton(x, t)
+            else:
+                grad, trace, solve = _dense_newton(program, x, t)
+            step = newton_direction(solve, grad, trace / n + 1.0)
             if step is None:
                 break  # numerically stuck; let the outer loop decide
 

@@ -234,6 +234,7 @@ def recover_powers(
     """
     if budget_norm not in BUDGET_NORMS:
         raise ValueError(f"budget_norm must be one of {BUDGET_NORMS}")
+    trajectory.require_finite()
     n = scenario.n_slots
     k = scenario.n_sensors
     ranking, gains_ranked = _rank_and_gains(scenario, trajectory, schedule)

@@ -15,7 +15,9 @@ subproblems obtained from two global tangent bounds:
 Both subproblems therefore maximize a lower bound that is tight at the
 current iterate, which makes the clipped objective monotone across
 accepted steps.  The trajectory step is solved with the log-barrier Newton
-method.  The power step is solved in price space: at prices on the K
+method; its Newton system is block-tridiagonal once the per-slot
+auxiliaries are eliminated, so each Newton step costs O(N) scalar
+operations.  The power step is solved in price space: at prices on the K
 budgets each slot's best powers have a closed form, so only the K prices
 are searched.  A step is rejected (iterate kept) if the solver fails to
 converge or the exact objective would regress beyond rounding tolerance.
@@ -32,11 +34,11 @@ import numpy as np
 
 from outage_planner.channel import gain_at
 from outage_planner.convex_core import (
-    BoundBlock,
     GenericBlock,
     STATUS_OPTIMAL,
     SmoothConvexProgram,
     ascend_in_orthant,
+    dense_solver,
     newton_direction,
     solve_barrier,
     solve_price_feasibility,
@@ -50,6 +52,10 @@ DEFAULT_REL_IMPROVEMENT = 1e-4
 _PRICE_STEP_MAX_NEWTON = 50   # dual Newton steps of the power step
 _PRICE_STEP_BOUNDARY = 0.5    # their fraction to the boundary nu = 0; 0.99
                               # can land on the all-capped plateau and stall
+# symmetric 2 x 2 blocks of the trajectory step are (xx, xy, yy) rows
+_XXY = np.array([0, 0, 1])     # u[:, _XXY] * u[:, _XYY] is u u^T
+_XYY = np.array([0, 1, 1])
+_EYE = np.array([1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -139,13 +145,21 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     Summed-amplitude variables are eliminated exactly: the surrogate is
     affine and increasing in them, so they sit at their position-dependent
     upper bounds, leaving a concave quadratic cap in the waypoint.
+
+    The barrier's Newton system is built from its structure (``newton``
+    below).  Each A'_n appears only in its own bound and surrogate rows,
+    so it is eliminated per slot by a scalar Schur complement; the last
+    slot's waypoint is pinned, so its A' decouples entirely.  The speed
+    rows couple free waypoint j only to j - 1 and j + 1, which leaves a
+    symmetric block-tridiagonal system with 2 x 2 blocks, solved by
+    ``_solve_block_tridiagonal``.
     """
     n = scenario.n_slots
     wp = state.trajectory.waypoints
     delta = state.trajectory.slot_length
     leg = scenario.v_max * delta
-    q_i = np.asarray(scenario.q_start)
-    q_f = np.asarray(scenario.q_final)
+    q_i = np.asarray(scenario.q_start, dtype=float)
+    q_f = np.asarray(scenario.q_final, dtype=float)
     cap = scenario.gamma_min * scenario.noise_power
 
     if n == 1:
@@ -153,7 +167,7 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
         new = _state_from_plan(state.trajectory, state.powers, scenario, state.trace)
         return new, True
 
-    direct = np.linalg.norm(q_f - q_i) / n
+    direct = math.dist(q_f, q_i) / n
     if leg - direct <= 1e-6 * leg:
         return state, False  # speed budget leaves no interior to search
 
@@ -175,103 +189,104 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     s_ref = state.amplitudes.sum(axis=0)           # (N,)
     c0 = 2.0 * s_ref * a0 - s_ref**2               # cap constant term
 
-    n_free = n - 1                                 # waypoints 1..N-1 vary
-    nq = 2 * n_free
-    nv = nq + n                                    # plus A' per slot
-
-    def q_of(z):
-        return z[:nq].reshape(n_free, 2)
-
-    def cap_norm(slot, q):                         # G_n(q) in units of cap
-        w = msum[slot] * (q * q).sum(-1) - 2.0 * (msens[slot] * q).sum(-1) \
-            + mconst[slot]
-        return (c0[slot] - 2.0 * s_ref[slot] * w) / cap
-
-    slots_var = np.arange(1, n)                    # slots with a free waypoint
-    idx_a = nq + np.arange(n)
-
-    def surrogate_value(z):
-        q = q_of(z)
-        return z[idx_a[slots_var - 1]] - cap_norm(slots_var - 1, q)
-
-    def surrogate_jacobian(z):
-        q = q_of(z)
-        jac = np.zeros((n_free, nv))
-        coef = (4.0 * s_ref[slots_var - 1] / cap)[:, None] * (
-            msum[slots_var - 1][:, None] * q - msens[slots_var - 1]
-        )
-        rows = np.arange(n_free)
-        jac[rows, 2 * rows] = coef[:, 0]
-        jac[rows, 2 * rows + 1] = coef[:, 1]
-        jac[rows, idx_a[slots_var - 1]] = 1.0
-        return jac
-
-    def surrogate_hessian(z, w):
-        h = np.zeros((nv, nv))
-        diag = h.ravel()[:: nv + 1]
-        per_q = w * 4.0 * s_ref[slots_var - 1] * msum[slots_var - 1] / cap
-        diag[0:nq:2] += per_q
-        diag[1:nq:2] += per_q
-        return h
-
+    # unknowns z: free waypoints 1..N-1 (slot j < N - 1 sits at free
+    # waypoint j), then A'_n per slot in units of cap.  Slot n's surrogate
+    # cap at position q is G_n(q) = g0 + g1 . q + g2 |q|^2 in units of cap
+    m = n - 1
+    nq = 2 * m
+    g2 = -2.0 * s_ref * msum / cap
+    g1 = 4.0 * s_ref[:, None] * msens / cap
+    g0 = (c0 - 2.0 * s_ref * mconst) / cap
     leg2 = leg * leg
+    rate = scenario.gamma_min / n    # the objective is -rate sum_n A'_n
+    chain = np.empty((n + 1, 2))     # q_i, the free waypoints, q_f
+    chain[0], chain[-1] = q_i, q_f
 
-    def chain(z):
-        q = q_of(z)
-        return np.vstack([q_i[None, :], q, q_f[None, :]])
+    def cap_norm(pos):            # G_n at slot positions pos (N, 2)
+        return g0 + ((g1 + g2[:, None] * pos) * pos).sum(axis=1)
 
-    def speed_value(z):
-        diffs = np.diff(chain(z), axis=0)
-        return (diffs * diffs).sum(axis=1) / leg2 - 1.0
+    def slacks(z):
+        """-g of every row, (3, N): A' <= 1, surrogates, speed limits."""
+        chain[1:-1] = z[:nq].reshape(m, 2)
+        d = chain[1:] - chain[:-1]                # (N, 2) legs
+        a = z[nq:]
+        out = np.empty((3, n))
+        out[0] = 1.0 - a
+        out[1] = cap_norm(chain[1:]) - a
+        out[2] = 1.0 - (d * d).sum(axis=1) / leg2
+        return out, d
 
-    # segment row r runs from chain point r to r + 1; free waypoint j is
-    # chain point j + 1, so it is the head of row j and the tail of row j + 1
-    heads = np.arange(n_free)
+    def newton(z, t):
+        s, d = slacks(z)
+        w = 1.0 / s                    # barrier weights; gradient terms
+        w2 = w * w                     # are w grad(g), Hessian terms
+        wb, ws, wv = w                 # w2 grad(g) grad(g)^T + w hess(g)
+        w2b, w2s, w2v = w2
+        q = z[:nq].reshape(m, 2)
+        # the surrogate row A'_j - G_j(q_j) has gradient c in q_j and
+        # Hessian -2 g2 I; speed row r has gradient u_r in its head point
+        c = -(g1[:-1] + 2.0 * g2[:-1, None] * q)
+        u = (2.0 / leg2) * d
+        grad = np.empty(z.size)
+        grad[:nq] = (
+            ws[:-1, None] * c + wv[:-1, None] * u[:-1] - wv[1:, None] * u[1:]
+        ).ravel()
+        grad[nq:] = -t * rate + wb + ws
+        # 2 x 2 blocks as (xx, xy, yy) rows.  Speed row r adds
+        # w2v u u^T + iso_v I to the blocks of both its end points and the
+        # negative to the block between them
+        outer = w2v[:, None] * u[:, _XXY] * u[:, _XYY]
+        iso_v = (2.0 / leg2) * wv
+        iso = -2.0 * ws[:-1] * g2[:-1] + iso_v[:-1] + iso_v[1:]
+        diag = outer[:-1] + outer[1:] + iso[:, None] * _EYE
+        off = -(outer[1:-1] + iso_v[1:-1, None] * _EYE)
+        cc = c[:, _XXY] * c[:, _XYY]
+        a_diag = w2b + w2s
+        trace = float(
+            diag[:, ::2].sum() + (w2s[:-1] * (cc[:, 0] + cc[:, 2])).sum()
+            + a_diag.sum()
+        )
 
-    def speed_jacobian(z):
-        d = 2.0 * np.diff(chain(z), axis=0) / leg2  # (N, 2)
-        jac = np.zeros((n, nv))
-        per_wp = jac[:, :nq].reshape(n, n_free, 2)
-        per_wp[heads, heads] = d[:-1]
-        per_wp[heads + 1, heads] = -d[1:]
-        return jac
+        def solve(rhs, ridge):
+            piv = a_diag + ridge                   # the A' diagonal
+            if not ((piv > 0.0) & (piv < np.inf)).all():
+                return None
+            r_a = rhs[nq:]
+            # A'_j's row, piv_j dA_j + w2s_j c_j . dq_j = r_a_j, eliminated;
+            # w2s (w2b + ridge) / piv is w2s - w2s^2 / piv without cancellation
+            k = w2s[:-1] / piv[:-1]
+            keep = k * (w2b[:-1] + ridge)
+            r = rhs[:nq].reshape(m, 2) - (k * r_a[:-1])[:, None] * c
+            dq = _solve_block_tridiagonal(
+                diag + ridge * _EYE + keep[:, None] * cc, off, r
+            )
+            if dq is None:
+                return None
+            step = np.empty_like(rhs)
+            step[:nq] = dq.ravel()
+            step[nq:] = r_a / piv
+            step[nq:-1] -= k * (c * dq).sum(axis=1)
+            return step
 
-    def speed_hessian(z, w):
-        val = 2.0 * w / leg2                       # (N,)
-        h = np.zeros((nv, nv))
-        per_wp = h[:nq, :nq].reshape(n_free, 2, n_free, 2)
-        j, xy = heads[:, None], np.arange(2)
-        per_wp[j, xy, j, xy] = (val[:-1] + val[1:])[:, None]
-        # rows 1..N-2 couple waypoints j and j + 1 in each coordinate
-        per_wp[j[1:], xy, j[:-1], xy] = -val[1:-1, None]
-        per_wp[j[:-1], xy, j[1:], xy] = -val[1:-1, None]
-        return h
-
-    blocks = [
-        BoundBlock(idx_a, +1.0, 1.0),                       # A' <= 1
-        GenericBlock(surrogate_value, surrogate_jacobian, surrogate_hessian),
-        BoundBlock(idx_a[-1:], +1.0, cap_norm(n - 1, q_f[None, :])),
-        GenericBlock(speed_value, speed_jacobian, speed_hessian),
-    ]
+        return grad, trace, solve
 
     # strictly feasible start: bend slightly toward the uniform direct path
     direct_path = np.linspace(q_i, q_f, n + 1)[1:-1]
     q_start = 0.99 * wp[1:-1] + 0.01 * direct_path
-    z0 = np.zeros(nv)
+    z0 = np.empty(nq + n)
     z0[:nq] = q_start.ravel()
-    start_caps = np.minimum(1.0, cap_norm(np.arange(n - 1), q_start))
-    z0[idx_a[:-1]] = start_caps - 0.01
-    z0[idx_a[-1]] = min(1.0, float(cap_norm(n - 1, q_f[None, :])[0])) - 0.01
+    chain[1:-1] = q_start
+    z0[nq:] = np.minimum(1.0, cap_norm(chain[1:])) - 0.01
 
+    grad_f = np.zeros(z0.size)
+    grad_f[nq:] = -rate
     gamma = scenario.gamma_min
-    grad_f = np.zeros(nv)
-    grad_f[idx_a] = -gamma / n
-
     program = SmoothConvexProgram(
-        objective=lambda z: float(grad_f @ z),
+        objective=lambda z: -rate * float(z[nq:].sum()),
         gradient=lambda z: grad_f,
         x0=z0,
-        blocks=blocks,
+        blocks=[GenericBlock(lambda z: -slacks(z)[0].ravel())],
+        newton=newton,
     )
     try:
         outcome = solve_barrier(
@@ -283,10 +298,61 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
         return state, False
 
     new_wp = wp.copy()
-    new_wp[1:-1] = q_of(outcome.x)
+    new_wp[1:-1] = outcome.x[:nq].reshape(m, 2)
     return _accept(state, _state_from_plan(
         Trajectory(new_wp, delta), state.powers, scenario, state.trace
     ))
+
+
+def _solve_block_tridiagonal(diag, off, r):
+    """Solve a symmetric block-tridiagonal system with 2 x 2 blocks.
+
+    ``diag`` (m, 3) holds diagonal block j as its (xx, xy, yy) entries;
+    ``off`` (m - 1, 3) holds the symmetric block coupling unknown j to
+    j + 1 (both ways); ``r`` is the (m, 2) right-hand side.  Block LDL^T,
+    the block Thomas algorithm (Golub & Van Loan, Matrix Computations,
+    sec. 4.5), written out in scalar float arithmetic, so no BLAS is
+    involved and the result does not depend on a thread count.  Returns
+    the (m, 2) solution, or None when a pivot block is not positive
+    definite or not finite.
+    """
+    m = len(diag)
+    rows = np.empty((m, 8))    # D_j, r_j and E_{j-1} (zero for j = 0)
+    rows[:, :3] = diag
+    rows[:, 3:5] = r
+    rows[0, 5:] = 0.0
+    rows[1:, 5:] = off
+    forward = []     # inverse pivot, eliminated right side and E_{j-1}
+    i11 = i12 = i22 = bx = by = 0.0
+    for sxx, sxy, syy, rx, ry, e11, e12, e22 in rows.tolist():
+        # L = E S^-1 with the previous pivot S; S_j = D_j - L E and
+        # y_j = r_j - L y_{j-1}
+        l11 = e11 * i11 + e12 * i12
+        l12 = e11 * i12 + e12 * i22
+        l21 = e12 * i11 + e22 * i12
+        l22 = e12 * i12 + e22 * i22
+        sxx -= l11 * e11 + l12 * e12
+        sxy -= l11 * e12 + l12 * e22
+        syy -= l21 * e12 + l22 * e22
+        bx, by = rx - (l11 * bx + l12 * by), ry - (l21 * bx + l22 * by)
+        det = sxx * syy - sxy * sxy
+        if not (sxx > 0.0 and 0.0 < det < math.inf):
+            return None
+        i11, i12, i22 = syy / det, -sxy / det, sxx / det
+        forward.append((i11, i12, i22, bx, by, e11, e12, e22))
+
+    out = [0.0] * (2 * m)
+    x = y = f11 = f12 = f22 = 0.0
+    j = 2 * m
+    for i11, i12, i22, bx, by, e11, e12, e22 in reversed(forward):
+        # x_j = S_j^-1 (y_j - E_j x_{j+1}), with E_j = 0 for the last j
+        bx -= f11 * x + f12 * y
+        by -= f12 * x + f22 * y
+        x, y = i11 * bx + i12 * by, i12 * bx + i22 * by
+        j -= 2
+        out[j], out[j + 1] = x, y
+        f11, f12, f22 = e11, e12, e22
+    return np.array(out).reshape(m, 2)
 
 
 def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
@@ -365,7 +431,7 @@ def _optimal_shares(e2, beta, off, gamma):
         curv = np.where(amp < top, 0.0, 2.0 * ratio2 / w)
         diag = 2.0 * usage / nu
         hess = np.diag(diag) - (a * curv) @ a.T / n
-        step = newton_direction(hess, 1.0 - usage, diag.mean())
+        step = newton_direction(dense_solver(hess), 1.0 - usage, diag.mean())
         if step is None:
             return None
         # the search accepts a rise of g within its round-off, so Newton
@@ -394,8 +460,10 @@ def plan_sca(
     Powers start uniformly at the budgets.  The loop stops when no step of
     a round is accepted, when a round improves the clipped objective by at
     most ``DEFAULT_REL_IMPROVEMENT`` (relative), or after ``max_rounds``
-    rounds.  The trace records every step.
+    rounds.  The trace records every step.  Raises ScenarioError when
+    ``init`` has a non-finite waypoint.
     """
+    init.require_finite()
     if steps is None:
         steps = (("trajectory", trajectory_step), ("power", power_step))
     powers0 = np.broadcast_to(

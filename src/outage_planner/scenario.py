@@ -220,6 +220,15 @@ class Trajectory:
         """Positions at which slot SNRs are evaluated: q[1..N], shape (N, 2)."""
         return self.waypoints[1:]
 
+    def require_finite(self) -> None:
+        """Raise ScenarioError when a waypoint is NaN or infinite.
+
+        The constructor accepts such waypoints, so that ``validate_plan``
+        can flag them; the planners call this before planning on them.
+        """
+        if not np.isfinite(self.waypoints).all():
+            raise ScenarioError("trajectory", "waypoints must be finite")
+
 
 @dataclass(frozen=True)
 class PowerSchedule:

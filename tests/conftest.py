@@ -1,6 +1,8 @@
 """Shared fixtures: the bundled demo scenario, randomized and degenerate
-small instances, and the dense log-barrier references for the two power
-programs (the recovery feasibility test and the SCA power step)."""
+small instances, and the dense log-barrier references for the recovery
+feasibility test and the two SCA steps."""
+
+import math
 
 from pathlib import Path
 
@@ -16,8 +18,13 @@ from outage_planner.convex_core import (
     SmoothConvexProgram,
     solve_barrier,
 )
-from outage_planner.sca_planner import direct_flight
-from outage_planner.scenario import PowerSchedule, Scenario, load_scenario
+from outage_planner.sca_planner import _accept, _state_from_plan, direct_flight
+from outage_planner.scenario import (
+    PowerSchedule,
+    Scenario,
+    Trajectory,
+    load_scenario,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEMO_SCENARIO = REPO_ROOT / "scenarios" / "paper.json"
@@ -314,3 +321,202 @@ def barrier_power_step_reference(state, scenario):
     if outcome.status != STATUS_OPTIMAL:
         return None
     return p_of(outcome.x) * budgets[:, None]
+
+
+def speed_rows_loop_reference(scenario, state):
+    """Per-row loops for the speed constraints' Jacobian and Hessian."""
+    n = scenario.n_slots
+    nv = 2 * (n - 1) + n
+    leg2 = (scenario.v_max * state.trajectory.slot_length) ** 2
+    q_i, q_f = np.asarray(scenario.q_start), np.asarray(scenario.q_final)
+
+    def jacobian(z):
+        chain = np.vstack([q_i, z[: 2 * (n - 1)].reshape(-1, 2), q_f])
+        diffs = np.diff(chain, axis=0)
+        jac = np.zeros((n, nv))
+        for row in range(n):
+            d = 2.0 * diffs[row] / leg2
+            if row + 1 <= n - 1:                   # head endpoint is free
+                jac[row, 2 * row : 2 * row + 2] = d
+            if row >= 1:                           # tail endpoint is free
+                jac[row, 2 * (row - 1) : 2 * row] = -d
+        return jac
+
+    def hessian(z, w):
+        h = np.zeros((nv, nv))
+        for row in range(n):
+            free = [b for b, ok in ((2 * row, row + 1 <= n - 1),
+                                    (2 * (row - 1), row >= 1)) if ok]
+            val = 2.0 * w[row] / leg2
+            for b in free:
+                h[b, b] += val
+                h[b + 1, b + 1] += val
+            if len(free) == 2:
+                b1, b2 = free
+                for c in (0, 1):
+                    h[b1 + c, b2 + c] -= val
+                    h[b2 + c, b1 + c] -= val
+        return h
+
+    return jacobian, hessian
+
+
+def dense_trajectory_program(state, scenario):
+    """The SCA trajectory step's barrier program with dense blocks.
+
+    The reference for ``sca_planner.trajectory_step``'s structured Newton
+    system.  Unknowns are the free waypoints 1..N-1 followed by A'_n per
+    slot (in units of gamma * noise); the blocks are A' <= 1, the
+    surrogate rows A'_n <= G_n(q_n) of the slots with a free waypoint,
+    the pinned last slot's bound, and the speed rows, whose Jacobian and
+    Hessian come from ``speed_rows_loop_reference``.  Returns None where
+    the step has nothing to solve (one slot, or no speed slack).
+    """
+    n = scenario.n_slots
+    wp = state.trajectory.waypoints
+    leg = scenario.v_max * state.trajectory.slot_length
+    q_i = np.asarray(scenario.q_start, dtype=float)
+    q_f = np.asarray(scenario.q_final, dtype=float)
+    cap = scenario.gamma_min * scenario.noise_power
+    if n == 1 or leg - math.dist(q_f, q_i) / n <= 1e-6 * leg:
+        return None
+
+    pos = state.trajectory.slot_positions
+    w_ref = (
+        (pos[:, None, :] - scenario.sensor_xy[None, :, :]) ** 2
+    ).sum(axis=2)
+    u_ref = w_ref + scenario.altitude**2
+    quarter = scenario.alpha / 4.0
+    sqrt_pb = np.sqrt(state.powers.T * scenario.beta0)
+    slope = sqrt_pb * quarter * u_ref ** (-quarter - 1.0)
+    const = sqrt_pb * u_ref**-quarter + slope * w_ref
+    a0 = const.sum(axis=1)
+    msum = slope.sum(axis=1)
+    msens = (slope[:, :, None] * scenario.sensor_xy[None, :, :]).sum(axis=1)
+    mconst = (slope * (scenario.sensor_xy**2).sum(axis=1)[None, :]).sum(axis=1)
+    s_ref = state.amplitudes.sum(axis=0)
+    c0 = 2.0 * s_ref * a0 - s_ref**2
+
+    n_free = n - 1
+    nq = 2 * n_free
+    nv = nq + n
+
+    def q_of(z):
+        return z[:nq].reshape(n_free, 2)
+
+    def cap_norm(slot, q):
+        w = msum[slot] * (q * q).sum(-1) - 2.0 * (msens[slot] * q).sum(-1) \
+            + mconst[slot]
+        return (c0[slot] - 2.0 * s_ref[slot] * w) / cap
+
+    slots_var = np.arange(1, n)
+    idx_a = nq + np.arange(n)
+
+    def surrogate_value(z):
+        return z[idx_a[slots_var - 1]] - cap_norm(slots_var - 1, q_of(z))
+
+    def surrogate_jacobian(z):
+        q = q_of(z)
+        jac = np.zeros((n_free, nv))
+        coef = (4.0 * s_ref[slots_var - 1] / cap)[:, None] * (
+            msum[slots_var - 1][:, None] * q - msens[slots_var - 1]
+        )
+        rows = np.arange(n_free)
+        jac[rows, 2 * rows] = coef[:, 0]
+        jac[rows, 2 * rows + 1] = coef[:, 1]
+        jac[rows, idx_a[slots_var - 1]] = 1.0
+        return jac
+
+    def surrogate_hessian(z, w):
+        h = np.zeros((nv, nv))
+        diag = h.ravel()[:: nv + 1]
+        per_q = w * 4.0 * s_ref[slots_var - 1] * msum[slots_var - 1] / cap
+        diag[0:nq:2] += per_q
+        diag[1:nq:2] += per_q
+        return h
+
+    def speed_value(z):
+        diffs = np.diff(np.vstack([q_i, q_of(z), q_f]), axis=0)
+        return (diffs * diffs).sum(axis=1) / leg**2 - 1.0
+
+    blocks = [
+        BoundBlock(idx_a, +1.0, 1.0),
+        GenericBlock(surrogate_value, surrogate_jacobian, surrogate_hessian),
+        BoundBlock(idx_a[-1:], +1.0, cap_norm(n - 1, q_f[None, :])),
+        GenericBlock(speed_value, *speed_rows_loop_reference(scenario, state)),
+    ]
+
+    direct_path = np.linspace(q_i, q_f, n + 1)[1:-1]
+    q_start = 0.99 * wp[1:-1] + 0.01 * direct_path
+    z0 = np.zeros(nv)
+    z0[:nq] = q_start.ravel()
+    start_caps = np.minimum(1.0, cap_norm(np.arange(n - 1), q_start))
+    z0[idx_a[:-1]] = start_caps - 0.01
+    z0[idx_a[-1]] = min(1.0, float(cap_norm(n - 1, q_f[None, :])[0])) - 0.01
+
+    grad_f = np.zeros(nv)
+    grad_f[idx_a] = -scenario.gamma_min / n
+    return SmoothConvexProgram(
+        objective=lambda z: float(grad_f @ z),
+        gradient=lambda z: grad_f,
+        x0=z0,
+        blocks=blocks,
+    )
+
+
+def refined_dense_newton(program, x, t):
+    """The barrier's Newton system assembled densely from the blocks.
+
+    Like ``convex_core``'s dense assembly, but ``solve`` follows the LU
+    solve with one step of iterative refinement.  Late in the trajectory
+    step's barrier (t >= 1e6) the plain LU step can be off by more than
+    its own size, against an exact rational solve of the same system,
+    while the refined step stays within about 1e-8 of it.
+    """
+    n = x.size
+    grad = t * program.gradient(x)
+    hess = np.zeros((n, n))
+    for block in program.blocks:
+        block.add_newton_terms(x, block.value(x), grad, hess)
+
+    def solve(rhs, ridge):
+        h = hess + ridge * np.eye(n)
+        try:
+            step = np.linalg.solve(h, rhs)
+            return step + np.linalg.solve(h, rhs - h @ step)
+        except np.linalg.LinAlgError:
+            return None
+
+    return grad, float(np.trace(hess)), solve
+
+
+def barrier_trajectory_step_reference(state, scenario):
+    """``sca_planner.trajectory_step`` solved with a dense Newton system.
+
+    Same program, start, barrier settings and acceptance rule; the barrier
+    assembles its Newton system densely from the blocks of
+    ``dense_trajectory_program`` and solves it by ``refined_dense_newton``.
+    """
+    if scenario.n_slots == 1:
+        return _state_from_plan(
+            state.trajectory, state.powers, scenario, state.trace
+        ), True
+    program = dense_trajectory_program(state, scenario)
+    if program is None:
+        return state, False
+    program.newton = lambda x, t: refined_dense_newton(program, x, t)
+    gamma = scenario.gamma_min
+    try:
+        outcome = solve_barrier(
+            program, gap_tol=1e-10 * max(1.0, gamma), max_newton=400
+        )
+    except ValueError:
+        return state, False
+    if outcome.status != STATUS_OPTIMAL:
+        return state, False
+    wp = state.trajectory.waypoints.copy()
+    wp[1:-1] = outcome.x[: 2 * (scenario.n_slots - 1)].reshape(-1, 2)
+    return _accept(state, _state_from_plan(
+        Trajectory(wp, state.trajectory.slot_length), state.powers, scenario,
+        state.trace,
+    ))

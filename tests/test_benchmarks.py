@@ -143,6 +143,19 @@ def test_joint_plan_outage_matches_strict_count(small_scenario):
     )
 
 
+def test_joint_plan_at_bundled_size(demo_scenario):
+    assert demo_scenario.n_slots == 128
+    joint = plan_joint(demo_scenario)
+    # validate_plan's residuals, all within tolerance
+    assert plan_violations(
+        demo_scenario, joint.trajectory, joint.schedule
+    ) == []
+    assert joint.outage == 23 / 128
+    assert joint.outage == outage_probability(
+        joint.trajectory, joint.schedule, demo_scenario
+    )
+
+
 def test_joint_plan_zero_outage_when_hovering_suffices():
     # coincident endpoints above a lone sensor with an easy threshold: the
     # pipeline should serve every slot

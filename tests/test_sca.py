@@ -1,16 +1,21 @@
 """Convexified refinement: tangent bounds, steps, initial trajectories."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from outage_planner import sca_planner
 from outage_planner.channel import gain_at, snr_series
-from outage_planner.convex_core import GenericBlock
+from outage_planner.power_recovery import recover_powers
 from outage_planner.relaxed_optimum import GridSpec, solve_relaxed
 from outage_planner.scenario import (
     PowerSchedule,
+    ScenarioError,
     Trajectory,
     load_scenario,
     plan_violations,
@@ -27,9 +32,12 @@ from tests.conftest import (
     DEGENERATE,
     DEMO_SCENARIO,
     barrier_power_step_reference,
+    barrier_trajectory_step_reference,
     captured_barrier,
+    dense_trajectory_program,
     power_step_objective,
     random_scenario,
+    refined_dense_newton,
     small_doc,
 )
 
@@ -280,63 +288,120 @@ def test_power_step_matches_barrier_reference(monkeypatch):
     assert verdicts[3][0] is False
 
 
-def _speed_rows_loop_reference(scenario, state):
-    """Per-row loops for the speed constraints' Jacobian and Hessian."""
-    n = scenario.n_slots
-    nv = 2 * (n - 1) + n
-    leg2 = (scenario.v_max * state.trajectory.slot_length) ** 2
-    q_i, q_f = np.asarray(scenario.q_start), np.asarray(scenario.q_final)
-
-    def jacobian(z):
-        chain = np.vstack([q_i, z[: 2 * (n - 1)].reshape(-1, 2), q_f])
-        diffs = np.diff(chain, axis=0)
-        jac = np.zeros((n, nv))
-        for row in range(n):
-            d = 2.0 * diffs[row] / leg2
-            if row + 1 <= n - 1:                   # head endpoint is free
-                jac[row, 2 * row : 2 * row + 2] = d
-            if row >= 1:                           # tail endpoint is free
-                jac[row, 2 * (row - 1) : 2 * row] = -d
-        return jac
-
-    def hessian(z, w):
-        h = np.zeros((nv, nv))
-        for row in range(n):
-            free = [b for b, ok in ((2 * row, row + 1 <= n - 1),
-                                    (2 * (row - 1), row >= 1)) if ok]
-            val = 2.0 * w[row] / leg2
-            for b in free:
-                h[b, b] += val
-                h[b + 1, b + 1] += val
-            if len(free) == 2:
-                b1, b2 = free
-                for c in (0, 1):
-                    h[b1 + c, b2 + c] -= val
-                    h[b2 + c, b1 + c] -= val
-        return h
-
-    return jacobian, hessian
-
-
-@pytest.mark.parametrize("n_slots", [2, 3, 16])
-def test_speed_rows_match_loop_reference(monkeypatch, n_slots):
-    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=n_slots)
+def _full_budget_state(scn):
     powers = np.broadcast_to(
-        scn.power_budgets[:, None], (scn.n_sensors, n_slots)
+        scn.power_budgets[:, None], (scn.n_sensors, scn.n_slots)
     ).copy()
-    state = sca_planner._state_from_plan(direct_flight(scn), powers, scn)
-    program, _ = captured_barrier(
-        monkeypatch, sca_planner, lambda: sca_planner.trajectory_step(state, scn)
+    return sca_planner._state_from_plan(direct_flight(scn), powers, scn)
+
+
+def _close(got, want, rel):
+    """Entrywise agreement relative to the largest entry of ``want``."""
+    return np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("t", [1.0, 1e4])
+@pytest.mark.parametrize("n_slots", [2, 3, 16])
+def test_trajectory_newton_matches_dense_assembly(monkeypatch, n_slots, t):
+    """The structured Newton system is the dense one built from the blocks.
+
+    At the start and halfway to the step's optimum: constraint values,
+    gradient and Hessian trace agree to 1e-12, and the Newton step to
+    1e-9, with and without a ridge.
+    """
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=n_slots)
+    state = _full_budget_state(scn)
+    program, outcome = captured_barrier(
+        monkeypatch, sca_planner,
+        lambda: sca_planner.trajectory_step(state, scn),
     )
-    speed = program.blocks[3]
-    reference = GenericBlock(speed.value, *_speed_rows_loop_reference(scn, state))
-    rng = np.random.default_rng(n_slots)
-    z = program.x0.copy()
-    z[: 2 * (n_slots - 1)] += rng.normal(scale=2.0, size=2 * (n_slots - 1))
-    terms = []
-    for block in (speed, reference):
-        grad, hess = np.zeros(z.size), np.zeros((z.size, z.size))
-        block.add_newton_terms(z, block.value(z), grad, hess)
-        terms.append((grad, hess))
-    assert np.array_equal(terms[0][0], terms[1][0])
-    assert np.array_equal(terms[0][1], terms[1][1])
+    dense = dense_trajectory_program(state, scn)
+    assert _close(program.x0, dense.x0, 1e-12)
+    for z in (program.x0, 0.5 * (program.x0 + outcome.x)):
+        values = np.concatenate([block.value(z) for block in dense.blocks])
+        assert _close(program.blocks[0].value(z), values, 1e-12)
+        grad, trace, solve = program.newton(z, t)
+        want_grad, want_trace, want_solve = refined_dense_newton(dense, z, t)
+        assert _close(grad, want_grad, 1e-12)
+        assert trace == pytest.approx(want_trace, rel=1e-12)
+        for ridge in (0.0, 1e-3 * trace / z.size):
+            step = solve(-grad, ridge)
+            assert step is not None
+            assert _close(step, want_solve(-want_grad, ridge), 1e-9)
+
+
+def test_plan_sca_matches_dense_trajectory_reference():
+    """plan_sca with the structured trajectory step follows the dense one.
+
+    Same accept pattern (so trace length), trace objectives within
+    2.1e-8 relative, and the same recovered outage and active slots.
+    """
+    dense_steps = (
+        ("trajectory", barrier_trajectory_step_reference),
+        ("power", sca_planner.power_step),
+    )
+    cases = [load_scenario(DEMO_SCENARIO).with_overrides(n_slots=16)]
+    cases += [random_scenario(seed) for seed in range(8)]
+    for scn in cases:
+        init = direct_flight(scn)
+        got = plan_sca(scn, init)
+        want = plan_sca(scn, init, steps=dense_steps)
+        assert [e.accepted for e in got.trace] == [
+            e.accepted for e in want.trace
+        ]
+        np.testing.assert_allclose(
+            [e.objective for e in got.trace],
+            [e.objective for e in want.trace],
+            rtol=2.1e-8,
+        )
+        got_rec = recover_powers(scn, got.trajectory, schedule=got.schedule)
+        want_rec = recover_powers(scn, want.trajectory, schedule=want.schedule)
+        assert got_rec.outage == want_rec.outage
+        assert np.array_equal(got_rec.active_slots, want_rec.active_slots)
+
+
+_CHAINED_STEPS = """
+import sys
+import numpy as np
+from outage_planner import sca_planner
+from outage_planner.scenario import load_scenario
+scn = load_scenario(sys.argv[1]).with_overrides(n_slots=48)
+powers = np.repeat(scn.power_budgets[:, None], 48, axis=1)
+state = sca_planner._state_from_plan(
+    sca_planner.direct_flight(scn), powers, scn
+)
+for _ in range(3):
+    state, ok = sca_planner.trajectory_step(state, scn)
+    print(ok)
+print(state.trajectory.waypoints.tobytes().hex())
+"""
+
+
+def test_trajectory_steps_do_not_depend_on_blas_threads():
+    src = str(Path(sca_planner.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": src,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _CHAINED_STEPS, str(DEMO_SCENARIO)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(out.stdout)
+    assert outputs[0].split()[:3] == ["True"] * 3
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_planners_reject_non_finite_waypoints(small_scenario, bad):
+    wp = direct_flight(small_scenario).waypoints.copy()
+    wp[4, 0] = bad
+    trajectory = Trajectory(wp, small_scenario.slot_length)
+    for plan in (recover_powers, plan_sca):
+        with pytest.raises(ScenarioError, match="must be finite") as err:
+            plan(small_scenario, trajectory)
+        assert err.value.field == "trajectory"
