@@ -205,8 +205,17 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     def cap_norm(pos):            # G_n at slot positions pos (N, 2)
         return g0 + ((g1 + g2[:, None] * pos) * pos).sum(axis=1)
 
+    last = [None, None]  # the iterate slacks last saw, and its result
+
     def slacks(z):
-        """-g of every row, (3, N): A' <= 1, surrogates, speed limits."""
+        """-g of every row, (3, N): A' <= 1, surrogates, speed limits.
+
+        The barrier never changes an iterate in place, and its line search
+        passes the point it accepts on to ``newton`` as the same array, so
+        a repeat call with that array returns the stored result.
+        """
+        if z is last[0]:
+            return last[1]
         chain[1:-1] = z[:nq].reshape(m, 2)
         d = chain[1:] - chain[:-1]                # (N, 2) legs
         a = z[nq:]
@@ -214,6 +223,7 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
         out[0] = 1.0 - a
         out[1] = cap_norm(chain[1:]) - a
         out[2] = 1.0 - (d * d).sum(axis=1) / leg2
+        last[:] = z, (out, d)
         return out, d
 
     def newton(z, t):

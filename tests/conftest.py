@@ -1,6 +1,7 @@
 """Shared fixtures: the bundled demo scenario, randomized and degenerate
-small instances, and the dense log-barrier references for the recovery
-feasibility test and the two SCA steps."""
+small instances, the dense log-barrier references for the recovery
+feasibility test and the two SCA steps, and the full-grid ellipsoid loop
+that ``maximize_dual`` must reproduce."""
 
 import math
 
@@ -17,6 +18,12 @@ from outage_planner.convex_core import (
     STATUS_OPTIMAL,
     SmoothConvexProgram,
     solve_barrier,
+)
+from outage_planner.relaxed_optimum import (
+    DualPoint,
+    _powers_from_gains,
+    _transmit_costs,
+    default_mu_box,
 )
 from outage_planner.sca_planner import _accept, _state_from_plan, direct_flight
 from outage_planner.scenario import (
@@ -520,3 +527,76 @@ def barrier_trajectory_step_reference(state, scenario):
         Trajectory(wp, state.trajectory.slot_length), state.powers, scenario,
         state.trace,
     ))
+
+
+def full_grid_dual_point(mu, scenario, gains):
+    """The dual at mu with every grid point priced: value, supergradient and
+    the first (row-major) cheapest transmit point, or the outage branch."""
+    budgets = scenario.power_budgets
+    costs = _transmit_costs(mu, scenario, gains)
+    idx = int(np.argmin(costs))
+    cost_min = float(costs[idx])
+    if cost_min < 1.0:
+        powers = _powers_from_gains(mu, gains[idx], scenario)
+        value = cost_min - float(mu @ budgets)
+        return DualPoint(mu.copy(), value, powers - budgets, idx)
+    value = 1.0 - float(mu @ budgets)
+    return DualPoint(mu.copy(), value, -budgets)
+
+
+def full_grid_maximize_dual(scenario, grid):
+    """``relaxed_optimum.maximize_dual`` pricing the whole grid at every cut.
+
+    The same ellipsoid method (start ball, feasibility and objective cuts,
+    volume and iteration stops) with the dual evaluated by
+    ``full_grid_dual_point``; the library prices only candidate points and
+    must return exactly this ``DualPoint``.
+    """
+    k = scenario.n_sensors
+    vol_tol = float(1e-8**k)
+    max_iter = int(75 * k * (k + 1)) + 500
+    gains = gain_at(grid.points(), scenario)
+    mu_max = default_mu_box(scenario)
+    center = np.full(k, mu_max / 2.0)
+    radius = (mu_max / 2.0) * math.sqrt(k)
+    shape = np.eye(k) * radius**2
+    if k == 1:
+        shrink_log = math.log(0.5)
+    else:
+        shrink_log = math.log(k / (k + 1.0)) + 0.5 * (k - 1) * math.log(
+            k**2 / (k**2 - 1.0)
+        )
+    log_ratio = 0.0
+    log_tol = math.log(vol_tol)
+    best = None
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        violating = np.flatnonzero(center < 0.0)
+        if violating.size:
+            h = np.zeros(k)
+            h[violating[0]] = -1.0
+        else:
+            point = full_grid_dual_point(center, scenario, gains)
+            if best is None or point.value > best.value:
+                best = point
+            h = -point.subgradient
+        hph = float(h @ shape @ h)
+        if not np.isfinite(hph) or hph <= 0.0:
+            break
+        gdir = (shape @ h) / math.sqrt(hph)
+        if k == 1:
+            center = center - 0.5 * gdir
+            shape = shape / 4.0
+        else:
+            center = center - gdir / (k + 1.0)
+            shape = (k**2 / (k**2 - 1.0)) * (
+                shape - (2.0 / (k + 1.0)) * np.outer(gdir, gdir)
+            )
+            shape = 0.5 * (shape + shape.T)
+        log_ratio += shrink_log
+        if log_ratio < log_tol:
+            break
+    if best is None:
+        best = full_grid_dual_point(np.zeros(k), scenario, gains)
+    return DualPoint(best.mu, best.value, best.subgradient, best.grid_index,
+                     iterations)

@@ -1,8 +1,16 @@
 """Speed-unconstrained optimum: pricing, duals, and hover plans."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from outage_planner import relaxed_optimum
 from outage_planner.channel import gain_at, snr
 from outage_planner.convex_core import (
     STATUS_OPTIMAL,
@@ -12,7 +20,14 @@ from outage_planner.convex_core import (
     solve_barrier,
 )
 from outage_planner.relaxed_optimum import (
+    EPS_MU,
     GridSpec,
+    _candidate_table,
+    _dual_evaluator,
+    _transmit_costs,
+    _undominated,
+    build_hover_plan,
+    default_mu_box,
     dual_function,
     hover_plan_record,
     maximize_dual,
@@ -20,7 +35,14 @@ from outage_planner.relaxed_optimum import (
     solve_relaxed,
 )
 from outage_planner.scenario import load_scenario
-from tests.conftest import random_scenario, small_doc
+from tests.conftest import (
+    DEGENERATE,
+    DEMO_SCENARIO,
+    full_grid_dual_point,
+    full_grid_maximize_dual,
+    random_scenario,
+    small_doc,
+)
 
 
 def barrier_power_oracle(mu, q, scenario):
@@ -85,6 +107,21 @@ def test_powers_input_validation(small_scenario):
         powers_given_location(np.array([1.0]), (0.0, 0.0), small_scenario)
     with pytest.raises(ValueError):
         powers_given_location(np.array([-1.0, 1.0]), (0.0, 0.0), small_scenario)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_prices_are_rejected(small_scenario, bad):
+    mu = np.array([1.0, bad])
+    grid = GridSpec.from_scenario(small_scenario, resolution=5)
+    gains = gain_at(grid.points(), small_scenario)
+    for call in (
+        lambda: dual_function(mu, small_scenario, gains),
+        lambda: dual_function(np.full(2, bad), small_scenario, gains),
+        lambda: powers_given_location(mu, (0.0, 0.0), small_scenario),
+        lambda: build_hover_plan(mu, small_scenario, grid),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 def test_grid_spec_row_major_points(small_scenario):
@@ -201,3 +238,154 @@ def test_hover_plan_record_round_trip(small_scenario):
     assert len(rec["hover_locations"]) == len(plan.locations)
     for item in rec["hover_locations"]:
         assert {"x", "y", "duration_s", "powers_dbm"} <= set(item)
+
+
+def _same_dual_point(got, want):
+    return (
+        got.mu.tobytes() == want.mu.tobytes()
+        and got.value == want.value
+        and got.subgradient.tobytes() == want.subgradient.tobytes()
+        and got.grid_index == want.grid_index
+        and got.iterations == want.iterations
+    )
+
+
+def _below_single_sensor_snr():
+    """gamma at 0.4 x the best single-sensor overhead SNR: prices near 0."""
+    base = load_scenario(small_doc())
+    best = max(snr(s.position, base.power_budgets, base) for s in base.sensors)
+    return load_scenario(small_doc(gamma_min=0.4 * best))
+
+
+EXACT_CASES = (
+    [("paper.json", 81)]
+    + [(f"random {seed}", res) for seed in range(12) for res in (41, 21)]
+    + [(name, res) for name in DEGENERATE for res in (21, 3)]
+    + [("below single-sensor SNR", 21)]
+)
+
+
+@pytest.mark.parametrize("case, resolution", EXACT_CASES)
+def test_maximize_dual_matches_full_grid_loop(case, resolution):
+    if case == "paper.json":
+        scn = load_scenario(DEMO_SCENARIO)
+    elif case.startswith("random"):
+        scn = random_scenario(int(case.split()[1]), k_hi=8)
+    elif case in DEGENERATE:
+        scn = load_scenario(DEGENERATE[case])
+    else:
+        scn = _below_single_sensor_snr()
+    grid = GridSpec.from_scenario(scn, resolution=resolution)
+    got = maximize_dual(scn, grid)
+    assert _same_dual_point(got, full_grid_maximize_dual(scn, grid))
+
+
+def test_candidate_table_reproduces_grid_products():
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        k = int(rng.integers(1, 25))
+        gains = rng.uniform(1e-9, 1e-3, size=(int(rng.integers(1, 700)), k))
+        keep = rng.random(gains.shape[0]) < rng.uniform(0.05, 0.95)
+        table, rows = _candidate_table(gains, keep)
+        real = rows >= 0
+        tail = max(gains.shape[0] - 16, 0)
+        kept = [*np.flatnonzero(keep[:tail]), *range(tail, gains.shape[0])]
+        assert rows[real].tolist() == kept
+        w = 1.0 / rng.uniform(1e-3, 10.0, size=k)
+        got, want = (table @ w)[real], (gains @ w)[rows[real]]
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def priced_layouts(draw):
+    """A small scenario with lattice-placed sensors (so gains tie across
+    grid points), a grid over its box, and prices with some set to 0."""
+    k = draw(st.integers(1, 5))
+    cell = st.integers(0, 6).map(lambda v: 10.0 * v)
+    sensors = [
+        {"x": draw(cell), "y": draw(cell),
+         "p_ave_dbm": draw(st.sampled_from([24.0, 27.0, 30.0]))}
+        for _ in range(k)
+    ]
+    doc = small_doc(
+        sensors=sensors,
+        alpha=draw(st.sampled_from([2.0, 2.8])),
+        gamma_min=draw(st.sampled_from([1.0, 100.0, 1e4])),
+    )
+    scn = load_scenario(doc)
+    box = GridSpec.from_scenario(scn)
+    grid = GridSpec(box.x_min, box.x_max, box.y_min, box.y_max,
+                    nx=draw(st.integers(1, 24)), ny=draw(st.integers(1, 24)))
+    price = st.one_of(
+        st.just(0.0), st.just(EPS_MU / 2.0), st.floats(1e-4, 1.0)
+    )
+    mu = default_mu_box(scn) * np.array([draw(price) for _ in range(k)])
+    return scn, grid, mu
+
+
+@settings(max_examples=150, deadline=None)
+@given(priced_layouts())
+def test_pruned_pricing_matches_full_grid(layout):
+    scn, grid, mu = layout
+    gains = gain_at(grid.points(), scn)
+    keep = _undominated(gains, grid)
+    value, subgradient, idx = _dual_evaluator(scn, gains, keep)(mu)
+    want = full_grid_dual_point(mu, scn, gains)
+    assert (value, idx) == (want.value, want.grid_index)
+    assert subgradient.tobytes() == want.subgradient.tobytes()
+    if mu.min() > EPS_MU:
+        full = int(np.argmin(_transmit_costs(mu, scn, gains)))
+        table, rows = _candidate_table(gains, keep)
+        picked = int(np.argmin(_transmit_costs(mu, scn, table)))
+        assert rows[picked] == full
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 3),
+    st.data(),
+)
+def test_pruning_keeps_the_first_cheapest_point(ny, nx, k, data):
+    # gains from a three-value set tie often, between points in every
+    # relative position
+    gains = 1e-6 * np.array(
+        data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                           min_size=ny * nx * k, max_size=ny * nx * k))
+    ).reshape(ny * nx, k)
+    mu = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                     min_size=k, max_size=k)))
+    grid = GridSpec(0.0, 1.0, 0.0, 1.0, nx=nx, ny=ny)
+    scn = load_scenario(small_doc())
+    table, rows = _candidate_table(gains, _undominated(gains, grid))
+    picked = int(np.argmin(_transmit_costs(mu, scn, table)))
+    assert rows[picked] == int(np.argmin(_transmit_costs(mu, scn, gains)))
+
+
+_SOLVE_RELAXED = """
+import sys
+from outage_planner.relaxed_optimum import solve_relaxed
+from outage_planner.scenario import load_scenario
+dual, plan = solve_relaxed(load_scenario(sys.argv[1]))
+print(dual.grid_index, dual.iterations, dual.value.hex(), plan.outage.hex())
+for arr in (dual.mu, dual.subgradient, plan.locations, plan.powers,
+            plan.durations):
+    print(arr.tobytes().hex())
+"""
+
+
+def test_solve_relaxed_does_not_depend_on_blas_threads():
+    src = str(Path(relaxed_optimum.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": src,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        out = subprocess.run(
+            [sys.executable, "-c", _SOLVE_RELAXED, str(DEMO_SCENARIO)],
+            env=env, capture_output=True, text=True, check=True, timeout=300,
+        )
+        outputs.append(out.stdout)
+    assert outputs[0] == outputs[1]
