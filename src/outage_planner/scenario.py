@@ -2,28 +2,30 @@
 
 A scenario bundles the ground sensors (positions and average-power budgets),
 the channel constants, the SNR threshold, and the mission parameters (speed
-limit, duration, slot count, endpoints).  Instances are loaded from JSON
-documents validated against the schema shipped with the package.  All
-quantities are stored in linear SI units; decibel forms exist only at the
-configuration boundary.
+limit, duration, slot count, endpoints).  ``load_scenario`` checks the shape
+of a JSON document and the constructors check the ranges.  All quantities are
+stored in linear SI units; decibel forms exist only at the configuration
+boundary.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
-from importlib import resources
+import numbers
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
 
 # Feasibility comparisons are relative with a small absolute floor.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
-_SCHEMA = None
+# The keys of a scenario document and of each sensor, in reporting order.
+_KEYS = ("sensors", "h_m", "beta0_db", "alpha", "noise_dbm", "gamma_min",
+         "vmax_mps", "t_s", "n_slots", "q_i", "q_f")
+_SENSOR_KEYS = ("x", "y", "p_ave_dbm")
 
 
 class ScenarioError(ValueError):
@@ -269,60 +271,81 @@ class ConstraintResidual:
         return not self.residual <= self.allowed  # NaN counts as violated
 
 
-def _scenario_schema() -> dict:
-    global _SCHEMA
-    if _SCHEMA is None:
-        text = (
-            resources.files("outage_planner")
-            .joinpath("schemas/scenario.schema.json")
-            .read_text()
-        )
-        _SCHEMA = json.loads(text)
-    return _SCHEMA
+def _check_keys(entry, keys: tuple[str, ...], name: str) -> None:
+    """Require ``entry`` to be an object holding exactly ``keys``."""
+    if not isinstance(entry, dict):
+        raise ScenarioError(name, "must be an object")
+    prefix = "" if name == "<document>" else f"{name}."
+    for key in keys:
+        if key not in entry:
+            raise ScenarioError(prefix + key, "is required")
+    unknown = [key for key in entry if key not in keys]
+    if unknown:
+        raise ScenarioError(name, f"unknown keys {unknown}")
+
+
+def _number(value, name: str) -> float:
+    """``float(value)`` for a real number other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScenarioError(name, "must be a number")
+    return _from_db(float, value)  # an integer past the float range: +inf
+
+
+def _point(value, name: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ScenarioError(name, "must be a list of two numbers")
+    return (_number(value[0], name), _number(value[1], name))
+
+
+def _slot_count(value) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ScenarioError("n_slots", "must be an integer")
+    return int(value)
 
 
 def load_scenario(source) -> Scenario:
     """Build a Scenario from a JSON file path or an already-parsed mapping.
 
-    The document is validated against the shipped JSON schema; decibel fields
-    are converted to linear units here and nowhere else.  Raises
-    ScenarioError naming the offending field on any violation.
+    The document holds exactly the README's keys, each sensor ``x``, ``y``
+    and ``p_ave_dbm``; values are numbers (not bools), ``n_slots`` integral,
+    ``q_i``/``q_f`` two-number lists; the constructors check the ranges.
+    Decibel fields are converted to linear units here and nowhere else.
+    Raises ScenarioError naming the offending field on any violation.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ScenarioError("<document>", f"not UTF-8 JSON: {exc}") from exc
     elif isinstance(source, dict):
         doc = source
     else:
         raise TypeError("source must be a path or a dict")
 
-    validator = Draft7Validator(_scenario_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        path = ".".join(str(p) for p in err.absolute_path) or "<document>"
-        raise ScenarioError(path, err.message)
-
-    sensors = tuple(
-        SensorSite(
-            sensor_id=i + 1,
-            position=(float(item["x"]), float(item["y"])),
-            avg_power_budget=_from_db(dbm_to_watts, float(item["p_ave_dbm"])),
-        )
-        for i, item in enumerate(doc["sensors"])
-    )
+    _check_keys(doc, _KEYS, "<document>")
+    if not isinstance(doc["sensors"], list):
+        raise ScenarioError("sensors", "must be a list")
+    sensors = []
+    for i, item in enumerate(doc["sensors"]):
+        name = f"sensors[{i}]"
+        _check_keys(item, _SENSOR_KEYS, name)
+        x, y, p_dbm = (_number(item[k], f"{name}.{k}") for k in _SENSOR_KEYS)
+        sensors.append(SensorSite(i + 1, (x, y), _from_db(dbm_to_watts, p_dbm)))
     return Scenario(
-        sensors=sensors,
-        altitude=float(doc["h_m"]),
-        beta0=_from_db(db_to_linear, float(doc["beta0_db"])),
-        alpha=float(doc["alpha"]),
-        noise_power=_from_db(dbm_to_watts, float(doc["noise_dbm"])),
-        gamma_min=float(doc["gamma_min"]),
-        v_max=float(doc["vmax_mps"]),
-        duration=float(doc["t_s"]),
-        n_slots=int(doc["n_slots"]),
-        q_start=(float(doc["q_i"][0]), float(doc["q_i"][1])),
-        q_final=(float(doc["q_f"][0]), float(doc["q_f"][1])),
+        sensors=tuple(sensors),
+        altitude=_number(doc["h_m"], "h_m"),
+        beta0=_from_db(db_to_linear, _number(doc["beta0_db"], "beta0_db")),
+        alpha=_number(doc["alpha"], "alpha"),
+        noise_power=_from_db(dbm_to_watts, _number(doc["noise_dbm"], "noise_dbm")),
+        gamma_min=_number(doc["gamma_min"], "gamma_min"),
+        v_max=_number(doc["vmax_mps"], "vmax_mps"),
+        duration=_number(doc["t_s"], "t_s"),
+        n_slots=_slot_count(doc["n_slots"]),
+        q_start=_point(doc["q_i"], "q_i"),
+        q_final=_point(doc["q_f"], "q_f"),
     )
 
 

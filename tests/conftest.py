@@ -1,7 +1,7 @@
 """Shared fixtures: the bundled demo scenario, randomized and degenerate
-small instances, the dense log-barrier references for the recovery
-feasibility test and the two SCA steps, and the full-grid ellipsoid loop
-that ``maximize_dual`` must reproduce."""
+small instances, the dense log-barrier references for the cheapest-power
+subproblem, the recovery feasibility test and the two SCA steps, and the
+full-grid ellipsoid loop that ``maximize_dual`` must reproduce."""
 
 import math
 
@@ -160,6 +160,34 @@ def captured_barrier(monkeypatch, module, run):
     run()
     assert len(seen) == 1
     return seen[0]
+
+
+def barrier_power_oracle(mu, q, scenario):
+    """Independent interior-point solve of the cheapest-power subproblem.
+
+    Parameterized in received amplitudes rho_k = sqrt(P_k): minimize
+    sum mu_k rho_k^2 subject to sum c_k rho_k >= amplitude target.
+    """
+    cvec = np.sqrt(gain_at(np.asarray(q, dtype=float)[None, :], scenario)[0])
+    b_amp = math.sqrt(scenario.gamma_min * scenario.noise_power)
+    k = scenario.n_sensors
+    x0 = np.full(k, 1.1 * b_amp / (k * cvec.min()))
+    prog = SmoothConvexProgram(
+        objective=lambda x: float(mu @ x**2),
+        gradient=lambda x: 2.0 * mu * x,
+        x0=x0,
+        blocks=[
+            GenericBlock(
+                value=lambda x: np.array([b_amp - cvec @ x]),
+                jacobian=lambda x: -cvec[None, :],
+            ),
+            BoundBlock(np.arange(k), -1.0, 0.0),
+        ],
+        hessian=lambda x: np.diag(2.0 * mu),
+    )
+    out = solve_barrier(prog, gap_tol=1e-13, max_newton=600)
+    assert out.status == STATUS_OPTIMAL
+    return out.x**2
 
 
 BARRIER_ACCEPT_SHORTFALL = 1e-9   # max phase-1 shortfall the reference accepts

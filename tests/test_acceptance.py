@@ -17,13 +17,6 @@ from outage_planner.benchmarks import (
     run_trajectory_only,
 )
 from outage_planner.channel import gain_at, snr, snr_series
-from outage_planner.convex_core import (
-    STATUS_OPTIMAL,
-    BoundBlock,
-    GenericBlock,
-    SmoothConvexProgram,
-    solve_barrier,
-)
 from outage_planner.pipeline import plan_joint
 from outage_planner.relaxed_optimum import (
     GridSpec,
@@ -41,7 +34,7 @@ from outage_planner.sca_planner import (
     plan_sca,
     square_sum_lower_bound,
 )
-from tests.conftest import random_scenario, small_doc
+from tests.conftest import barrier_power_oracle, random_scenario, small_doc
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +179,6 @@ def test_c04_outage_non_increasing_and_near_relaxed_bound(
     assert abs(final - bound) <= 0.05, (
         f"T=80 s outage {final} vs relaxed bound {bound}"
     )
-
-
-def barrier_power_oracle(mu, q, scenario):
-    cvec = np.sqrt(gain_at(np.asarray(q, dtype=float)[None, :], scenario)[0])
-    b_amp = math.sqrt(scenario.gamma_min * scenario.noise_power)
-    k = scenario.n_sensors
-    prog = SmoothConvexProgram(
-        objective=lambda x: float(mu @ x**2),
-        gradient=lambda x: 2.0 * mu * x,
-        x0=np.full(k, 1.1 * b_amp / (k * cvec.min())),
-        blocks=[
-            GenericBlock(
-                value=lambda x: np.array([b_amp - cvec @ x]),
-                jacobian=lambda x: -cvec[None, :],
-            ),
-            BoundBlock(np.arange(k), -1.0, 0.0),
-        ],
-        hessian=lambda x: np.diag(2.0 * mu),
-    )
-    out = solve_barrier(prog, gap_tol=1e-13, max_newton=600)
-    assert out.status == STATUS_OPTIMAL
-    return out.x**2
 
 
 def test_c05_closed_form_powers_match_interior_point_oracle():

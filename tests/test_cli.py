@@ -2,15 +2,19 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from outage_planner import cli
 from outage_planner.cli import main
 from outage_planner.pipeline import plan_joint
 from outage_planner.relaxed_optimum import GridSpec, solve_relaxed
-from outage_planner.scenario import load_scenario
-from tests.conftest import small_doc
+from outage_planner.scenario import ScenarioError, load_scenario
+from tests.conftest import DEMO_SCENARIO, small_doc
 
 
 @pytest.fixture
@@ -302,6 +306,45 @@ def test_invalid_scenario_document(tmp_path, capsys):
     assert "field" in record
 
 
+@pytest.mark.parametrize(
+    "content", [b'{"sensors": [', b'{"h_m": "\xff"}'], ids=["truncated", "not_utf8"]
+)
+def test_malformed_scenario_file_is_input_error(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(
+        ["relaxed", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ScenarioError"
+    assert record["field"] == "<document>"
+
+
+@pytest.mark.parametrize(
+    "field, edit",
+    [
+        ("sensors[1].x", lambda doc: doc["sensors"][1].update(x="20")),
+        ("gamma_min", lambda doc: doc.pop("gamma_min")),
+        ("sensors[0].y", lambda doc: doc["sensors"][0].pop("y")),
+    ],
+)
+def test_scenario_errors_name_the_field(tmp_path, capsys, field, edit):
+    doc = small_doc()
+    edit(doc)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.field == field
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(
+        ["relaxed", "--scenario", str(bad), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["field"] == field
+
+
 def test_unknown_sweep_scheme(tmp_path, scenario_file, capsys):
     code = main(
         ["sweep-power", "--scenario", str(scenario_file),
@@ -325,3 +368,29 @@ def test_reruns_are_byte_identical(tmp_path, scenario_file):
         "hover_plan.json", "summary.json",
     ):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    commands = {
+        "sca": ["sca"],
+        "fly_hover_fly": ["benchmark", "--scheme", "fly_hover_fly", "--grid", "21"],
+    }
+    for threads in ("1", "2"):
+        env = {
+            **os.environ, "PYTHONPATH": src,
+            "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+        }
+        for name, args in commands.items():
+            subprocess.run(
+                [sys.executable, "-m", "outage_planner.cli", *args,
+                 "--scenario", str(DEMO_SCENARIO), "--n-slots", "32",
+                 "--out", str(tmp_path / threads / name)],
+                env=env, capture_output=True, check=True,
+            )
+    one, two = tmp_path / "1", tmp_path / "2"
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    assert len(files) == 8   # five sca artifacts, three benchmark artifacts
+    for rel in files:
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel

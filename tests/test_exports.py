@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import outage_planner
+from tests.conftest import DEMO_SCENARIO
 
 EXPORTS = {
     "benchmarks": [
@@ -63,3 +64,19 @@ def test_package_and_cli_import_without_scipy():
         text=True, check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_package_loads_scenarios_without_jsonschema():
+    # jsonschema serves the tests as an oracle for load_scenario only
+    src = str(Path(outage_planner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys; sys.modules['jsonschema'] = None; "
+        "import outage_planner, outage_planner.cli; "
+        f"print(outage_planner.load_scenario({str(DEMO_SCENARIO)!r}).n_sensors)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "10"

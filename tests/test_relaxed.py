@@ -12,13 +12,6 @@ from hypothesis import strategies as st
 
 from outage_planner import relaxed_optimum
 from outage_planner.channel import gain_at, snr
-from outage_planner.convex_core import (
-    STATUS_OPTIMAL,
-    BoundBlock,
-    GenericBlock,
-    SmoothConvexProgram,
-    solve_barrier,
-)
 from outage_planner.relaxed_optimum import (
     EPS_MU,
     GridSpec,
@@ -38,39 +31,12 @@ from outage_planner.scenario import load_scenario
 from tests.conftest import (
     DEGENERATE,
     DEMO_SCENARIO,
+    barrier_power_oracle,
     full_grid_dual_point,
     full_grid_maximize_dual,
     random_scenario,
     small_doc,
 )
-
-
-def barrier_power_oracle(mu, q, scenario):
-    """Independent interior-point solve of the cheapest-power subproblem.
-
-    Parameterized in received amplitudes rho_k = sqrt(P_k): minimize
-    sum mu_k rho_k^2 subject to sum c_k rho_k >= amplitude target.
-    """
-    cvec = np.sqrt(gain_at(np.asarray(q, dtype=float)[None, :], scenario)[0])
-    b_amp = np.sqrt(scenario.gamma_min * scenario.noise_power)
-    k = scenario.n_sensors
-    x0 = np.full(k, 1.1 * b_amp / (k * cvec.min()))
-    prog = SmoothConvexProgram(
-        objective=lambda x: float(mu @ x**2),
-        gradient=lambda x: 2.0 * mu * x,
-        x0=x0,
-        blocks=[
-            GenericBlock(
-                value=lambda x: np.array([b_amp - cvec @ x]),
-                jacobian=lambda x: -cvec[None, :],
-            ),
-            BoundBlock(np.arange(k), -1.0, 0.0),
-        ],
-        hessian=lambda x: np.diag(2.0 * mu),
-    )
-    out = solve_barrier(prog, gap_tol=1e-13, max_newton=600)
-    assert out.status == STATUS_OPTIMAL
-    return out.x**2
 
 
 def test_powers_match_barrier_oracle(small_scenario):

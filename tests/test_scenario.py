@@ -121,7 +121,9 @@ def _set_field(doc: dict, field: str, value: float) -> None:
         doc[field] = value
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), pytest.param(10**400, id="huge_int")]
+)
 @pytest.mark.parametrize(
     "field",
     ["h_m", "beta0_db", "alpha", "noise_dbm", "gamma_min", "vmax_mps", "t_s",
@@ -134,6 +136,15 @@ def test_load_scenario_rejects_non_finite(field, value):
         load_scenario(doc)
     assert err.value.field == field
     assert "finite" in str(err.value)
+
+
+@pytest.mark.parametrize("field", ["h_m", "n_slots", "q_i", "sensors[1].x"])
+def test_load_scenario_rejects_complex(field):
+    doc = small_doc()
+    _set_field(doc, field, 8 + 0j)
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.field == field
 
 
 @pytest.mark.parametrize("field", ["beta0_db", "noise_dbm"])
