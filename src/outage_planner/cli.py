@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -140,8 +141,23 @@ def _violation_records(scenario, trajectory, schedule) -> list[dict]:
     ]
 
 
+class _InputError(Exception):
+    """An input file could not be read; ``args[0]`` is the OSError."""
+
+
+@contextmanager
+def _reading_input():
+    """Turn an OSError raised while reading an input file into bad input
+    (exit 2); errors writing artifacts stay internal failures (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise _InputError(exc) from exc
+
+
 def _load(args) -> Scenario:
-    scenario = load_scenario(args.scenario)
+    with _reading_input():
+        scenario = load_scenario(args.scenario)
     if args.t_s is not None or args.n_slots is not None or args.p_ave_dbm is not None:
         scenario = scenario.with_overrides(
             duration=args.t_s, n_slots=args.n_slots, p_ave_dbm=args.p_ave_dbm
@@ -166,7 +182,8 @@ def _cmd_relaxed(args) -> None:
     dual, plan = solve_relaxed(scenario, grid)
     record = hover_plan_record(plan, scenario)
     record["dual_value"] = dual.value
-    record["ellipsoid_iterations"] = dual.iterations
+    record["iterations"] = dual.iterations
+    record["gap"] = dual.gap
     _write_json(args.out / "hover_plan.json", record)
     header = ["hover", "x_m", "y_m", "duration_s"] + [
         f"p_{k + 1}_dbm" for k in range(scenario.n_sensors)
@@ -233,7 +250,8 @@ def _cmd_recover(args) -> None:
     scenario = _load(args)
     if args.trajectory is None:
         raise ScenarioError("trajectory", "recover needs --trajectory CSV")
-    trajectory = _read_trajectory(args.trajectory, scenario)
+    with _reading_input():
+        trajectory = _read_trajectory(args.trajectory, scenario)
     recovered = recover_powers(scenario, trajectory, args.budget_norm)
     _write_schedule(
         args.out / "schedule.csv", scenario, trajectory, recovered.schedule
@@ -450,8 +468,9 @@ def main(argv=None) -> int:
         return 0
     except ScenarioError as exc:
         return _error(2, "ScenarioError", str(exc), field=exc.field)
-    except FileNotFoundError as exc:
-        return _error(2, "FileNotFoundError", str(exc))
+    except _InputError as exc:
+        cause = exc.args[0]
+        return _error(2, type(cause).__name__, str(cause))
     except Exception as exc:  # pragma: no cover - defensive
         return _error(1, type(exc).__name__, str(exc))
 

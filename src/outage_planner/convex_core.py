@@ -5,7 +5,10 @@ Four primitives, all dependency-free and reproducible run to run:
 * ``solve_lp``: one-phase tableau simplex with Bland's pivoting rule
   (anti-cycling, deterministic) for small linear programs in x >= 0 whose
   inequality rows have a nonnegative right-hand side, so the slack basis
-  is a feasible start.
+  is a feasible start.  It returns the row duals and its final basis, and
+  can start from a given primal-feasible basis: the relaxation's column
+  generation re-solves its master LP from the last basis after each new
+  column.
 * ``solve_barrier``: log-barrier interior-point method for smooth convex
   programs.  Constraints are supplied in vectorized blocks.  A program
   with structure supplies its own Newton system (``newton``), as the SCA
@@ -41,6 +44,10 @@ class SolveOutcome:
     objective: float
     status: str
     iterations: int
+    # LP only: row prices, and the basis as (structural columns, rows
+    # whose slacks are not basic)
+    duals: np.ndarray | None = None
+    basis: tuple[tuple[int, ...], tuple[int, ...]] = ((), ())
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +68,24 @@ _COST_TOL = 1e-10
 _MAX_PIVOTS = 100_000   # per solve
 
 
-def solve_lp(lp: LinearProgram) -> SolveOutcome:
+def solve_lp(lp: LinearProgram, start=((), ())) -> SolveOutcome:
     """Solve a small LP exactly (to numerical tolerance) with the simplex.
 
     ``b_ub`` must be nonnegative, so x = 0 is feasible and the simplex
     starts from the slack basis; a negative or NaN entry raises
-    ValueError.  Status is one of optimal / unbounded / max-iters.  On
-    success the solution is an optimal basic (vertex) point; Bland's rule
-    makes the pivot sequence deterministic and cycling-free.
+    ValueError.  ``start`` optionally gives a primal-feasible basis to
+    start from instead, as (structural columns, rows whose slacks are not
+    basic), such as the ``basis`` of an optimal solve of the same rows
+    before columns were appended.  Its columns are pivoted back in one by
+    one, each on the largest entry among its rows not yet pivoted on.  A
+    start that is singular or not primal feasible raises ValueError.
+
+    Status is one of optimal / unbounded / max-iters; ``iterations``
+    counts every pivot, those of the start included.  On success the
+    solution is an optimal basic (vertex) point, and ``duals`` are the
+    row prices y >= 0 (the reduced costs of the slack columns): c + a_ub.T
+    @ y >= 0 and c @ x == -b_ub @ y, both to the pivoting tolerances.
+    Bland's rule makes the pivot sequence deterministic and cycling-free.
     """
     c = np.asarray(lp.c, dtype=float)
     a = np.atleast_2d(np.asarray(lp.a_ub, dtype=float))
@@ -86,9 +103,33 @@ def solve_lp(lp: LinearProgram) -> SolveOutcome:
     tableau[:m, -1] = b
     tableau[-1, :n] = c
     basis = list(range(n, n + m))
+    pivots = 0
+
+    def pivot(row, col):
+        tableau[row] /= tableau[row, col]
+        factor = tableau[:, col].copy()
+        factor[row] = 0.0
+        tableau[:] -= factor[:, None] * tableau[row]
+        basis[row] = col
+
+    start_cols, start_rows = (sorted(set(part)) for part in start)
+    if len(start_cols) != len(start_rows) or not (
+        set(start_cols) <= set(range(n)) and set(start_rows) <= set(range(m))
+    ):
+        raise ValueError("start must pair distinct columns with distinct rows")
+    for col in start_cols:
+        row = start_rows[int(np.abs(tableau[start_rows, col]).argmax())]
+        if abs(tableau[row, col]) <= _PIVOT_TOL:
+            raise ValueError("start basis is singular")
+        pivot(row, col)
+        start_rows.remove(row)
+        pivots += 1
+    rhs = tableau[:m, -1]
+    if (rhs < -_PIVOT_TOL * max(1.0, float(b.max(initial=0.0)))).any():
+        raise ValueError("start basis is not primal feasible")
+    np.maximum(rhs, 0.0, out=rhs)   # rounding of the start's pivots
 
     status = STATUS_MAX_ITERS
-    pivots = 0
     while pivots < _MAX_PIVOTS:
         # Bland: the first column with a negative reduced cost enters
         improving = np.flatnonzero(tableau[-1, :-1] < -_COST_TOL)
@@ -105,20 +146,19 @@ def solve_lp(lp: LinearProgram) -> SolveOutcome:
         best = ratios.min()
         # Bland tie-break: smallest basic-variable index among minimal ratios
         tied = rows[ratios <= best + 1e-12 * max(1.0, abs(best))]
-        leave_row = int(min(tied, key=lambda r: basis[r]))
-        tableau[leave_row] /= tableau[leave_row, entering]
-        for i in range(m + 1):
-            if i != leave_row and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leave_row]
-        basis[leave_row] = entering
+        pivot(int(min(tied, key=lambda r: basis[r])), entering)
         pivots += 1
 
     y = np.zeros(n + m)
     y[basis] = tableau[:m, -1]
     x = y[:n]
-    if status == STATUS_UNBOUNDED:
-        return SolveOutcome(x, float("-inf"), status, pivots)
-    return SolveOutcome(x, float(c @ x), status, pivots)
+    duals = np.maximum(tableau[-1, n : n + m], 0.0)
+    final = (
+        tuple(sorted(j for j in basis if j < n)),
+        tuple(sorted(set(range(m)) - {j - n for j in basis if j >= n})),
+    )
+    objective = float("-inf") if status == STATUS_UNBOUNDED else float(c @ x)
+    return SolveOutcome(x, objective, status, pivots, duals, final)
 
 
 # ---------------------------------------------------------------------------

@@ -1,43 +1,42 @@
-"""Speed-unconstrained lower bound via Lagrangian duality.
+"""Speed-unconstrained lower bound and hover plan by column generation.
 
 Relaxing the UAV speed limit decouples the planning problem across time:
-the optimum time-shares a small set of hover locations.  Dualizing the
-per-sensor average-power budgets with prices mu gives, at each candidate
-location, a closed-form cheapest power vector that meets the SNR threshold
-exactly.  The dual function is maximized with the ellipsoid method over the
-price box, and a primal hover plan is recovered from the near-tied grid
-minimizers by a small time-sharing LP.
+the optimum time-shares a small set of hover locations.  Over a planar
+grid of candidate locations this is a linear program in the time shares,
+with a column for every grid point and threshold-meeting power vector.
+It is solved by Dantzig-Wolfe column generation.  A master LP over the
+columns found so far maximizes the served time share subject to the
+per-sensor average-power budgets.  Its budget-row duals are prices mu, at
+which every grid point has a closed-form cheapest power vector that meets
+the SNR threshold exactly (pricing); the cheapest grid point gives the
+next column.
 
-The dual is time-normalized: with v(mu) the optimal value of the per-point
-subproblem (outage indicator plus priced power cost), the dual value is
-v(mu) - sum_k mu_k * budget_k, an outage-probability lower bound.
+Pricing also evaluates the time-normalized Lagrangian dual: with v(mu)
+the optimal value of the per-point subproblem (outage indicator plus
+priced power cost), v(mu) - sum_k mu_k * budget_k is an outage-probability
+lower bound.  The master's outage minus the best such bound certifies how
+far the master is from the optimum over the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from outage_planner.channel import gain_at, snr
+from outage_planner.channel import gain_at
 from outage_planner.convex_core import LinearProgram, solve_lp
 from outage_planner.scenario import Scenario, ScenarioError
 
 # prices at or below this are treated as zero (degenerate branch)
 EPS_MU = 1e-12
-# relative tie tolerance for collecting grid minimizers into the hover set
-EPS_TIE = 1e-6
 DEFAULT_GRID_POINTS = 81   # default location grid resolution per axis
-# grid steps within which candidate pruning looks for a dominating point;
-# on paper.json's 81 x 81 grid 2 keeps 1,738 points, 3 keeps 1,686 but
-# doubles the search
-_REACH = 2
-# a dominator that follows a point in row-major order must beat each of its
-# gains by this factor, so that no rounding can let the point cost less
-_STRICT = 1.0 + 1e-12
-# the candidate table ends with the grid's last rows, aligned modulo this
-_TAIL = 16
+# column generation stops once the master's outage is this close to the
+# best dual bound
+GAP_TOL = 1e-9
+# cap on column-generation iterations (pricing passes)
+_MAX_ITERATIONS = 5000
 
 
 @dataclass(frozen=True)
@@ -99,7 +98,11 @@ class DualPoint:
     """Dual evaluation: prices, dual value, and a supergradient there.
 
     ``grid_index`` is the flat index of the grid minimizer on the transmit
-    branch and None on the outage branch.
+    branch and None on the outage branch.  ``maximize_dual`` also reports
+    its iteration count, the certificate ``gap`` (the master's outage
+    minus ``value``; infinite for a single evaluation) and the master's
+    positive-time columns, at most K + 1: their grid indices ``columns``,
+    powers ``column_powers`` (V, K, watts) and time shares ``shares``.
     """
 
     mu: np.ndarray
@@ -107,11 +110,15 @@ class DualPoint:
     subgradient: np.ndarray
     grid_index: int | None = None
     iterations: int = 0
+    gap: float = math.inf
+    columns: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
+    column_powers: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    shares: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 @dataclass(frozen=True)
 class HoverPlan:
-    """Time-shared hover locations recovered from the dual optimum.
+    """Time-shared hover locations from the master's optimal columns.
 
     ``durations`` are seconds per location; unassigned time is outage.
     """
@@ -120,7 +127,7 @@ class HoverPlan:
     powers: np.ndarray      # (V, K) watts while hovering at each location
     durations: np.ndarray   # (V,) seconds, >= 0, sum <= T
     outage: float           # (T - sum durations) / T
-    mu: np.ndarray          # prices the plan was built from
+    mu: np.ndarray          # prices of the dual bound the plan is checked against
 
 
 def _amp_target(scenario: Scenario) -> float:
@@ -213,110 +220,21 @@ def _transmit_costs(
     return costs
 
 
-def _undominated(gains: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Mask of the grid points that can be the cheapest with every price
-    positive, flat in row-major order.
+def _price(mu: np.ndarray, scenario: Scenario, gains: np.ndarray):
+    """The dual at checked prices mu over the grid points with channel
+    ``gains``, as (value, powers, grid index or None).
 
-    There a point's transmit cost b^2 / (gains @ (1 / mu)) falls as any of
-    its gains rises, and float rounding is monotone, so a point never costs
-    less than another whose gains are >= its own in every component.  A
-    point is masked out when such a dominator within ``_REACH`` grid steps
-    comes first in row-major order (it wins a tie) or beats every one of
-    its gains by the factor ``_STRICT`` (no rounding can close the gap).
-    """
-    k = gains.shape[1]
-    cube = gains.reshape(grid.ny, grid.nx, k)
-    strict = cube * _STRICT
-    dominated = np.zeros((grid.ny, grid.nx), dtype=bool)
-
-    def overlap(size, step):  # the ranges of p and p + step, both on grid
-        lo = max(0, -step)
-        hi = max(lo, min(size, size - step))
-        return slice(lo, hi), slice(lo + step, hi + step)
-
-    for ddy in range(-_REACH, _REACH + 1):
-        py, dy = overlap(grid.ny, ddy)
-        for ddx in range(-_REACH, _REACH + 1):
-            if ddy == ddx == 0:
-                continue
-            px, dx = overlap(grid.nx, ddx)
-            first = ddy < 0 or (ddy == 0 and ddx < 0)
-            beaten = cube if first else strict
-            dominated[py, px] |= (cube[dy, dx] >= beaten[py, px]).all(axis=2)
-    return ~dominated.ravel()
-
-
-def _candidate_table(
-    gains: np.ndarray, keep: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``gains`` that ``keep`` marks, laid out so that their
-    products with a weight vector equal those of the whole array bit for
-    bit, as (table, rows): rows[j] is the index in ``gains`` of table row j.
-
-    BLAS gemv kernels round the last few rows of an array (its length
-    modulo the kernel's block of rows) differently from the rest.  So the
-    table ends with the last ``_TAIL`` rows of ``gains``, kept or not,
-    behind filler rows that make its length congruent to that of ``gains``
-    modulo ``_TAIL``: every row then sits where both products round it
-    alike.  Filler rows (rows entry -1) hold half the least gain of each
-    column, so with positive weights they cost at least twice what any
-    point costs.
-    """
-    m, k = gains.shape
-    tail = max(m - _TAIL, 0)
-    head = np.flatnonzero(keep[:tail])
-    n_fill = (tail - head.size) % _TAIL
-    table = np.concatenate([
-        gains[head],
-        np.broadcast_to(0.5 * gains.min(axis=0), (n_fill, k)),
-        gains[tail:],
-    ])
-    rows = np.concatenate([head, np.full(n_fill, -1), np.arange(tail, m)])
-    return table, rows
-
-
-def _dual_evaluator(
-    scenario: Scenario, gains: np.ndarray, keep: np.ndarray | None = None
-):
-    """The dual over the grid points with channel ``gains``, as a function
-    mu -> (value, supergradient, grid index or None) of checked prices.
-
-    Prices that are all above ``EPS_MU`` are charged only on the points
-    that ``keep`` marks (all by default), through ``_candidate_table``;
-    ``keep`` must hold every point that can be the first cheapest one, as
-    ``_undominated`` does.  With a zero-priced sensor the capped costs can
-    tie at 0 between any points, so such prices are charged on every point.
+    ``powers`` are the cheapest threshold-meeting powers at the first
+    (row-major) cheapest grid point, or zeros on the outage branch.
     """
     budgets = scenario.power_budgets
-    b_amp = _amp_target(scenario)
-    b2 = b_amp**2
-    if keep is None:
-        keep = np.ones(gains.shape[0], dtype=bool)
-    table, rows = _candidate_table(gains, keep)
-    roots = np.sqrt(table)
-
-    def evaluate(mu):
-        if mu.min() > EPS_MU:
-            # the all-priced branches of _transmit_costs and
-            # _powers_from_gains, on the table
-            costs = b2 / (table @ (1.0 / mu))
-            j = int(costs.argmin())
-            cost_min = float(costs[j])
-            if cost_min < 1.0:
-                s_val = float((table[j] / mu).sum())
-                rho = b_amp * roots[j] / (mu * s_val)
-                value = cost_min - float(mu @ budgets)
-                return value, rho**2 - budgets, int(rows[j])
-        else:
-            costs = _transmit_costs(mu, scenario, gains)
-            idx = int(costs.argmin())
-            cost_min = float(costs[idx])
-            if cost_min < 1.0:
-                powers = _powers_from_gains(mu, gains[idx], scenario)
-                return cost_min - float(mu @ budgets), powers - budgets, idx
-        return 1.0 - float(mu @ budgets), -budgets, None
-
-    return evaluate
+    costs = _transmit_costs(mu, scenario, gains)
+    idx = int(costs.argmin())
+    cost_min = float(costs[idx])
+    if cost_min < 1.0:
+        powers = _powers_from_gains(mu, gains[idx], scenario)
+        return cost_min - float(mu @ budgets), powers, idx
+    return 1.0 - float(mu @ budgets), np.zeros_like(budgets), None
 
 
 def dual_function(
@@ -333,185 +251,106 @@ def dual_function(
     branch).  Raises ValueError unless mu holds K finite nonnegative prices.
     """
     mu = _checked_prices(mu, scenario)
-    value, subgradient, idx = _dual_evaluator(scenario, gains)(mu)
-    return DualPoint(mu.copy(), value, subgradient, idx)
-
-
-def default_mu_box(scenario: Scenario) -> float:
-    """Upper edge of the price box searched by the ellipsoid method."""
-    k = scenario.n_sensors
-    return 2.0 / (k * float(scenario.power_budgets.min()))
+    value, powers, idx = _price(mu, scenario, gains)
+    return DualPoint(mu.copy(), value, powers - scenario.power_budgets, idx)
 
 
 def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
-    """Maximize the dual over the price box with the ellipsoid method.
+    """Maximize the dual over the grid by column generation.
 
-    The initial ellipsoid is the ball circumscribing [0, mu_max]^K with
-    mu_max = 2 / (K * min_k budget_k).  Centers with a negative component
-    receive a feasibility cut on the lowest violating coordinate; feasible
-    centers receive an objective cut from the supergradient.  The search
-    stops when the ellipsoid volume has shrunk by ``vol_tol`` = 1e-8**K
-    relative to the start (an 1e-8 per-axis length scale) or after
-    ``max_iter`` cuts, and returns the best evaluated center.
+    A column is a grid point with its cheapest threshold-meeting powers at
+    the prices it was priced at.  The master LP gives each column a time
+    share x_j >= 0 and maximizes sum_j x_j subject to one row per budget,
+    sum_j powers_jk x_j <= budget_k, and one for the total time, sum_j
+    x_j <= 1.  Its budget-row duals are the next prices, starting from
+    zero; each iteration prices the whole grid there (``dual_function``),
+    keeps the best dual value as the bound, and adds the cheapest point's
+    column.  Each master solve starts from the previous optimal basis,
+    which the new column leaves primal feasible.
 
-    Each objective cut prices only the grid points that can be the
-    cheapest (``_undominated``: on ``paper.json``'s 81 x 81 grid, about a
-    quarter of them), except at centers with a price at or below
-    ``EPS_MU``, which price the whole grid.  The result is bit for bit the
-    one of pricing every grid point at every cut.
+    The loop stops once the master's outage, 1 - sum_j x_j, is within
+    ``GAP_TOL`` of the bound, when no grid point can transmit, or after
+    ``_MAX_ITERATIONS`` pricing passes.  Returns the best-bound evaluation
+    with the iteration count, the final ``gap`` and the master's
+    positive-time columns.
     """
     k = scenario.n_sensors
-    vol_tol = float(1e-8**k)
-    # twice the central-cut iteration estimate for this vol_tol
-    max_iter = int(75 * k * (k + 1)) + 500
-
+    budgets = scenario.power_budgets
     gains = gain_at(grid.points(), scenario)
-    evaluate = _dual_evaluator(scenario, gains, _undominated(gains, grid))
-    mu_max = default_mu_box(scenario)
-
-    center = np.full(k, mu_max / 2.0)
-    radius = (mu_max / 2.0) * math.sqrt(k)
-    shape = np.eye(k) * radius**2  # ellipsoid {z: (z-c)^T shape^-1 (z-c) <= 1}
-
-    if k == 1:
-        shrink_log = math.log(0.5)
-    else:
-        shrink_log = math.log(k / (k + 1.0)) + 0.5 * (k - 1) * math.log(
-            k**2 / (k**2 - 1.0)
-        )
-    log_ratio = 0.0
-    log_tol = math.log(vol_tol)
-
+    rows = np.append(budgets, 1.0)
+    points: list[int] = []
+    powers: list[np.ndarray] = []
+    mu = np.zeros(k)
+    shares = np.zeros(0)
+    basis = ((), ())
     best: DualPoint | None = None
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        if center.min() < 0.0:
-            h = np.zeros(k)
-            h[(center < 0.0).argmax()] = -1.0  # feasibility cut: z_k >= center_k
-        else:
-            value, subgradient, idx = evaluate(center)
-            if best is None or value > best.value:
-                best = DualPoint(center, value, subgradient, idx)
-            h = -subgradient  # maximize: cut along -supergradient
-
-        hph = float(h @ shape @ h)
-        if not (math.isfinite(hph) and hph > 0.0):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
+        value, column, idx = _price(mu, scenario, gains)
+        if best is None or value > best.value:
+            best = DualPoint(mu, value, column - budgets, idx)
+        gap = 1.0 - float(shares.sum()) - best.value
+        if gap <= GAP_TOL or idx is None or iterations == _MAX_ITERATIONS:
             break
-        gdir = (shape @ h) / math.sqrt(hph)
-        if k == 1:
-            center = center - 0.5 * gdir
-            shape = shape / 4.0
-        else:
-            center = center - gdir / (k + 1.0)
-            # shape starts symmetric and each term of the update is exactly
-            # symmetric in float arithmetic, so it stays symmetric bit for bit
-            shape = (k**2 / (k**2 - 1.0)) * (
-                shape - (2.0 / (k + 1.0)) * (gdir[:, None] * gdir[None, :])
-            )
-        log_ratio += shrink_log
-        if log_ratio < log_tol:
-            break
+        points.append(idx)
+        powers.append(column)
+        a_ub = np.vstack([np.array(powers).T, np.ones(len(points))])
+        master = solve_lp(
+            LinearProgram(-np.ones(len(points)), a_ub, rows), start=basis
+        )
+        shares, basis = master.x, master.basis
+        mu = master.duals[:k]
 
-    if best is None:  # pathological: every center was cut infeasible
-        zero = np.zeros(k)
-        best = DualPoint(zero, *evaluate(zero))
-    return replace(best, iterations=iterations)
-
-
-def _cluster_tie_points(tie_flat: np.ndarray, grid: GridSpec) -> list[np.ndarray]:
-    """Group tied grid indices whose (ix, iy) offsets are within two steps."""
-    order = np.sort(tie_flat)
-    coords = {int(m): (int(m % grid.nx), int(m // grid.nx)) for m in order}
-    parent = {int(m): int(m) for m in order}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    lookup = {coords[m]: m for m in coords}
-    for m in coords:
-        ix, iy = coords[m]
-        for ddy in range(-2, 3):
-            for ddx in range(-2, 3):
-                other = lookup.get((ix + ddx, iy + ddy))
-                if other is not None and other != m:
-                    ra, rb = find(m), find(other)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for m in coords:
-        groups.setdefault(find(m), []).append(m)
-    return [np.array(sorted(v)) for _, v in sorted(groups.items())]
+    used = np.flatnonzero(shares > 0.0)
+    return replace(
+        best,
+        iterations=iterations,
+        gap=gap,
+        columns=np.array(points, dtype=int)[used],
+        column_powers=np.array(powers).reshape(-1, k)[used],
+        shares=shares[used],
+    )
 
 
 def build_hover_plan(
-    mu: np.ndarray, scenario: Scenario, grid: GridSpec
+    dual: DualPoint, scenario: Scenario, grid: GridSpec
 ) -> HoverPlan:
-    """Recover a primal hover plan from prices mu.
+    """Turn the master's positive-time columns into a hover plan.
 
-    Grid points whose transmit cost is within a relative tie tolerance of
-    the grid minimum are clustered (merging points within two grid steps),
-    each cluster is represented by its centroid with powers re-evaluated
-    there, and a time-sharing LP assigns hover durations subject to the
-    average-power budgets.  The un-assigned time fraction is the outage.
+    ``dual`` is a result of ``maximize_dual`` on ``grid``.  Columns at the
+    same grid point merge into one hover location, in row-major grid
+    order, with their time-weighted mean powers: the received amplitude is
+    concave in the powers, so the mean still meets the threshold up to
+    rounding.  Durations are the time shares times the mission duration;
+    the unassigned time fraction is the outage.
     """
-    mu = _checked_prices(mu, scenario)
-    points = grid.points()
-    gains = gain_at(points, scenario)
-    costs = _transmit_costs(mu, scenario, gains)
-    cost_min = float(costs.min())
     k = scenario.n_sensors
-    if not np.isfinite(cost_min):
-        return HoverPlan(
-            np.zeros((0, 2)), np.zeros((0, k)), np.zeros(0), 1.0, mu.copy()
-        )
-
-    tie = np.flatnonzero(costs <= cost_min * (1.0 + EPS_TIE))
-    clusters = _cluster_tie_points(tie, grid)
-
-    locations = []
-    powers = []
-    gamma = scenario.gamma_min
-    for members in clusters:
-        centroid = points[members].mean(axis=0)
-        cand_powers = powers_given_location(mu, centroid, scenario)
-        if snr(centroid, cand_powers, scenario) < gamma * (1.0 - 1e-9):
-            # centroid fell outside the feasible tie region (possible in the
-            # zero-priced branch); fall back to the cheapest member point
-            best_member = members[int(np.argmin(costs[members]))]
-            centroid = points[best_member]
-            cand_powers = powers_given_location(mu, centroid, scenario)
-        locations.append(centroid)
-        powers.append(cand_powers)
-    loc_arr = np.array(locations).reshape(-1, 2)
-    pow_arr = np.array(powers).reshape(-1, k)
-
-    # time-sharing LP: maximize assigned time subject to the power budgets
-    n_cand = loc_arr.shape[0]
-    t_total = scenario.duration
-    a_ub = np.vstack([pow_arr.T, np.ones((1, n_cand))])
-    b_ub = np.concatenate(
-        [t_total * scenario.power_budgets, [t_total]]
+    sites, site_of = np.unique(dual.columns, return_inverse=True)
+    shares = np.zeros(sites.size)
+    np.add.at(shares, site_of, dual.shares)
+    energy = np.zeros((sites.size, k))
+    np.add.at(
+        energy, site_of, dual.shares[:, None] * dual.column_powers.reshape(-1, k)
     )
-    lp = LinearProgram(c=-np.ones(n_cand), a_ub=a_ub, b_ub=b_ub)
-    outcome = solve_lp(lp)
-    durations = np.maximum(outcome.x, 0.0)
+    t_total = scenario.duration
+    durations = t_total * shares
     outage = max(0.0, (t_total - float(durations.sum())) / t_total)
-    return HoverPlan(loc_arr, pow_arr, durations, outage, mu.copy())
+    return HoverPlan(
+        grid.points()[sites],
+        energy / shares[:, None],
+        durations,
+        outage,
+        dual.mu.copy(),
+    )
 
 
 def solve_relaxed(
     scenario: Scenario, grid: GridSpec | None = None
 ) -> tuple[DualPoint, HoverPlan]:
-    """Full relaxed pipeline: maximize the dual, then recover a hover plan."""
+    """Full relaxed pipeline: maximize the dual, then build the hover plan."""
     if grid is None:
         grid = GridSpec.from_scenario(scenario)
     dual = maximize_dual(scenario, grid)
-    plan = build_hover_plan(dual.mu, scenario, grid)
-    return dual, plan
+    return dual, build_hover_plan(dual, scenario, grid)
 
 
 def hover_plan_record(plan: HoverPlan, scenario: Scenario) -> dict:

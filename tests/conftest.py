@@ -1,7 +1,7 @@
 """Shared fixtures: the bundled demo scenario, randomized and degenerate
 small instances, the dense log-barrier references for the cheapest-power
 subproblem, the recovery feasibility test and the two SCA steps, and the
-full-grid ellipsoid loop that ``maximize_dual`` must reproduce."""
+full-grid ellipsoid method whose dual value ``maximize_dual`` must reach."""
 
 import math
 
@@ -23,7 +23,6 @@ from outage_planner.relaxed_optimum import (
     DualPoint,
     _powers_from_gains,
     _transmit_costs,
-    default_mu_box,
 )
 from outage_planner.sca_planner import _accept, _state_from_plan, direct_flight
 from outage_planner.scenario import (
@@ -572,13 +571,20 @@ def full_grid_dual_point(mu, scenario, gains):
     return DualPoint(mu.copy(), value, -budgets)
 
 
-def full_grid_maximize_dual(scenario, grid):
-    """``relaxed_optimum.maximize_dual`` pricing the whole grid at every cut.
+def default_mu_box(scenario):
+    """Upper edge of the price box searched by the ellipsoid oracle."""
+    k = scenario.n_sensors
+    return 2.0 / (k * float(scenario.power_budgets.min()))
 
-    The same ellipsoid method (start ball, feasibility and objective cuts,
-    volume and iteration stops) with the dual evaluated by
-    ``full_grid_dual_point``; the library prices only candidate points and
-    must return exactly this ``DualPoint``.
+
+def full_grid_maximize_dual(scenario, grid):
+    """The dual over the grid maximized by the ellipsoid method.
+
+    An independent oracle for ``relaxed_optimum.maximize_dual``: the ball
+    circumscribing the price box [0, ``default_mu_box``]^K, feasibility
+    cuts on negative centers, objective cuts along the supergradient of
+    ``full_grid_dual_point``, and a stop once the volume has shrunk by
+    1e-8**K; returns the best evaluated center.
     """
     k = scenario.n_sensors
     vol_tol = float(1e-8**k)

@@ -106,10 +106,10 @@ def random_plan_pool():
 # Criteria
 # ---------------------------------------------------------------------------
 
-def sensor_groups(scenario, link_m=60.0):
-    """Single-linkage clusters of sensor positions."""
-    xy = scenario.sensor_xy
-    k = len(xy)
+def linked_groups(points, linked):
+    """Single-linkage groups of ``points`` under the pair test ``linked``,
+    as lists of indices."""
+    k = len(points)
     parent = list(range(k))
 
     def find(i):
@@ -120,12 +120,19 @@ def sensor_groups(scenario, link_m=60.0):
 
     for i in range(k):
         for j in range(i + 1, k):
-            if np.linalg.norm(xy[i] - xy[j]) <= link_m:
+            if linked(points[i], points[j]):
                 parent[find(i)] = find(j)
     roots = {}
     for i in range(k):
         roots.setdefault(find(i), []).append(i)
-    return [xy[idx].mean(axis=0) for idx in roots.values()]
+    return list(roots.values())
+
+
+def sensor_groups(scenario, link_m=60.0):
+    """Single-linkage clusters of sensor positions."""
+    xy = scenario.sensor_xy
+    groups = linked_groups(xy, lambda p, q: np.linalg.norm(p - q) <= link_m)
+    return [xy[idx].mean(axis=0) for idx in groups]
 
 
 def test_c01_relaxed_finds_three_separated_hover_clusters(
@@ -133,18 +140,28 @@ def test_c01_relaxed_finds_three_separated_hover_clusters(
 ):
     dual, plan, elapsed = relaxed_demo
     assert elapsed < 120.0, f"relaxed solve took {elapsed:.1f} s"
-    assert len(plan.locations) == 3
+    # the on-grid optimum may split time between neighbouring grid points
+    grid = GridSpec.from_scenario(demo_scenario, resolution=81)
+    steps = 2.0 * np.array([grid.dx, grid.dy]) * (1 + 1e-9)
+    groups = linked_groups(
+        plan.locations, lambda p, q: np.all(np.abs(p - q) <= steps)
+    )
+    assert len(groups) == 3
+    sites = [
+        np.average(plan.locations[idx], axis=0, weights=plan.durations[idx])
+        for idx in groups
+    ]
     for i in range(3):
         for j in range(i + 1, 3):
-            gap = np.linalg.norm(plan.locations[i] - plan.locations[j])
-            assert gap > 20.0, f"hover points {i} and {j} only {gap:.1f} m apart"
+            gap = np.linalg.norm(sites[i] - sites[j])
+            assert gap > 20.0, f"hover groups {i} and {j} only {gap:.1f} m apart"
     centroids = sensor_groups(demo_scenario)
     assert len(centroids) == 3
     matched = set()
-    for loc in plan.locations:
+    for loc in sites:
         dists = [np.linalg.norm(loc - c) for c in centroids]
         nearest = int(np.argmin(dists))
-        assert dists[nearest] <= 40.0, f"hover point {loc} is {min(dists):.1f} m out"
+        assert dists[nearest] <= 40.0, f"hover group {loc} is {min(dists):.1f} m out"
         matched.add(nearest)
     assert matched == {0, 1, 2}
 

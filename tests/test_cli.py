@@ -42,6 +42,10 @@ def test_relaxed_command_artifacts(tmp_path, scenario_file):
     assert summary["n_hover_locations"] >= 1
     plan = json.loads((out / "hover_plan.json").read_text())
     assert len(plan["hover_locations"]) == summary["n_hover_locations"]
+    # column-generation iterations and the on-grid optimality certificate
+    assert isinstance(plan["iterations"], int) and plan["iterations"] >= 1
+    assert 0.0 <= plan["gap"] <= 1e-9
+    assert "ellipsoid_iterations" not in plan
     rows = read_csv(out / "hover_locations.csv")
     assert rows[0][:4] == ["hover", "x_m", "y_m", "duration_s"]
     assert len(rows) - 1 == summary["n_hover_locations"]
@@ -292,6 +296,36 @@ def test_missing_scenario_file(tmp_path, capsys):
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "FileNotFoundError"
+
+
+def test_directory_as_scenario_is_input_error(tmp_path, capsys):
+    code = main(
+        ["relaxed", "--scenario", str(tmp_path), "--out", str(tmp_path / "o")]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "IsADirectoryError"
+
+
+def test_directory_as_trajectory_is_input_error(tmp_path, scenario_file, capsys):
+    code = main(
+        ["recover", "--scenario", str(scenario_file), "--out",
+         str(tmp_path / "rec"), "--trajectory", str(tmp_path)]
+    )
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "IsADirectoryError"
+
+
+def test_unwritable_output_stays_internal_failure(tmp_path, scenario_file, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(
+        ["relaxed", "--scenario", str(scenario_file), "--out", str(blocker)]
+    )
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "FileExistsError"
 
 
 def test_invalid_scenario_document(tmp_path, capsys):

@@ -112,6 +112,69 @@ def test_lp_random_against_vertex_enumeration():
         assert out.objective == pytest.approx(oracle, abs=1e-7), f"trial {trial}"
 
 
+def test_lp_duals_certify_the_vertex_optimum():
+    rng = np.random.default_rng(43)
+    for trial in range(25):
+        n = int(rng.integers(2, 4))
+        m = int(rng.integers(2, 6))
+        c = rng.uniform(-2.0, 2.0, size=n)
+        a = rng.uniform(-1.0, 1.0, size=(m, n))
+        b = rng.uniform(0.0, 2.0, size=m)
+        upper = np.full(n, 10.0)
+        rows = np.vstack([a, np.eye(n)])
+        rhs = np.concatenate([b, upper])
+        out = solve_lp(LinearProgram(c, rows, rhs))
+        y = out.duals
+        oracle = vertex_oracle(c, a, b, np.zeros(n), upper)
+        assert out.status == STATUS_OPTIMAL, f"trial {trial}"
+        assert y.shape == (m + n,) and np.all(y >= 0.0)
+        # dual feasibility and strong duality against the enumerated optimum
+        reduced = c + rows.T @ y
+        assert np.all(reduced >= -1e-9), f"trial {trial}"
+        assert -rhs @ y == pytest.approx(oracle, abs=1e-7), f"trial {trial}"
+        # complementary slackness, for the rows and for the columns
+        np.testing.assert_allclose(y * (rhs - rows @ out.x), 0.0, atol=1e-9)
+        np.testing.assert_allclose(out.x * reduced, 0.0, atol=1e-9)
+
+
+def test_lp_warm_start_after_appending_columns():
+    # master-like LPs: nonnegative resource rows and a total-time row
+    rng = np.random.default_rng(44)
+    for trial in range(40):
+        m = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 8))
+        extra = int(rng.integers(1, 4))
+        a = np.vstack([rng.uniform(0.0, 3.0, size=(m, n + extra)),
+                       np.ones(n + extra)])
+        b = np.append(rng.uniform(0.1, 1.0, size=m), 1.0)
+        c = -rng.uniform(0.5, 1.5, size=n + extra)
+        first = solve_lp(LinearProgram(c[:n], a[:, :n], b))
+        lp = LinearProgram(c, a, b)
+        warm = solve_lp(lp, start=first.basis)
+        cold = solve_lp(lp)
+        assert warm.status == cold.status == STATUS_OPTIMAL, f"trial {trial}"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.objective <= first.objective + 1e-12
+        # the basis it returns restarts the same LP with nothing to do
+        again = solve_lp(lp, start=warm.basis)
+        assert again.iterations == len(warm.basis[0])
+        assert again.objective == pytest.approx(warm.objective, abs=1e-12)
+
+
+def test_lp_rejects_bad_start_bases():
+    lp = LinearProgram(np.array([-1.0, -1.0]),
+                       np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
+    assert solve_lp(lp, start=((0,), (0,))).objective == pytest.approx(-1.0)
+    with pytest.raises(ValueError, match="not primal feasible"):
+        solve_lp(lp, start=((0,), (1,)))   # x0 = 2 overdraws row 0
+    with pytest.raises(ValueError, match="singular"):
+        solve_lp(LinearProgram(np.array([-1.0, -1.0]), np.array([[0.0, 1.0]]),
+                               np.array([1.0])), start=((0,), (0,)))
+    for start in (((0,), ()), ((2,), (0,)), ((0,), (5,))):
+        with pytest.raises(ValueError, match="pair"):
+            solve_lp(lp, start=start)
+
+
 def test_barrier_clipped_quadratic():
     # min (x - 3)^2 subject to x <= 1: optimum sits on the constraint
     prog = SmoothConvexProgram(

@@ -2,13 +2,18 @@
 
 ``perfbench/tracing.py`` looks each traced function up as
 ``owner.__dict__[attr]``, so renaming or moving one breaks
-``perfbench/run.py --trace 1`` with a KeyError.  This installs and
-uninstalls the tracer without planning anything.
+``perfbench/run.py --trace 1`` with a KeyError, and a layer that its
+caller stops calling through the traced name drops out of the trace
+silently.  The first test installs and uninstalls the tracer without
+planning anything; the second traces one small joint plan.
 """
 
 import importlib.util
 
-from tests.conftest import REPO_ROOT
+from outage_planner import pipeline
+from outage_planner.relaxed_optimum import GridSpec
+from outage_planner.scenario import load_scenario
+from tests.conftest import REPO_ROOT, small_doc
 
 
 def _tracing_module():
@@ -33,3 +38,28 @@ def test_tracer_installs_and_uninstalls():
     assert all(
         owner.__dict__[attr] is o for (owner, attr), o in zip(targets, originals)
     )
+
+
+def test_tracer_records_the_relaxation_layers():
+    tracing = _tracing_module()
+    scn = load_scenario(small_doc())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        with tracer.call("joint"):
+            plan = pipeline.plan_joint(
+                scn, grid=GridSpec.from_scenario(scn, resolution=21)
+            )
+    finally:
+        tracer.uninstall()
+    spans = {}
+    for span in tracer.spans:
+        spans.setdefault(span.name, []).append(span)
+    (dual,) = spans["relaxed_optimum.maximize_dual"]
+    (hover,) = spans["relaxed_optimum.build_hover_plan"]
+    assert dual.info == plan.dual.iterations >= 1
+    assert hover.info == len(plan.relaxed.locations)
+    # the master LP runs inside the column-generation loop
+    masters = spans["convex_core.solve_lp"]
+    assert len(masters) == plan.dual.iterations - 1
+    assert all(span.parent is dual for span in masters)

@@ -1,5 +1,6 @@
 """Speed-unconstrained optimum: pricing, duals, and hover plans."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,20 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from outage_planner import relaxed_optimum
 from outage_planner.channel import gain_at, snr
 from outage_planner.relaxed_optimum import (
-    EPS_MU,
+    GAP_TOL,
+    DualPoint,
     GridSpec,
-    _candidate_table,
-    _dual_evaluator,
-    _transmit_costs,
-    _undominated,
     build_hover_plan,
-    default_mu_box,
     dual_function,
     hover_plan_record,
     maximize_dual,
@@ -32,7 +27,6 @@ from tests.conftest import (
     DEGENERATE,
     DEMO_SCENARIO,
     barrier_power_oracle,
-    full_grid_dual_point,
     full_grid_maximize_dual,
     random_scenario,
     small_doc,
@@ -84,7 +78,6 @@ def test_non_finite_prices_are_rejected(small_scenario, bad):
         lambda: dual_function(mu, small_scenario, gains),
         lambda: dual_function(np.full(2, bad), small_scenario, gains),
         lambda: powers_given_location(mu, (0.0, 0.0), small_scenario),
-        lambda: build_hover_plan(mu, small_scenario, grid),
     ):
         with pytest.raises(ValueError, match="finite"):
             call()
@@ -183,15 +176,22 @@ def test_single_sensor_hover_location_overhead():
         sensors=[{"x": 40.0, "y": 25.0, "p_ave_dbm": 27.0}],
         q_i=[0.0, 0.0],
         q_f=[80.0, 50.0],
-        gamma_min=2000.0,
+        gamma_min=250.0,  # the per-slot cap reaches 293 overhead
     )
     scn = load_scenario(doc)
-    _, plan = solve_relaxed(scn, GridSpec.from_scenario(scn, resolution=41))
-    assert len(plan.locations) >= 1
     grid = GridSpec.from_scenario(scn, resolution=41)
+    _, plan = solve_relaxed(scn, grid)
+    assert len(plan.locations) >= 1
     cell = float(np.hypot(grid.dx, grid.dy))
     dist = np.linalg.norm(plan.locations - np.array([40.0, 25.0]), axis=1)
     assert dist.min() <= cell + 1e-9
+
+    # beyond the cap's reach no slot can be served: the whole horizon's
+    # budget spent in one slot stays below the threshold everywhere
+    scn = load_scenario(dict(doc, gamma_min=2000.0))
+    dual, plan = solve_relaxed(scn, grid)
+    assert dual.value == plan.outage == 1.0
+    assert len(plan.locations) == 0
 
 
 def test_hover_plan_record_round_trip(small_scenario):
@@ -206,21 +206,12 @@ def test_hover_plan_record_round_trip(small_scenario):
         assert {"x", "y", "duration_s", "powers_dbm"} <= set(item)
 
 
-def _same_dual_point(got, want):
-    return (
-        got.mu.tobytes() == want.mu.tobytes()
-        and got.value == want.value
-        and got.subgradient.tobytes() == want.subgradient.tobytes()
-        and got.grid_index == want.grid_index
-        and got.iterations == want.iterations
-    )
-
-
-def _below_single_sensor_snr():
-    """gamma at 0.4 x the best single-sensor overhead SNR: prices near 0."""
-    base = load_scenario(small_doc())
+def _at_threshold(doc, fraction):
+    """The scenario ``doc`` with gamma at ``fraction`` x its best
+    single-sensor overhead SNR."""
+    base = load_scenario(doc)
     best = max(snr(s.position, base.power_budgets, base) for s in base.sensors)
-    return load_scenario(small_doc(gamma_min=0.4 * best))
+    return load_scenario(dict(doc, gamma_min=fraction * best))
 
 
 EXACT_CASES = (
@@ -239,92 +230,71 @@ def test_maximize_dual_matches_full_grid_loop(case, resolution):
         scn = random_scenario(int(case.split()[1]), k_hi=8)
     elif case in DEGENERATE:
         scn = load_scenario(DEGENERATE[case])
-    else:
-        scn = _below_single_sensor_snr()
+    else:  # prices near 0
+        scn = _at_threshold(small_doc(), 0.4)
     grid = GridSpec.from_scenario(scn, resolution=resolution)
     got = maximize_dual(scn, grid)
-    assert _same_dual_point(got, full_grid_maximize_dual(scn, grid))
-
-
-def test_candidate_table_reproduces_grid_products():
-    rng = np.random.default_rng(41)
-    for _ in range(400):
-        k = int(rng.integers(1, 25))
-        gains = rng.uniform(1e-9, 1e-3, size=(int(rng.integers(1, 700)), k))
-        keep = rng.random(gains.shape[0]) < rng.uniform(0.05, 0.95)
-        table, rows = _candidate_table(gains, keep)
-        real = rows >= 0
-        tail = max(gains.shape[0] - 16, 0)
-        kept = [*np.flatnonzero(keep[:tail]), *range(tail, gains.shape[0])]
-        assert rows[real].tolist() == kept
-        w = 1.0 / rng.uniform(1e-3, 10.0, size=k)
-        got, want = (table @ w)[real], (gains @ w)[rows[real]]
-        assert got.tobytes() == want.tobytes()
-
-
-@st.composite
-def priced_layouts(draw):
-    """A small scenario with lattice-placed sensors (so gains tie across
-    grid points), a grid over its box, and prices with some set to 0."""
-    k = draw(st.integers(1, 5))
-    cell = st.integers(0, 6).map(lambda v: 10.0 * v)
-    sensors = [
-        {"x": draw(cell), "y": draw(cell),
-         "p_ave_dbm": draw(st.sampled_from([24.0, 27.0, 30.0]))}
-        for _ in range(k)
-    ]
-    doc = small_doc(
-        sensors=sensors,
-        alpha=draw(st.sampled_from([2.0, 2.8])),
-        gamma_min=draw(st.sampled_from([1.0, 100.0, 1e4])),
+    # the bound reaches the ellipsoid's, and the master certifies it
+    assert got.value >= full_grid_maximize_dual(scn, grid).value - 1e-9
+    assert got.gap <= GAP_TOL
+    assert got.gap == pytest.approx(
+        1.0 - got.shares.sum() - got.value, abs=1e-15
     )
-    scn = load_scenario(doc)
-    box = GridSpec.from_scenario(scn)
-    grid = GridSpec(box.x_min, box.x_max, box.y_min, box.y_max,
-                    nx=draw(st.integers(1, 24)), ny=draw(st.integers(1, 24)))
-    price = st.one_of(
-        st.just(0.0), st.just(EPS_MU / 2.0), st.floats(1e-4, 1.0)
-    )
-    mu = default_mu_box(scn) * np.array([draw(price) for _ in range(k)])
-    return scn, grid, mu
-
-
-@settings(max_examples=150, deadline=None)
-@given(priced_layouts())
-def test_pruned_pricing_matches_full_grid(layout):
-    scn, grid, mu = layout
     gains = gain_at(grid.points(), scn)
-    keep = _undominated(gains, grid)
-    value, subgradient, idx = _dual_evaluator(scn, gains, keep)(mu)
-    want = full_grid_dual_point(mu, scn, gains)
-    assert (value, idx) == (want.value, want.grid_index)
-    assert subgradient.tobytes() == want.subgradient.tobytes()
-    if mu.min() > EPS_MU:
-        full = int(np.argmin(_transmit_costs(mu, scn, gains)))
-        table, rows = _candidate_table(gains, keep)
-        picked = int(np.argmin(_transmit_costs(mu, scn, table)))
-        assert rows[picked] == full
+    again = dual_function(got.mu, scn, gains)
+    assert again.value == got.value and again.grid_index == got.grid_index
+    # at most one positive-time column per master row
+    assert got.columns.size == got.shares.size <= scn.n_sensors + 1
+    assert np.all(got.shares > 0.0)
+    used = (got.shares[:, None] * got.column_powers).sum(axis=0)
+    assert np.all(used <= scn.power_budgets * (1 + 1e-9))
+    for idx, powers in zip(got.columns, got.column_powers):
+        assert snr(grid.points()[idx], powers, scn) >= scn.gamma_min * (1 - 1e-9)
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 9), st.integers(1, 9), st.integers(1, 3),
-    st.data(),
-)
-def test_pruning_keeps_the_first_cheapest_point(ny, nx, k, data):
-    # gains from a three-value set tie often, between points in every
-    # relative position
-    gains = 1e-6 * np.array(
-        data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
-                           min_size=ny * nx * k, max_size=ny * nx * k))
-    ).reshape(ny * nx, k)
-    mu = np.array(data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
-                                     min_size=k, max_size=k)))
-    grid = GridSpec(0.0, 1.0, 0.0, 1.0, nx=nx, ny=ny)
-    scn = load_scenario(small_doc())
-    table, rows = _candidate_table(gains, _undominated(gains, grid))
-    picked = int(np.argmin(_transmit_costs(mu, scn, table)))
-    assert rows[picked] == int(np.argmin(_transmit_costs(mu, scn, gains)))
+@pytest.mark.parametrize("case", ["gamma 0.47x", "gamma 0.8x", "32 dBm"])
+def test_hover_plan_reaches_the_bound_with_degenerate_duals(case):
+    # master duals are 0 on slack budgets here: the hover plan must still
+    # reach the bound
+    if case == "32 dBm":
+        scn = load_scenario(DEMO_SCENARIO).with_overrides(p_ave_dbm=32.0)
+    else:
+        paper = json.loads(DEMO_SCENARIO.read_text())
+        scn = _at_threshold(paper, float(case.split()[1][:-1]))
+    dual, plan = solve_relaxed(scn, GridSpec.from_scenario(scn, resolution=81))
+    assert plan.outage - dual.value <= 1e-9
+    for loc, powers in zip(plan.locations, plan.powers):
+        assert snr(loc, powers, scn) >= scn.gamma_min * (1 - 1e-9)
+
+
+def test_iteration_cap_reports_the_open_gap(monkeypatch):
+    monkeypatch.setattr(relaxed_optimum, "_MAX_ITERATIONS", 5)
+    scn = load_scenario(DEMO_SCENARIO)
+    dual, plan = solve_relaxed(scn, GridSpec.from_scenario(scn, resolution=21))
+    assert dual.iterations == 5
+    assert dual.gap > GAP_TOL
+    assert plan.outage == pytest.approx(dual.value + dual.gap, abs=1e-12)
+    used = (plan.powers * plan.durations[:, None]).sum(axis=0) / scn.duration
+    assert np.all(used <= scn.power_budgets * (1 + 1e-9))
+
+
+def test_hover_plan_merges_columns_of_one_grid_point(small_scenario):
+    grid = GridSpec.from_scenario(small_scenario, resolution=5)
+    dual = DualPoint(
+        np.zeros(2), 0.0, np.zeros(2),
+        columns=np.array([7, 3, 7]),
+        column_powers=np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 2.0]]),
+        shares=np.array([0.25, 0.5, 0.125]),
+    )
+    plan = build_hover_plan(dual, small_scenario, grid)
+    np.testing.assert_array_equal(plan.locations, grid.points()[[3, 7]])
+    np.testing.assert_allclose(
+        plan.durations, small_scenario.duration * np.array([0.5, 0.375])
+    )
+    np.testing.assert_allclose(
+        plan.powers, [[0.5, 0.5], [0.25 / 0.375, 0.25 / 0.375]]
+    )
+    assert plan.outage == pytest.approx(0.125)
 
 
 _SOLVE_RELAXED = """
