@@ -1,6 +1,6 @@
 """Deterministic convex solvers used by the planning modules.
 
-Four primitives, all dependency-free and reproducible run to run:
+Five primitives, all dependency-free and reproducible run to run:
 
 * ``solve_lp``: one-phase tableau simplex with Bland's pivoting rule
   (anti-cycling, deterministic) for small linear programs in x >= 0 whose
@@ -9,12 +9,18 @@ Four primitives, all dependency-free and reproducible run to run:
   can start from a given primal-feasible basis: the relaxation's column
   generation re-solves its master LP from the last basis after each new
   column.
+* ``solve_socp``: feasible-start primal-dual interior-point method for
+  second-order cone programs, with Nesterov-Todd scaling and Mehrotra's
+  predictor-corrector.  The program supplies G as products and its own
+  factorization of the scaled normal system, as the SCA trajectory step
+  does with its block-tridiagonal structure.
 * ``solve_barrier``: log-barrier interior-point method for smooth convex
   programs.  Constraints are supplied in vectorized blocks.  A program
-  with structure supplies its own Newton system (``newton``), as the SCA
-  trajectory step does; otherwise the system is assembled densely from
-  the blocks' Jacobians and Hessians.  ``newton_direction`` is the
-  ridge-guarded Newton solve, shared with the SCA power step.
+  with structure may supply its own Newton system (``newton``);
+  otherwise the system is assembled densely from the blocks' Jacobians
+  and Hessians.  No planner stage calls it any more: the tests' dense
+  references do.  ``newton_direction`` is the ridge-guarded Newton
+  solve, shared with the SCA power step.
 * ``solve_price_feasibility``: decides whether per-slot amplitude targets
   fit into per-sensor budgets, by Newton's method on the K budget prices
   of the concave dual (the paper's closed-form per-slot powers).
@@ -378,6 +384,241 @@ def solve_barrier(
         t *= _MU
 
     return SolveOutcome(x, float(program.objective(x)), status, newton_used)
+
+
+# ---------------------------------------------------------------------------
+# Second-order cone programs: primal-dual method with NT scaling
+# ---------------------------------------------------------------------------
+
+@dataclass
+class ConeProgram:
+    """minimize c @ x  subject to  G x + s = h,  s in K.
+
+    K is a product of second-order cones {s : s_0 >= |s_1:|} of one
+    dimension p, and a cone vector is a (cones, p) array, one cone per
+    row.  A smaller cone or a linear row (s_0 >= 0) is padded with zero
+    rows of G and h; its padded entries of s and z then stay exactly zero,
+    so it acts as the smaller cone.  ``slacks(x)`` returns h - G x,
+    ``g_mul(dx)`` returns G dx and ``g_tmul(v)`` returns G^T v.
+    ``factor(nt)`` receives the ``NtScaling`` H of the current iterate and
+    returns ``solve(r)``, the solution of (G^T H^2 G) dx = r, or None when
+    that system is not positive definite to working precision.  ``x0``
+    must be strictly feasible.
+    """
+
+    c: np.ndarray
+    x0: np.ndarray
+    slacks: Callable
+    g_mul: Callable
+    g_tmul: Callable
+    factor: Callable
+
+
+def _rows(a, b):
+    """The dot product of each row of a with the same row of b."""
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _det(x):
+    """x_0^2 - |x_1:|^2 of each cone, as a product of two sums."""
+    norm = np.sqrt(_rows(x[:, 1:], x[:, 1:]))
+    return (x[:, 0] - norm) * (x[:, 0] + norm)
+
+
+def _interior(x):
+    """Whether every cone holds x strictly inside, all entries finite."""
+    inside = x[:, 0] - np.sqrt(_rows(x[:, 1:], x[:, 1:]))
+    return bool(inside.min() > 0.0 and x[:, 0].max() < np.inf)
+
+
+def _jordan(u, v):
+    """The cone product u o v = (u . v, u_0 v_1: + v_0 u_1:), per cone."""
+    out = u[:, :1] * v + v[:, :1] * u
+    out[:, 0] = _rows(u, v)
+    return out
+
+
+def _jordan_solve(lam, det, r):
+    """v with lam o v = r, per cone (lam interior, det = det(lam))."""
+    out = np.empty_like(r)
+    out[:, 0] = (lam[:, 0] * r[:, 0] - _rows(lam[:, 1:], r[:, 1:])) / det
+    out[:, 1:] = (r[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
+    return out
+
+
+def _max_step(unit, d):
+    """Largest a with lam + a d_i in the cones for each direction d_i.
+
+    ``unit`` is lam / sqrt(det lam), which a hyperbolic rotation L maps to
+    the identity e, and d (directions, cones, dim) holds the directions
+    divided by sqrt(det lam).  lam + a d_i stays inside while
+    1 + a min_eig(L d_i) > 0, and min_eig(L d_i) = rho_0 - |rho_1:|
+    (Vandenberghe 2010, sec. 8).  Returns inf when no cone limits a.
+    """
+    x0, x = unit[:, 0], unit[:, 1:]
+    rho0 = x0 * d[..., 0] - _rows(x, d[..., 1:])
+    rho1 = d[..., 1:] - ((rho0 + d[..., 0]) / (x0 + 1.0))[..., None] * x
+    worst = float(np.max(np.sqrt(_rows(rho1, rho1)) - rho0, initial=0.0))
+    return 1.0 / worst if worst > 0.0 else np.inf
+
+
+class NtScaling:
+    """Nesterov-Todd scaling of an interior primal-dual pair (s, z).
+
+    Per cone, H is the symmetric positive definite matrix with
+    H s = H^-1 z = lam, the scaled point.  With J = diag(1, -1, ..., -1),
+    the scaling point w (``point``, w^T J w = 1) and ``beta`` (Vandenberghe,
+    "The CVXOPT linear and quadratic cone program solvers", 2010, sec. 4,
+    whose W is H^-1):
+
+        H^2 = (2 J w w^T J - J) / beta^2,   H = (2 J v v^T J - J) / beta,
+
+    where v = (w + e) / sqrt(2 (w_0 + 1)) is the square root of w.  A
+    program's ``factor`` builds G^T H^2 G from the first form: per cone it
+    is (2 g g^T - G^T J G) / beta^2 with g = G^T J w, where a structured
+    G can keep every term positive.  ``det_lam`` is lam_0^2 - |lam_1:|^2.
+    """
+
+    def __init__(self, s, z):
+        ds, dz = np.sqrt(_det(s)), np.sqrt(_det(z))
+        sn, zn = s / ds[:, None], z / dz[:, None]
+        gamma = np.sqrt(0.5 * (1.0 + _rows(sn, zn)))
+        w = sn - zn                # w = (s/|s| + J z/|z|) / (2 gamma)
+        w[:, 0] += 2.0 * zn[:, 0]
+        w /= 2.0 * gamma[:, None]
+        v = w.copy()
+        v[:, 0] += 1.0
+        v /= np.sqrt(2.0 * v[:, :1])
+        v[:, 1:] *= -1.0           # J v
+        self.point = w
+        self.beta = np.sqrt(ds / dz)
+        self.det_lam = ds * dz     # det(lam) = sqrt(det(s) det(z))
+        self._jv = v
+        # lam = H^-1 z = beta (2 v (v . z) - J z), v . z = (J v) . (J z)
+        vz = v[:, 0] * z[:, 0] - _rows(v[:, 1:], z[:, 1:])
+        lam = (2.0 * vz)[:, None] * v
+        lam[:, 1:] *= -1.0
+        lam[:, 0] -= z[:, 0]
+        lam[:, 1:] += z[:, 1:]
+        self.lam = self.beta[:, None] * lam
+
+    def apply(self, u):
+        """H u for a cone vector u."""
+        v = self._jv
+        y = (2.0 * _rows(v, u))[:, None] * v
+        y[:, 0] -= u[:, 0]
+        y[:, 1:] += u[:, 1:]
+        return y / self.beta[:, None]
+
+
+_SOCP_MAX_ITERS = 60      # primal-dual iterations per solve
+_SOCP_FRACTION = 0.99     # of the step to the boundary of the cones
+_SOCP_MU_FLOOR = 0.01     # least start of mu, relative to |c|_inf: a fit
+                          # dominated by cones near their boundary stalls
+_SOCP_REFINE = 4          # most refinement solves of a corrector direction
+
+
+def solve_socp(
+    program: ConeProgram, gap_rel: float = 1e-10, residual_rel: float = 1e-9
+) -> SolveOutcome:
+    """Solve a second-order cone program by a feasible-start primal-dual
+    interior-point method with Nesterov-Todd scaling and Mehrotra's
+    predictor-corrector (as in ECOS, Domahidi, Chu & Boyd, ECC 2013).
+
+    The primal iterate stays strictly feasible: the slacks are recomputed
+    as h - G x after each step, and the step is halved until every cone
+    holds them strictly inside, so the returned x meets every constraint
+    exactly.  The dual starts at the central point z = mu s^-1, with mu
+    fitting G^T z to -c in least squares but at least ``_SOCP_MU_FLOOR``
+    |c|_inf, and its residual c + G^T z shrinks with each step.
+    Each iteration factors the scaled normal system G^T H^2 G once
+    (``program.factor``) and solves it for the predictor and the
+    corrector.  Directions are formed in scaled variables,
+    dz~ = H G dx + t, so complementarity holds to rounding however
+    ill-conditioned the system.  While the corrector's dual equation is
+    off by more than a tenth of the tolerance below, it is refined by
+    further solves, ``_SOCP_REFINE`` at most.
+    The solve stops once s . z <= ``gap_rel`` max(1, |c @ x|) and
+    |c + G^T z|_inf <= ``residual_rel`` |c|_inf.  Status is optimal, or
+    max-iters after ``_SOCP_MAX_ITERS`` iterations, a failed
+    factorization or a step that cannot stay inside the cones;
+    ``iterations`` counts the iterations.  Raises ValueError if ``x0`` is
+    not strictly feasible.
+    """
+    c = program.c
+    x = np.array(program.x0, dtype=float)
+    s = program.slacks(x)
+    if not _interior(s):
+        raise ValueError("no strictly feasible start found")
+    degree = len(s)
+    residual_tol = residual_rel * float(np.abs(c).max(initial=0.0))
+    z = s / _det(s)[:, None]       # s^-1 = J s / det(s)
+    z[:, 1:] *= -1.0
+    pull = program.g_tmul(z)
+    mu = -float((c * pull).sum()) / max(
+        float((pull * pull).sum()), np.finfo(float).tiny
+    )
+    mu = max(mu, _SOCP_MU_FLOOR * float(np.abs(c).max(initial=0.0)))
+    z *= mu if mu > 0.0 else 1.0
+
+    for iteration in range(_SOCP_MAX_ITERS):
+        residual = c + program.g_tmul(z)
+        gap = float((s * z).sum())
+        objective = float((c * x).sum())
+        if (
+            gap <= gap_rel * max(1.0, abs(objective))
+            and np.abs(residual).max(initial=0.0) <= residual_tol
+        ):
+            return SolveOutcome(x, objective, STATUS_OPTIMAL, iteration)
+        nt = NtScaling(s, z)
+        solve = program.factor(nt)
+        if solve is None:
+            break
+        lam = nt.lam
+        root = np.sqrt(nt.det_lam)[:, None]
+        unit = lam / root
+
+        def direction(t, rhs, refine):
+            # G dx + ds = 0, G^T dz = -residual and ds~ + dz~ = t in the
+            # scaled variables ds~ = H ds, dz~ = H^-1 dz; rhs is
+            # -residual - G^T H t
+            dx = solve(rhs)
+            ds = -nt.apply(program.g_mul(dx))
+            for _ in range(_SOCP_REFINE if refine else 0):
+                # iterative refinement of the dual equation G^T dz = -residual
+                error = rhs + program.g_tmul(nt.apply(ds))
+                if np.abs(error).max() <= 0.1 * residual_tol:
+                    break
+                dx = dx + solve(error)
+                ds = -nt.apply(program.g_mul(dx))
+            return dx, ds, t - ds
+
+        def room(ds, dz):
+            return _max_step(unit, np.stack([ds, dz]) / root)
+
+        # predictor (affine scaling: t = -lam, so H t = -z and rhs = -c),
+        # then Mehrotra's centered corrector
+        _, ds, dz = direction(-lam, -c, False)
+        sigma = (1.0 - min(1.0, room(ds, dz))) ** 3
+        r = -_jordan(lam, lam) - _jordan(ds, dz)
+        r[:, 0] += sigma * gap / degree
+        t = _jordan_solve(lam, nt.det_lam, r)
+        dx, ds, dz = direction(
+            t, -residual - program.g_tmul(nt.apply(t)), True
+        )
+        alpha = min(1.0, _SOCP_FRACTION * room(ds, dz))
+        dz = nt.apply(dz)
+        for _ in range(60):
+            x_new = x + alpha * dx
+            s_new = program.slacks(x_new)
+            z_new = z + alpha * dz
+            if _interior(s_new) and _interior(z_new):
+                break
+            alpha *= 0.5
+        else:
+            break
+        x, s, z = x_new, s_new, z_new
+    return SolveOutcome(x, float((c * x).sum()), STATUS_MAX_ITERS, iteration + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ subproblems obtained from two global tangent bounds:
 
 Both subproblems therefore maximize a lower bound that is tight at the
 current iterate, which makes the clipped objective monotone across
-accepted steps.  The trajectory step is solved with the log-barrier Newton
-method; its Newton system is block-tridiagonal once the per-slot
-auxiliaries are eliminated, so each Newton step costs O(N) scalar
-operations.  The power step is solved in price space: at prices on the K
-budgets each slot's best powers have a closed form, so only the K prices
-are searched.  A step is rejected (iterate kept) if the solver fails to
+accepted steps.  The trajectory step is a second-order cone program
+(the speed limits and the per-slot concave quadratic caps are cones),
+solved by the primal-dual method of ``convex_core.solve_socp``; its
+scaled normal system is block-tridiagonal once the per-slot auxiliaries
+are eliminated, so each iteration costs O(N) scalar operations.  The
+power step is solved in price space: at prices on the K budgets each
+slot's best powers have a closed form, so only the K prices are
+searched.  A step is rejected (iterate kept) if the solver fails to
 converge or the exact objective would regress beyond rounding tolerance.
 """
 
@@ -33,15 +35,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from outage_planner.channel import gain_at
-from outage_planner.convex_core import (
-    GenericBlock,
+# solve_barrier is not called here, but stays a module attribute: the
+# benchmark's tracer (perfbench/tracing.py) wraps it under this module
+from outage_planner.convex_core import (  # noqa: F401
     STATUS_OPTIMAL,
-    SmoothConvexProgram,
+    ConeProgram,
     ascend_in_orthant,
     dense_solver,
     newton_direction,
     solve_barrier,
     solve_price_feasibility,
+    solve_socp,
 )
 from outage_planner.relaxed_optimum import HoverPlan
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
@@ -52,10 +56,6 @@ DEFAULT_REL_IMPROVEMENT = 1e-4
 _PRICE_STEP_MAX_NEWTON = 50   # dual Newton steps of the power step
 _PRICE_STEP_BOUNDARY = 0.5    # their fraction to the boundary nu = 0; 0.99
                               # can land on the all-capped plateau and stall
-# symmetric 2 x 2 blocks of the trajectory step are (xx, xy, yy) rows
-_XXY = np.array([0, 0, 1])     # u[:, _XXY] * u[:, _XYY] is u u^T
-_XYY = np.array([0, 1, 1])
-_EYE = np.array([1.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -146,30 +146,72 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     affine and increasing in them, so they sit at their position-dependent
     upper bounds, leaving a concave quadratic cap in the waypoint.
 
-    The barrier's Newton system is built from its structure (``newton``
-    below).  Each A'_n appears only in its own bound and surrogate rows,
-    so it is eliminated per slot by a scalar Schur complement; the last
-    slot's waypoint is pinned, so its A' decouples entirely.  The speed
-    rows couple free waypoint j only to j - 1 and j + 1, which leaves a
-    symmetric block-tridiagonal system with 2 x 2 blocks, solved by
-    ``_solve_block_tridiagonal``.
+    The program is solved in cone form by ``solve_socp``: see
+    ``_trajectory_cones``.  Returns (state, False) when the solver fails,
+    and otherwise the new plan unless its exact objective regresses.
     """
     n = scenario.n_slots
     wp = state.trajectory.waypoints
     delta = state.trajectory.slot_length
-    leg = scenario.v_max * delta
-    q_i = np.asarray(scenario.q_start, dtype=float)
-    q_f = np.asarray(scenario.q_final, dtype=float)
-    cap = scenario.gamma_min * scenario.noise_power
-
     if n == 1:
         # both waypoints pinned; nothing to optimize
         new = _state_from_plan(state.trajectory, state.powers, scenario, state.trace)
         return new, True
 
-    direct = math.dist(q_f, q_i) / n
+    leg = scenario.v_max * delta
+    direct = math.dist(scenario.q_final, scenario.q_start) / n
     if leg - direct <= 1e-6 * leg:
         return state, False  # speed budget leaves no interior to search
+
+    program, waypoints = _trajectory_cones(state, scenario)
+    try:
+        outcome = solve_socp(program)
+    except ValueError:
+        return state, False
+    if outcome.status != STATUS_OPTIMAL:
+        return state, False
+
+    new_wp = wp.copy()
+    new_wp[1:-1] = waypoints(outcome.x)
+    return _accept(state, _state_from_plan(
+        Trajectory(new_wp, delta), state.powers, scenario, state.trace
+    ))
+
+
+def _trajectory_cones(state: ScaState, scenario: Scenario):
+    """The trajectory step as a ``ConeProgram``, and x -> free waypoints.
+
+    Slot n's surrogate cap at position q is G_n(q) = g0 + g1 . q - kappa
+    |q|^2 in units of gamma * noise, kappa >= 0.  The unknowns x are the
+    displacements d_j of the free waypoints 1..N-1 from the strictly
+    feasible start q0 (slot j < N - 1 sits at free waypoint j; the last
+    slot's waypoint is pinned), then A'_n per slot in units of gamma *
+    noise; the objective is -(gamma / N) sum_n A'_n.  With u_j =
+    G_j(q0_j) + grad G_j(q0_j) . d_j - A'_j, the cone rows are, in order:
+
+    * linear: A'_n <= 1 (N rows), then the last slot's A' <= G(q_final);
+    * slot j: the rotated cone (u_j + tau_j, 2 sqrt(kappa_j tau_j) d_j,
+      u_j - tau_j), that is u_j >= kappa_j |d_j|^2, or A'_j <= G_j(q_j),
+      in the unit tau_j = min(1, G_j(q0_j)); a linear row u_j >= 0 where
+      kappa_j = 0 (such as a slot without power);
+    * leg r: the cone (v_max delta, leg_r), the speed limit, in metres,
+      so that the iterate's strict feasibility is the comparison
+      ``validate_plan`` makes.
+
+    Linear rows and leg cones are padded to the slot cones' dimension 4.
+    ``factor`` exploits the structure.  Each A'_j appears only in the rows
+    of its own slot, so it is eliminated per slot, and each leg's scaled
+    cone adds a 2 x 2 positive definite spring between its two waypoints.
+    What is left is a chain of springs with a grounding block per
+    waypoint, factored by ``_factor_spring_chain``.
+    """
+    n = scenario.n_slots
+    m = n - 1
+    nq = 2 * m
+    leg = scenario.v_max * state.trajectory.slot_length
+    q_i = np.asarray(scenario.q_start, dtype=float)
+    q_f = np.asarray(scenario.q_final, dtype=float)
+    cap = scenario.gamma_min * scenario.noise_power
 
     # tangent data at the current iterate
     pos = state.trajectory.slot_positions          # (N, 2)
@@ -187,182 +229,220 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     msens = msens.sum(axis=1)                      # (N, 2)
     mconst = (slope * (scenario.sensor_xy**2).sum(axis=1)[None, :]).sum(axis=1)
     s_ref = state.amplitudes.sum(axis=0)           # (N,)
-    c0 = 2.0 * s_ref * a0 - s_ref**2               # cap constant term
-
-    # unknowns z: free waypoints 1..N-1 (slot j < N - 1 sits at free
-    # waypoint j), then A'_n per slot in units of cap.  Slot n's surrogate
-    # cap at position q is G_n(q) = g0 + g1 . q + g2 |q|^2 in units of cap
-    m = n - 1
-    nq = 2 * m
-    g2 = -2.0 * s_ref * msum / cap
+    kappa = 2.0 * s_ref * msum / cap
     g1 = 4.0 * s_ref[:, None] * msens / cap
-    g0 = (c0 - 2.0 * s_ref * mconst) / cap
-    leg2 = leg * leg
-    rate = scenario.gamma_min / n    # the objective is -rate sum_n A'_n
-    chain = np.empty((n + 1, 2))     # q_i, the free waypoints, q_f
-    chain[0], chain[-1] = q_i, q_f
-
-    def cap_norm(pos):            # G_n at slot positions pos (N, 2)
-        return g0 + ((g1 + g2[:, None] * pos) * pos).sum(axis=1)
-
-    last = [None, None]  # the iterate slacks last saw, and its result
-
-    def slacks(z):
-        """-g of every row, (3, N): A' <= 1, surrogates, speed limits.
-
-        The barrier never changes an iterate in place, and its line search
-        passes the point it accepts on to ``newton`` as the same array, so
-        a repeat call with that array returns the stored result.
-        """
-        if z is last[0]:
-            return last[1]
-        chain[1:-1] = z[:nq].reshape(m, 2)
-        d = chain[1:] - chain[:-1]                # (N, 2) legs
-        a = z[nq:]
-        out = np.empty((3, n))
-        out[0] = 1.0 - a
-        out[1] = cap_norm(chain[1:]) - a
-        out[2] = 1.0 - (d * d).sum(axis=1) / leg2
-        last[:] = z, (out, d)
-        return out, d
-
-    def newton(z, t):
-        s, d = slacks(z)
-        w = 1.0 / s                    # barrier weights; gradient terms
-        w2 = w * w                     # are w grad(g), Hessian terms
-        wb, ws, wv = w                 # w2 grad(g) grad(g)^T + w hess(g)
-        w2b, w2s, w2v = w2
-        q = z[:nq].reshape(m, 2)
-        # the surrogate row A'_j - G_j(q_j) has gradient c in q_j and
-        # Hessian -2 g2 I; speed row r has gradient u_r in its head point
-        c = -(g1[:-1] + 2.0 * g2[:-1, None] * q)
-        u = (2.0 / leg2) * d
-        grad = np.empty(z.size)
-        grad[:nq] = (
-            ws[:-1, None] * c + wv[:-1, None] * u[:-1] - wv[1:, None] * u[1:]
-        ).ravel()
-        grad[nq:] = -t * rate + wb + ws
-        # 2 x 2 blocks as (xx, xy, yy) rows.  Speed row r adds
-        # w2v u u^T + iso_v I to the blocks of both its end points and the
-        # negative to the block between them
-        outer = w2v[:, None] * u[:, _XXY] * u[:, _XYY]
-        iso_v = (2.0 / leg2) * wv
-        iso = -2.0 * ws[:-1] * g2[:-1] + iso_v[:-1] + iso_v[1:]
-        diag = outer[:-1] + outer[1:] + iso[:, None] * _EYE
-        off = -(outer[1:-1] + iso_v[1:-1, None] * _EYE)
-        cc = c[:, _XXY] * c[:, _XYY]
-        a_diag = w2b + w2s
-        trace = float(
-            diag[:, ::2].sum() + (w2s[:-1] * (cc[:, 0] + cc[:, 2])).sum()
-            + a_diag.sum()
-        )
-
-        def solve(rhs, ridge):
-            piv = a_diag + ridge                   # the A' diagonal
-            if not ((piv > 0.0) & (piv < np.inf)).all():
-                return None
-            r_a = rhs[nq:]
-            # A'_j's row, piv_j dA_j + w2s_j c_j . dq_j = r_a_j, eliminated;
-            # w2s (w2b + ridge) / piv is w2s - w2s^2 / piv without cancellation
-            k = w2s[:-1] / piv[:-1]
-            keep = k * (w2b[:-1] + ridge)
-            r = rhs[:nq].reshape(m, 2) - (k * r_a[:-1])[:, None] * c
-            dq = _solve_block_tridiagonal(
-                diag + ridge * _EYE + keep[:, None] * cc, off, r
-            )
-            if dq is None:
-                return None
-            step = np.empty_like(rhs)
-            step[:nq] = dq.ravel()
-            step[nq:] = r_a / piv
-            step[nq:-1] -= k * (c * dq).sum(axis=1)
-            return step
-
-        return grad, trace, solve
+    g0 = (2.0 * s_ref * a0 - s_ref**2 - 2.0 * s_ref * mconst) / cap
 
     # strictly feasible start: bend slightly toward the uniform direct path
     direct_path = np.linspace(q_i, q_f, n + 1)[1:-1]
-    q_start = 0.99 * wp[1:-1] + 0.01 * direct_path
-    z0 = np.empty(nq + n)
-    z0[:nq] = q_start.ravel()
-    chain[1:-1] = q_start
-    z0[nq:] = np.minimum(1.0, cap_norm(chain[1:])) - 0.01
+    q0 = 0.99 * state.trajectory.waypoints[1:-1] + 0.01 * direct_path
+    at = np.vstack([q0, q_f])                      # slot positions at the start
+    cap0 = g0 + ((g1 - kappa[:, None] * at) * at).sum(axis=1)   # G_n(q0_n)
+    grad = g1[:m] - 2.0 * kappa[:m, None] * q0     # grad G_j(q0_j)
+    curved = (kappa[:m] > 0.0).astype(float)       # 1 for a cone, 0 for a row
+    # u +- tau keeps u only to eps * tau, so tau follows the cap's own
+    # scale, near 1e-10 when gamma is out of reach
+    tau = curved * np.where(cap0[:m] > 0.0, np.minimum(1.0, cap0[:m]), 1.0)
+    root = 2.0 * np.sqrt(kappa[:m] * tau)
+    slots = slice(n + 1, n + 1 + m)
+    legs = slice(n + 1 + m, 3 * n)
+    chain = np.empty((n + 1, 2))                   # q_i, the free waypoints, q_f
+    chain[0], chain[-1] = q_i, q_f
 
-    grad_f = np.zeros(z0.size)
-    grad_f[nq:] = -rate
-    gamma = scenario.gamma_min
-    program = SmoothConvexProgram(
-        objective=lambda z: -rate * float(z[nq:].sum()),
-        gradient=lambda z: grad_f,
-        x0=z0,
-        blocks=[GenericBlock(lambda z: -slacks(z)[0].ravel())],
-        newton=newton,
-    )
-    try:
-        outcome = solve_barrier(
-            program, gap_tol=1e-10 * max(1.0, gamma), max_newton=400
-        )
-    except ValueError:
-        return state, False
-    if outcome.status != STATUS_OPTIMAL:
-        return state, False
+    def waypoints(x):
+        return q0 + x[:nq].reshape(m, 2)
 
-    new_wp = wp.copy()
-    new_wp[1:-1] = outcome.x[:nq].reshape(m, 2)
-    return _accept(state, _state_from_plan(
-        Trajectory(new_wp, delta), state.powers, scenario, state.trace
-    ))
+    def slacks(x):
+        chain[1:-1] = waypoints(x)
+        a = x[nq:]
+        u = cap0[:m] + (grad * x[:nq].reshape(m, 2)).sum(axis=1) - a[:m]
+        out = np.zeros((3 * n, 4))
+        out[:n, 0] = 1.0 - a
+        out[n, 0] = cap0[-1] - a[-1]
+        out[slots, 0] = u + tau
+        out[slots, 1:3] = root[:, None] * x[:nq].reshape(m, 2)
+        out[slots, 3] = curved * (u - tau)
+        out[legs, 0] = leg
+        out[legs, 1:3] = chain[1:] - chain[:-1]
+        return out
+
+    def g_mul(dx):
+        d = dx[:nq].reshape(m, 2)
+        da = dx[nq:]
+        du = da[:m] - (grad * d).sum(axis=1)       # G dx on the u rows
+        step = np.zeros((n + 1, 2))
+        step[1:-1] = d
+        out = np.zeros((3 * n, 4))
+        out[:n, 0] = da
+        out[n, 0] = da[-1]
+        out[slots, 0] = du
+        out[slots, 1:3] = -root[:, None] * d
+        out[slots, 3] = curved * du
+        out[legs, 1:3] = step[:-1] - step[1:]
+        return out
+
+    def g_tmul(v):
+        row = v[slots]
+        on_u = row[:, 0] + curved * row[:, 3]      # weight of each u
+        along = v[legs, 1:3]
+        gd = along[1:] - along[:-1] - root[:, None] * row[:, 1:3]
+        gd -= on_u[:, None] * grad
+        ga = v[:n, 0].copy()
+        ga[:m] += on_u
+        ga[-1] += v[n, 0]
+        return np.concatenate([gd.ravel(), ga])
+
+    def factor(nt):
+        # G^T H^2 G from H^2 = (2 J w w^T J - J) / beta^2 per cone
+        w, inv_b2 = nt.point, nt.beta**-2.0
+        bound = inv_b2[:n]                         # the A' <= 1 rows
+        # slot j's rows add omega g g^T + iso diag(I, 0) on (d_j, A'_j),
+        # g = (g_d, g_a); a linear row has w = e, so g = (-grad_j, 1)
+        ws = w[slots]
+        omega = (1.0 + curved) * inv_b2[slots]
+        g_a = ws[:, 0] - ws[:, 3]
+        g_d = root[:, None] * ws[:, 1:3] - g_a[:, None] * grad
+        # eliminate A'_j: pivot omega g_a^2 + bound, coupling omega g_a g_d,
+        # leaving the ground iso I + (omega bound / pivot) g_d g_d^T
+        pivot = omega * g_a**2 + bound[:m]
+        couple = (omega * g_a)[:, None] * g_d
+        ground = np.empty((m, 3))
+        ground[:, 0] = root**2 * inv_b2[slots]
+        ground[:, 1:] = np.sqrt(omega * bound[:m] / pivot)[:, None] * g_d
+        last = bound[-1] + inv_b2[n]
+        # leg r's spring (I + 2 w_1: w_1:^T) / beta^2
+        springs = np.empty((n, 3))
+        springs[:, 0] = inv_b2[legs]
+        springs[:, 1:] = np.sqrt(2.0 * springs[:, :1]) * w[legs, 1:3]
+        chol = _factor_spring_chain(ground, springs)
+        if chol is None or not 0.0 < last < math.inf:
+            return None
+
+        def solve(r):
+            ra = r[nq:]
+            rd = r[:nq].reshape(m, 2) - (ra[:m] / pivot)[:, None] * couple
+            d = _solve_spring_chain(chol, rd)
+            da = np.empty(n)
+            da[:m] = (ra[:m] - (couple * d).sum(axis=1)) / pivot
+            da[-1] = ra[-1] / last
+            return np.concatenate([d.ravel(), da])
+
+        return solve
+
+    x0 = np.zeros(nq + n)
+    x0[nq:] = np.minimum(1.0, cap0) - 0.01
+    c = np.zeros(nq + n)
+    c[nq:] = -scenario.gamma_min / n
+    return ConeProgram(c, x0, slacks, g_mul, g_tmul, factor), waypoints
 
 
-def _solve_block_tridiagonal(diag, off, r):
-    """Solve a symmetric block-tridiagonal system with 2 x 2 blocks.
+def _compress(c, x1, y1, x2, y2, x3, y3):
+    """c I + sum_i p_i p_i^T, three 2-vectors p_i, as (c', rx, ry).
 
-    ``diag`` (m, 3) holds diagonal block j as its (xx, xy, yy) entries;
-    ``off`` (m - 1, 3) holds the symmetric block coupling unknown j to
-    j + 1 (both ways); ``r`` is the (m, 2) right-hand side.  Block LDL^T,
-    the block Thomas algorithm (Golub & Van Loan, Matrix Computations,
-    sec. 4.5), written out in scalar float arithmetic, so no BLAS is
-    involved and the result does not depend on a thread count.  Returns
-    the (m, 2) solution, or None when a pivot block is not positive
+    The sum equals c' I + r r^T: the outer products have eigenvalues
+    lo <= hi with hi - lo = |(xx - yy, 2 xy)| and, by Cauchy-Binet,
+    lo hi = sum_{i<j} (p_i x p_j)^2, so lo is formed from positive terms.
+    """
+    xx = x1 * x1 + x2 * x2 + x3 * x3
+    yy = y1 * y1 + y2 * y2 + y3 * y3
+    xy = x1 * y1 + x2 * y2 + x3 * y3
+    diff = xx - yy
+    spread = math.hypot(diff, 2.0 * xy)
+    hi = 0.5 * (xx + yy + spread)
+    if hi > 0.0:
+        a, b, e = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3
+        c += (a * a + b * b + e * e) / hi
+    # the top eigenvector, from the larger of the two diagonal entries
+    vx, vy = (diff + spread, 2.0 * xy) if diff >= 0.0 else (2.0 * xy, spread - diff)
+    norm = math.hypot(vx, vy)
+    if norm == 0.0:
+        return c, 0.0, 0.0
+    f = math.sqrt(spread) / norm
+    return c, f * vx, f * vy
+
+
+def _factor_spring_chain(ground, springs):
+    """Block LDL^T of a chain of 2 x 2 springs between pinned ends.
+
+    Free point j (of m) is grounded by the positive semidefinite block
+    ``ground[j]`` and joined to its neighbours by ``springs[j]`` (to point
+    j - 1, or the pinned start for j = 0) and ``springs[j + 1]`` (to point
+    j + 1, or the pinned end).  Every block is given as (c, px, py), the
+    matrix c I + p p^T, with c > 0 for the springs.  The system matrix is
+    block-tridiagonal with diagonal G_j + K_j + K_j+1 and off-diagonal
+    -K_j+1 (Golub & Van Loan, Matrix Computations, sec. 4.5).  The pivots
+    are formed in series-spring form, S_j = A_j + K_j+1 with
+    A_0 = G_0 + K_0 and A_j = G_j + A (A + K_j)^-1 K_j, A = A_j-1, where
+    A (A + K)^-1 K = (det(A) K + det(K) A) / det(A + K).  Only positive
+    terms are summed, where D_j - K_j S_j-1^-1 K_j cancels: every A stays
+    in the (c, p) form (``_compress``), every determinant of a sum
+    c I + p p^T + q q^T is (c + |p|^2 + |q|^2) c + (p x q)^2, and the
+    multipliers L_j+1 = K_j+1 S_j^-1 are formed from adjugates.  Written
+    out in scalar float arithmetic, so no BLAS is involved and the result
+    does not depend on a thread count.  Returns the factor for
+    ``_solve_spring_chain``, or None when a pivot is not positive
     definite or not finite.
     """
-    m = len(diag)
-    rows = np.empty((m, 8))    # D_j, r_j and E_{j-1} (zero for j = 0)
-    rows[:, :3] = diag
-    rows[:, 3:5] = r
-    rows[0, 5:] = 0.0
-    rows[1:, 5:] = off
-    forward = []     # inverse pivot, eliminated right side and E_{j-1}
-    i11 = i12 = i22 = bx = by = 0.0
-    for sxx, sxy, syy, rx, ry, e11, e12, e22 in rows.tolist():
-        # L = E S^-1 with the previous pivot S; S_j = D_j - L E and
-        # y_j = r_j - L y_{j-1}
-        l11 = e11 * i11 + e12 * i12
-        l12 = e11 * i12 + e12 * i22
-        l21 = e12 * i11 + e22 * i12
-        l22 = e12 * i12 + e22 * i22
-        sxx -= l11 * e11 + l12 * e12
-        sxy -= l11 * e12 + l12 * e22
-        syy -= l21 * e12 + l22 * e22
-        bx, by = rx - (l11 * bx + l12 * by), ry - (l21 * bx + l22 * by)
-        det = sxx * syy - sxy * sxy
-        if not (sxx > 0.0 and 0.0 < det < math.inf):
+    inverse, mult = [], []
+    g, gx, gy, k, kx, ky = ground[0].tolist() + springs[0].tolist()
+    a, ax, ay = _compress(g + k, gx, gy, kx, ky, 0.0, 0.0)
+    rows = np.hstack([ground, springs[:-1], springs[1:]]).tolist()
+    for j, (g, gx, gy, k, kx, ky, n, nx, ny) in enumerate(rows):
+        if j:
+            # A = G + (det(A) K + det(K) A) / det(A + K), compressed
+            pp, qq, cross = ax * ax + ay * ay, kx * kx + ky * ky, ax * ky - ay * kx
+            det_a, det_k = a * (a + pp), k * (k + qq)
+            det_t = (a + k) * (a + k + pp + qq) + cross * cross
+            fa, fk = math.sqrt(det_a / det_t), math.sqrt(det_k / det_t)
+            a, ax, ay = _compress(
+                g + (det_a * k + det_k * a) / det_t, gx, gy,
+                fa * kx, fa * ky, fk * ax, fk * ay,
+            )
+        # S = A + K_j+1 = s I + p p^T + v v^T, adj(S) = s I + p' p'^T
+        # + v' v'^T with p' = (-py, px), and L = (n I + v v^T) adj(S) / det
+        s = a + n
+        c = ax * ny - ay * nx                      # p x v, or v . p'
+        det = s * (s + ax * ax + ay * ay + nx * nx + ny * ny) + c * c
+        if not (s > 0.0 and det < math.inf):
             return None
-        i11, i12, i22 = syy / det, -sxy / det, sxx / det
-        forward.append((i11, i12, i22, bx, by, e11, e12, e22))
+        i11 = s + ay * ay + ny * ny
+        i22 = s + ax * ax + nx * nx
+        i12 = -(ax * ay + nx * ny)
+        inverse.append((i11 / det, i12 / det, i22 / det))
+        mult.append((
+            (n * i11 + s * nx * nx - c * nx * ay) / det,
+            (n * i12 + s * nx * ny + c * nx * ax) / det,
+            (n * i12 + s * nx * ny - c * ny * ay) / det,
+            (n * i22 + s * ny * ny + c * ny * ax) / det,
+        ))
+    return inverse, mult
 
-    out = [0.0] * (2 * m)
-    x = y = f11 = f12 = f22 = 0.0
-    j = 2 * m
-    for i11, i12, i22, bx, by, e11, e12, e22 in reversed(forward):
-        # x_j = S_j^-1 (y_j - E_j x_{j+1}), with E_j = 0 for the last j
-        bx -= f11 * x + f12 * y
-        by -= f12 * x + f22 * y
-        x, y = i11 * bx + i12 * by, i12 * bx + i22 * by
-        j -= 2
-        out[j], out[j + 1] = x, y
-        f11, f12, f22 = e11, e12, e22
-    return np.array(out).reshape(m, 2)
+
+def _solve_spring_chain(chol, r):
+    """Solve the system factored by ``_factor_spring_chain`` for r (m, 2).
+
+    With L_j+1 = K_j+1 S_j^-1: forward y_j = r_j + L_j y_j-1, then back
+    x_j = S_j^-1 y_j + L_j+1^T x_j+1.
+    """
+    inverse, mult = chol
+    m = len(mult)
+    xs, ys = r[:, 0].tolist(), r[:, 1].tolist()
+    x = y = l11 = l12 = l21 = l22 = 0.0
+    for j in range(m):
+        x, y = xs[j] + l11 * x + l12 * y, ys[j] + l21 * x + l22 * y
+        xs[j], ys[j] = x, y
+        l11, l12, l21, l22 = mult[j]
+    x = y = 0.0
+    for j in range(m - 1, -1, -1):
+        i11, i12, i22 = inverse[j]
+        l11, l12, l21, l22 = mult[j]
+        bx, by = xs[j], ys[j]
+        x, y = (
+            i11 * bx + i12 * by + l11 * x + l21 * y,
+            i12 * bx + i22 * by + l12 * x + l22 * y,
+        )
+        xs[j], ys[j] = x, y
+    return np.column_stack([xs, ys])
 
 
 def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:

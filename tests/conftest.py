@@ -1,10 +1,12 @@
 """Shared fixtures: the bundled demo scenario, randomized and degenerate
 small instances, the dense log-barrier references for the cheapest-power
-subproblem, the recovery feasibility test and the two SCA steps, and the
-full-grid ellipsoid method whose dual value ``maximize_dual`` must reach."""
+subproblem, the recovery feasibility test and the two SCA steps, the
+dense cone form of the trajectory step with an exact rational solve of
+its scaled normal system, and the full-grid ellipsoid method whose dual
+value ``maximize_dual`` must reach."""
 
 import math
-
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -140,25 +142,6 @@ DEGENERATE = {
     "trivial threshold": small_doc(gamma_min=1e-6),
     "unreachable threshold": small_doc(gamma_min=1e12),
 }
-
-
-def captured_barrier(monkeypatch, module, run):
-    """Run ``run()`` and return (program, outcome) of its one barrier solve.
-
-    ``module`` is the planner module whose ``solve_barrier`` the call looks
-    up; the real solver still runs.
-    """
-    seen = []
-    real = module.solve_barrier
-
-    def capture(program, **kwargs):
-        seen.append((program, real(program, **kwargs)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(module, "solve_barrier", capture)
-    run()
-    assert len(seen) == 1
-    return seen[0]
 
 
 def barrier_power_oracle(mu, q, scenario):
@@ -395,26 +378,15 @@ def speed_rows_loop_reference(scenario, state):
     return jacobian, hessian
 
 
-def dense_trajectory_program(state, scenario):
-    """The SCA trajectory step's barrier program with dense blocks.
+def surrogate_caps(state, scenario):
+    """Each slot's surrogate cap on the received power, as in the paper.
 
-    The reference for ``sca_planner.trajectory_step``'s structured Newton
-    system.  Unknowns are the free waypoints 1..N-1 followed by A'_n per
-    slot (in units of gamma * noise); the blocks are A' <= 1, the
-    surrogate rows A'_n <= G_n(q_n) of the slots with a free waypoint,
-    the pinned last slot's bound, and the speed rows, whose Jacobian and
-    Hessian come from ``speed_rows_loop_reference``.  Returns None where
-    the step has nothing to solve (one slot, or no speed slack).
+    The tangent bounds at the current iterate give slot n the concave
+    quadratic cap G_n(q) on its received power at position q, in units of
+    gamma * noise.  Returns (value(slot, q), gradient(slot, q), kappa),
+    where kappa_n >= 0 and -2 kappa_n I is G_n's Hessian.
     """
-    n = scenario.n_slots
-    wp = state.trajectory.waypoints
-    leg = scenario.v_max * state.trajectory.slot_length
-    q_i = np.asarray(scenario.q_start, dtype=float)
-    q_f = np.asarray(scenario.q_final, dtype=float)
     cap = scenario.gamma_min * scenario.noise_power
-    if n == 1 or leg - math.dist(q_f, q_i) / n <= 1e-6 * leg:
-        return None
-
     pos = state.trajectory.slot_positions
     w_ref = (
         (pos[:, None, :] - scenario.sensor_xy[None, :, :]) ** 2
@@ -431,17 +403,44 @@ def dense_trajectory_program(state, scenario):
     s_ref = state.amplitudes.sum(axis=0)
     c0 = 2.0 * s_ref * a0 - s_ref**2
 
+    def value(slot, q):
+        w = msum[slot] * (q * q).sum(-1) - 2.0 * (msens[slot] * q).sum(-1) \
+            + mconst[slot]
+        return (c0[slot] - 2.0 * s_ref[slot] * w) / cap
+
+    def gradient(slot, q):
+        return (4.0 * s_ref[slot] / cap)[..., None] * (
+            msens[slot] - msum[slot][..., None] * q
+        )
+
+    return value, gradient, 2.0 * s_ref * msum / cap
+
+
+def dense_trajectory_program(state, scenario):
+    """The SCA trajectory step's barrier program with dense blocks.
+
+    Unknowns are the free waypoints 1..N-1 followed by A'_n per slot (in
+    units of gamma * noise); the blocks are A' <= 1, the surrogate rows
+    A'_n <= G_n(q_n) of the slots with a free waypoint, the pinned last
+    slot's bound, and the speed rows, whose Jacobian and Hessian come
+    from ``speed_rows_loop_reference``.  Returns None where the step has
+    nothing to solve (one slot, or no speed slack).
+    """
+    n = scenario.n_slots
+    wp = state.trajectory.waypoints
+    leg = scenario.v_max * state.trajectory.slot_length
+    q_i = np.asarray(scenario.q_start, dtype=float)
+    q_f = np.asarray(scenario.q_final, dtype=float)
+    if n == 1 or leg - math.dist(q_f, q_i) / n <= 1e-6 * leg:
+        return None
+    cap_norm, cap_grad, kappa = surrogate_caps(state, scenario)
+
     n_free = n - 1
     nq = 2 * n_free
     nv = nq + n
 
     def q_of(z):
         return z[:nq].reshape(n_free, 2)
-
-    def cap_norm(slot, q):
-        w = msum[slot] * (q * q).sum(-1) - 2.0 * (msens[slot] * q).sum(-1) \
-            + mconst[slot]
-        return (c0[slot] - 2.0 * s_ref[slot] * w) / cap
 
     slots_var = np.arange(1, n)
     idx_a = nq + np.arange(n)
@@ -450,11 +449,8 @@ def dense_trajectory_program(state, scenario):
         return z[idx_a[slots_var - 1]] - cap_norm(slots_var - 1, q_of(z))
 
     def surrogate_jacobian(z):
-        q = q_of(z)
         jac = np.zeros((n_free, nv))
-        coef = (4.0 * s_ref[slots_var - 1] / cap)[:, None] * (
-            msum[slots_var - 1][:, None] * q - msens[slots_var - 1]
-        )
+        coef = -cap_grad(slots_var - 1, q_of(z))
         rows = np.arange(n_free)
         jac[rows, 2 * rows] = coef[:, 0]
         jac[rows, 2 * rows + 1] = coef[:, 1]
@@ -464,7 +460,7 @@ def dense_trajectory_program(state, scenario):
     def surrogate_hessian(z, w):
         h = np.zeros((nv, nv))
         diag = h.ravel()[:: nv + 1]
-        per_q = w * 4.0 * s_ref[slots_var - 1] * msum[slots_var - 1] / cap
+        per_q = w * 2.0 * kappa[slots_var - 1]
         diag[0:nq:2] += per_q
         diag[1:nq:2] += per_q
         return h
@@ -498,6 +494,111 @@ def dense_trajectory_program(state, scenario):
     )
 
 
+def dense_trajectory_cones(state, scenario):
+    """The SCA trajectory step's cone program, assembled row by row.
+
+    The reference for ``sca_planner._trajectory_cones``: the unknowns are
+    the displacements of the free waypoints from the start q0 = 0.99 q +
+    0.01 (direct path), then A'_n per slot; the rows, each padded to 4
+    entries, are A'_n <= 1, the last slot's A' <= G(q_final), per free
+    slot the rotated cone (u + tau, 2 sqrt(kappa tau) d, u - tau) with
+    tau = min(1, G(q0)) (or the linear row u >= 0 where kappa = 0), and
+    per leg the cone (v_max delta, leg).  Returns (c, x0, G, h) with G of
+    shape (3N, 4, 3N - 2), so that the slacks are h - G x, or None where
+    the step has nothing to solve.
+    """
+    n = scenario.n_slots
+    leg = scenario.v_max * state.trajectory.slot_length
+    q_i = np.asarray(scenario.q_start, dtype=float)
+    q_f = np.asarray(scenario.q_final, dtype=float)
+    if n == 1 or leg - math.dist(q_f, q_i) / n <= 1e-6 * leg:
+        return None
+    cap_norm, cap_grad, kappa = surrogate_caps(state, scenario)
+    nq = 2 * (n - 1)
+    nv = nq + n
+    direct_path = np.linspace(q_i, q_f, n + 1)[1:-1]
+    q0 = 0.99 * state.trajectory.waypoints[1:-1] + 0.01 * direct_path
+    chain = np.vstack([q_i, q0, q_f])
+
+    g = np.zeros((3 * n, 4, nv))
+    h = np.zeros((3 * n, 4))
+    x0 = np.zeros(nv)
+    for slot in range(n):
+        g[slot, 0, nq + slot] = 1.0
+        h[slot, 0] = 1.0
+        at = chain[slot + 1]
+        x0[nq + slot] = min(1.0, float(cap_norm(slot, at))) - 0.01
+    g[n, 0, nv - 1] = 1.0
+    h[n, 0] = cap_norm(n - 1, q_f)
+    for j in range(n - 1):
+        row = n + 1 + j
+        cap0 = float(cap_norm(j, q0[j]))
+        u_row = np.zeros(nv)                       # u = cap0 - u_row . x
+        u_row[2 * j : 2 * j + 2] = -cap_grad(j, q0[j])
+        u_row[nq + j] = 1.0
+        g[row, 0] = u_row
+        h[row, 0] = cap0
+        if kappa[j] > 0.0:
+            tau = min(1.0, cap0) if cap0 > 0.0 else 1.0
+            g[row, 3] = u_row
+            h[row] = [cap0 + tau, 0.0, 0.0, cap0 - tau]
+            root = 2.0 * math.sqrt(kappa[j] * tau)
+            g[row, 1, 2 * j] = g[row, 2, 2 * j + 1] = -root
+    for r in range(n):
+        row = 2 * n + r
+        h[row, 0] = leg
+        h[row, 1:3] = chain[r + 1] - chain[r]
+        if r < n - 1:                              # head point is free
+            g[row, 1, 2 * r] = g[row, 2, 2 * r + 1] = -1.0
+        if r > 0:                                  # tail point is free
+            g[row, 1, 2 * r - 2] = g[row, 2, 2 * r - 1] = 1.0
+    c = np.zeros(nv)
+    c[nq:] = -scenario.gamma_min / n
+    return c, x0, g, h
+
+
+def exact_normal_solve(g, point, beta, r):
+    """Solve (G^T H^2 G) x = r in exact rational arithmetic.
+
+    G is (cones, 4, n); per cone H^2 = (2 J w w^T J - J) / beta^2 with
+    J = diag(1, -1, -1, -1), built from the float scaling point ``point``
+    and ``beta`` taken as exact.  Gaussian elimination over fractions,
+    then rounded to floats: a reference whose own error is one rounding,
+    whatever the condition number.
+    """
+    n = g.shape[2]
+    sign = (1, -1, -1, -1)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(g.shape[0]):
+        cols = [i for i in range(n) if g[k, :, i].any()]
+        if not cols:
+            continue
+        jw = [Fraction(float(v)) * e for v, e in zip(point[k], sign)]
+        b2 = Fraction(float(beta[k])) ** 2
+        gk = {i: [Fraction(float(v)) for v in g[k, :, i]] for i in cols}
+        for i in cols:
+            # H^2 g_i = (2 (J w . g_i) J w - J g_i) / beta^2
+            dot = sum(a * b for a, b in zip(jw, gk[i]))
+            hg = [(2 * dot * a - e * b) / b2 for a, b, e in zip(jw, gk[i], sign)]
+            for j in cols:
+                m[j][i] += sum(a * b for a, b in zip(gk[j], hg))
+    x = [Fraction(float(v)) for v in r]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda i: abs(m[i][col]))
+        m[col], m[piv] = m[piv], m[col]
+        x[col], x[piv] = x[piv], x[col]
+        for i in range(col + 1, n):
+            f = m[i][col] / m[col][col]
+            if f:
+                row_i, row_c = m[i], m[col]
+                for j in range(col, n):
+                    row_i[j] -= f * row_c[j]
+                x[i] -= f * x[col]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - sum(m[i][j] * x[j] for j in range(i + 1, n))) / m[i][i]
+    return np.array([float(v) for v in x])
+
+
 def refined_dense_newton(program, x, t):
     """The barrier's Newton system assembled densely from the blocks.
 
@@ -524,29 +625,39 @@ def refined_dense_newton(program, x, t):
     return grad, float(np.trace(hess)), solve
 
 
-def barrier_trajectory_step_reference(state, scenario):
-    """``sca_planner.trajectory_step`` solved with a dense Newton system.
+def barrier_trajectory_solve(state, scenario, gap_tol=None):
+    """The trajectory step's program solved by the dense log-barrier.
 
-    Same program, start, barrier settings and acceptance rule; the barrier
-    assembles its Newton system densely from the blocks of
-    ``dense_trajectory_program`` and solves it by ``refined_dense_newton``.
+    The barrier assembles its Newton system densely from the blocks of
+    ``dense_trajectory_program`` and solves it by ``refined_dense_newton``,
+    down to ``gap_tol`` (default 1e-10 max(1, gamma), the tolerance the
+    planner's barrier used).  Returns the solver outcome, or None where
+    the step has nothing to solve or the barrier fails.
+    """
+    program = dense_trajectory_program(state, scenario)
+    if program is None:
+        return None
+    program.newton = lambda x, t: refined_dense_newton(program, x, t)
+    if gap_tol is None:
+        gap_tol = 1e-10 * max(1.0, scenario.gamma_min)
+    try:
+        outcome = solve_barrier(program, gap_tol=gap_tol, max_newton=1000)
+    except ValueError:
+        return None
+    return outcome if outcome.status == STATUS_OPTIMAL else None
+
+
+def barrier_trajectory_step_reference(state, scenario):
+    """``sca_planner.trajectory_step`` by ``barrier_trajectory_solve``.
+
+    Same program, start and acceptance rule, solved by the dense barrier.
     """
     if scenario.n_slots == 1:
         return _state_from_plan(
             state.trajectory, state.powers, scenario, state.trace
         ), True
-    program = dense_trajectory_program(state, scenario)
-    if program is None:
-        return state, False
-    program.newton = lambda x, t: refined_dense_newton(program, x, t)
-    gamma = scenario.gamma_min
-    try:
-        outcome = solve_barrier(
-            program, gap_tol=1e-10 * max(1.0, gamma), max_newton=400
-        )
-    except ValueError:
-        return state, False
-    if outcome.status != STATUS_OPTIMAL:
+    outcome = barrier_trajectory_solve(state, scenario)
+    if outcome is None:
         return state, False
     wp = state.trajectory.waypoints.copy()
     wp[1:-1] = outcome.x[: 2 * (scenario.n_slots - 1)].reshape(-1, 2)

@@ -5,17 +5,22 @@ import itertools
 import numpy as np
 import pytest
 
+from outage_planner import convex_core
 from outage_planner.convex_core import (
+    STATUS_MAX_ITERS,
     STATUS_OPTIMAL,
     STATUS_UNBOUNDED,
     BoundBlock,
+    ConeProgram,
     GenericBlock,
     LinearProgram,
+    NtScaling,
     SmoothConvexProgram,
     bisect_max_feasible,
     solve_barrier,
     solve_lp,
     solve_price_feasibility,
+    solve_socp,
 )
 
 
@@ -258,6 +263,109 @@ def test_barrier_reports_budget_exhaustion():
     )
     out = solve_barrier(prog, gap_tol=1e-11, max_newton=2)
     assert out.status != STATUS_OPTIMAL
+
+
+J4 = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def interior_cones(rng, count, dim):
+    """Random points inside 4-dimensional cones, the last 4 - dim
+    entries zero (padded smaller cones; dim 1 is a linear row)."""
+    x = np.zeros((count, 4))
+    x[:, 1:dim] = rng.normal(size=(count, dim - 1))
+    x[:, 0] = np.sqrt((x[:, 1:] ** 2).sum(axis=1)) + rng.uniform(0.01, 2.0, count)
+    return x
+
+
+def squared_scaling(nt):
+    """H^2 per cone from the scaling point, (2 J w w^T J - J) / beta^2."""
+    jw = nt.point @ J4
+    return (2.0 * jw[:, :, None] * jw[:, None, :] - J4) / nt.beta[:, None, None] ** 2
+
+
+@pytest.mark.parametrize("dim", [1, 3, 4])
+def test_nt_scaling_identities(dim):
+    rng = np.random.default_rng(dim)
+    s, z = interior_cones(rng, 6, dim), interior_cones(rng, 6, dim)
+    nt = NtScaling(s, z)
+    h = np.stack([nt.apply(np.tile(e, (6, 1))) for e in np.eye(4)], axis=2)
+    np.testing.assert_allclose(nt.apply(s), nt.lam, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        np.linalg.solve(h, z[:, :, None])[:, :, 0], nt.lam, rtol=1e-12,
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(h @ h, squared_scaling(nt), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        np.einsum("kab,kb->ka", squared_scaling(nt), s), z, rtol=1e-11,
+        atol=1e-12,
+    )
+    assert (nt.lam[:, dim:] == 0.0).all()      # padding stays exactly zero
+    np.testing.assert_allclose(
+        nt.det_lam, (nt.lam[:, 0] ** 2 - (nt.lam[:, 1:] ** 2).sum(axis=1)),
+        rtol=1e-12,
+    )
+
+
+def dense_cone_program(c, g, h, x0):
+    """A ConeProgram over a dense G (cones, 4, n): slacks h - G x, and a
+    factor that solves G^T H^2 G densely."""
+    def factor(nt):
+        m = np.einsum("kai,kab,kbj->ij", g, squared_scaling(nt), g)
+        return lambda r: np.linalg.solve(m, r)
+
+    return ConeProgram(
+        np.asarray(c, dtype=float), np.asarray(x0, dtype=float),
+        lambda x: h - g @ x, lambda dx: g @ dx,
+        lambda v: np.einsum("kai,ka->i", g, v), factor,
+    )
+
+
+def test_socp_unit_disk():
+    # min x1 + 2 x2 over the unit disk (1, x) in the cone: x* = -(1, 2)/sqrt 5
+    g = np.zeros((1, 4, 2))
+    g[0, 1, 0] = g[0, 2, 1] = -1.0
+    h = np.array([[1.0, 0.0, 0.0, 0.0]])
+    out = solve_socp(dense_cone_program([1.0, 2.0], g, h, [0.3, -0.2]))
+    assert out.status == STATUS_OPTIMAL
+    np.testing.assert_allclose(out.x, -np.array([1.0, 2.0]) / np.sqrt(5.0), atol=1e-8)
+    assert out.objective == pytest.approx(-np.sqrt(5.0), rel=1e-10)
+    assert np.hypot(*out.x) < 1.0              # strictly feasible iterate
+    assert out.iterations <= 20
+
+
+def test_socp_with_linear_rows_and_rotated_cone():
+    # max x1 + x2 subject to x1 <= 0.3 (a linear row) and x2 <= 1 - x1^2,
+    # the rotated cone (u + 1, 2 x1, u - 1) with u = 1 - x2: the optimum
+    # is x1 = 0.3 on the row, x2 = 0.91 on the parabola
+    g = np.zeros((2, 4, 2))
+    h = np.zeros((2, 4))
+    g[0, 0, 0], h[0, 0] = 1.0, 0.3
+    g[1, 0, 1] = g[1, 3, 1] = 1.0
+    g[1, 1, 0] = -2.0
+    h[1] = [2.0, 0.0, 0.0, 0.0]
+    out = solve_socp(dense_cone_program([-1.0, -1.0], g, h, [0.0, 0.0]))
+    assert out.status == STATUS_OPTIMAL
+    np.testing.assert_allclose(out.x, [0.3, 0.91], atol=1e-8)
+    assert out.x[0] < 0.3 and out.x[1] < 1.0 - out.x[0] ** 2
+
+
+def test_socp_rejects_infeasible_start():
+    g = np.zeros((1, 4, 2))
+    g[0, 1, 0] = g[0, 2, 1] = -1.0
+    h = np.array([[1.0, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="strictly feasible"):
+        solve_socp(dense_cone_program([1.0, 0.0], g, h, [1.0, 0.0]))
+
+
+def test_socp_reports_iteration_cap(monkeypatch):
+    monkeypatch.setattr(convex_core, "_SOCP_MAX_ITERS", 2)
+    g = np.zeros((1, 4, 2))
+    g[0, 1, 0] = g[0, 2, 1] = -1.0
+    h = np.array([[1.0, 0.0, 0.0, 0.0]])
+    out = solve_socp(dense_cone_program([1.0, 2.0], g, h, [0.3, -0.2]))
+    assert out.status == STATUS_MAX_ITERS
+    assert out.iterations == 2
+    assert np.hypot(*out.x) < 1.0
 
 
 def test_price_feasibility_single_sensor_matches_closed_form():
