@@ -516,11 +516,11 @@ _SOCP_FRACTION = 0.99     # of the step to the boundary of the cones
 _SOCP_MU_FLOOR = 0.01     # least start of mu, relative to |c|_inf: a fit
                           # dominated by cones near their boundary stalls
 _SOCP_REFINE = 4          # most refinement solves of a corrector direction
+_SOCP_GAP_REL = 1e-10     # stop: s . z <= this max(1, |c @ x|)
+_SOCP_RESIDUAL_REL = 1e-9  # and |c + G^T z|_inf <= this |c|_inf
 
 
-def solve_socp(
-    program: ConeProgram, gap_rel: float = 1e-10, residual_rel: float = 1e-9
-) -> SolveOutcome:
+def solve_socp(program: ConeProgram) -> SolveOutcome:
     """Solve a second-order cone program by a feasible-start primal-dual
     interior-point method with Nesterov-Todd scaling and Mehrotra's
     predictor-corrector (as in ECOS, Domahidi, Chu & Boyd, ECC 2013).
@@ -538,9 +538,9 @@ def solve_socp(
     ill-conditioned the system.  While the corrector's dual equation is
     off by more than a tenth of the tolerance below, it is refined by
     further solves, ``_SOCP_REFINE`` at most.
-    The solve stops once s . z <= ``gap_rel`` max(1, |c @ x|) and
-    |c + G^T z|_inf <= ``residual_rel`` |c|_inf.  Status is optimal, or
-    max-iters after ``_SOCP_MAX_ITERS`` iterations, a failed
+    The solve stops once s . z <= ``_SOCP_GAP_REL`` max(1, |c @ x|) and
+    |c + G^T z|_inf <= ``_SOCP_RESIDUAL_REL`` |c|_inf.  Status is optimal,
+    or max-iters after ``_SOCP_MAX_ITERS`` iterations, a failed
     factorization or a step that cannot stay inside the cones;
     ``iterations`` counts the iterations.  Raises ValueError if ``x0`` is
     not strictly feasible.
@@ -551,7 +551,7 @@ def solve_socp(
     if not _interior(s):
         raise ValueError("no strictly feasible start found")
     degree = len(s)
-    residual_tol = residual_rel * float(np.abs(c).max(initial=0.0))
+    residual_tol = _SOCP_RESIDUAL_REL * float(np.abs(c).max(initial=0.0))
     z = s / _det(s)[:, None]       # s^-1 = J s / det(s)
     z[:, 1:] *= -1.0
     pull = program.g_tmul(z)
@@ -566,7 +566,7 @@ def solve_socp(
         gap = float((s * z).sum())
         objective = float((c * x).sum())
         if (
-            gap <= gap_rel * max(1.0, abs(objective))
+            gap <= _SOCP_GAP_REL * max(1.0, abs(objective))
             and np.abs(residual).max(initial=0.0) <= residual_tol
         ):
             return SolveOutcome(x, objective, STATUS_OPTIMAL, iteration)

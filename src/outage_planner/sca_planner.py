@@ -329,8 +329,12 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
 
         return solve
 
+    # A' starts 0.01 below its cap, or tau below it on a cone row whose
+    # unit tau is smaller: u0 +- tau must resolve tau at any gamma
+    below = np.full(n, 0.01)
+    below[:m] = np.where(curved > 0.0, np.minimum(0.01, tau), 0.01)
     x0 = np.zeros(nq + n)
-    x0[nq:] = np.minimum(1.0, cap0) - 0.01
+    x0[nq:] = np.minimum(1.0, cap0) - below
     c = np.zeros(nq + n)
     c[nq:] = -scenario.gamma_min / n
     return ConeProgram(c, x0, slacks, g_mul, g_tmul, factor), waypoints

@@ -503,9 +503,10 @@ def dense_trajectory_cones(state, scenario):
     entries, are A'_n <= 1, the last slot's A' <= G(q_final), per free
     slot the rotated cone (u + tau, 2 sqrt(kappa tau) d, u - tau) with
     tau = min(1, G(q0)) (or the linear row u >= 0 where kappa = 0), and
-    per leg the cone (v_max delta, leg).  Returns (c, x0, G, h) with G of
-    shape (3N, 4, 3N - 2), so that the slacks are h - G x, or None where
-    the step has nothing to solve.
+    per leg the cone (v_max delta, leg).  Each A' starts 0.01 below its
+    cap, or min(0.01, tau) below it on a cone row.  Returns (c, x0, G, h)
+    with G of shape (3N, 4, 3N - 2), so that the slacks are h - G x, or
+    None where the step has nothing to solve.
     """
     n = scenario.n_slots
     leg = scenario.v_max * state.trajectory.slot_length
@@ -540,6 +541,7 @@ def dense_trajectory_cones(state, scenario):
         h[row, 0] = cap0
         if kappa[j] > 0.0:
             tau = min(1.0, cap0) if cap0 > 0.0 else 1.0
+            x0[nq + j] = min(1.0, cap0) - min(0.01, tau)
             g[row, 3] = u_row
             h[row] = [cap0 + tau, 0.0, 0.0, cap0 - tau]
             root = 2.0 * math.sqrt(kappa[j] * tau)
