@@ -265,8 +265,8 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     x_j <= 1.  Its budget-row duals are the next prices, starting from
     zero; each iteration prices the whole grid there (``dual_function``),
     keeps the best dual value as the bound, and adds the cheapest point's
-    column.  Each master solve starts from the previous optimal basis,
-    which the new column leaves primal feasible.
+    column.  Each master solve goes on from the previous solve's final
+    tableau with the new column appended, which leaves it primal feasible.
 
     The loop stops once the master's outage, 1 - sum_j x_j, is within
     ``GAP_TOL`` of the bound, when no grid point can transmit, or after
@@ -279,10 +279,10 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     gains = gain_at(grid.points(), scenario)
     rows = np.append(budgets, 1.0)
     points: list[int] = []
-    powers: list[np.ndarray] = []
+    table = np.ones((k + 1, _MAX_ITERATIONS))   # column powers over a ones row
     mu = np.zeros(k)
     shares = np.zeros(0)
-    basis = ((), ())
+    master = None
     best: DualPoint | None = None
     for iterations in range(1, _MAX_ITERATIONS + 1):
         value, column, idx = _price(mu, scenario, gains)
@@ -291,13 +291,13 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
         gap = 1.0 - float(shares.sum()) - best.value
         if gap <= GAP_TOL or idx is None or iterations == _MAX_ITERATIONS:
             break
+        table[:k, len(points)] = column
         points.append(idx)
-        powers.append(column)
-        a_ub = np.vstack([np.array(powers).T, np.ones(len(points))])
+        n = len(points)
         master = solve_lp(
-            LinearProgram(-np.ones(len(points)), a_ub, rows), start=basis
+            LinearProgram(-np.ones(n), table[:, :n], rows), start=master
         )
-        shares, basis = master.x, master.basis
+        shares = master.x
         mu = master.duals[:k]
 
     used = np.flatnonzero(shares > 0.0)
@@ -306,7 +306,7 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
         iterations=iterations,
         gap=gap,
         columns=np.array(points, dtype=int)[used],
-        column_powers=np.array(powers).reshape(-1, k)[used],
+        column_powers=table[:k, used].T,
         shares=shares[used],
     )
 

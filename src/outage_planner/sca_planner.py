@@ -489,12 +489,21 @@ def _optimal_shares(e2, beta, off, gamma):
     p'_kn = (S_n / w_n)^2 e2_kn / nu_k^2, and it stops once g exceeds the
     value of those shares, scaled per sensor into the budget, by at most
     1e-10 max(1, gamma).  None after ``_PRICE_STEP_MAX_NEWTON`` steps.
+    A silent slot (s_n = 0, so beta_n = 0) has a flat tangent bound: A'_n
+    <= 0 whatever its powers.  Its target, zero, is already met, so it
+    has t_n = inf, no column in the price test and zero shares there.
     """
-    n = e2.shape[1]
-    top = (1.0 + off) / beta
-    shares = solve_price_feasibility(n * e2 / top**2)
-    if shares is not None:
-        return n * shares
+    k, n = e2.shape
+    live = beta > 0.0
+    top = np.divide(1.0 + off, beta, out=np.full(n, np.inf), where=live)
+    reach = (
+        solve_price_feasibility(n * e2[:, live] / top[live] ** 2)
+        if live.any() else np.zeros((k, 0))
+    )
+    if reach is not None:
+        shares = np.zeros_like(e2)
+        shares[:, live] = n * reach
+        return shares
 
     def dual(nu):
         w = (e2 / nu[:, None]).sum(axis=0)

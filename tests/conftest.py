@@ -584,7 +584,13 @@ def exact_normal_solve(g, point, beta, r):
             hg = [(2 * dot * a - e * b) / b2 for a, b, e in zip(jw, gk[i], sign)]
             for j in cols:
                 m[j][i] += sum(a * b for a, b in zip(gk[j], hg))
-    x = [Fraction(float(v)) for v in r]
+    return exact_solve(m, [Fraction(float(v)) for v in r])
+
+
+def exact_solve(m, x):
+    """Solve m z = x for square lists of Fractions (both are overwritten)
+    by Gaussian elimination, and round z to floats."""
+    n = len(x)
     for col in range(n):
         piv = max(range(col, n), key=lambda i: abs(m[i][col]))
         m[col], m[piv] = m[piv], m[col]

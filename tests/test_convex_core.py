@@ -142,7 +142,7 @@ def test_lp_duals_certify_the_vertex_optimum():
         np.testing.assert_allclose(out.x * reduced, 0.0, atol=1e-9)
 
 
-def test_lp_warm_start_after_appending_columns():
+def test_lp_start_extends_an_earlier_solve():
     # master-like LPs: nonnegative resource rows and a total-time row
     rng = np.random.default_rng(44)
     for trial in range(40):
@@ -155,29 +155,61 @@ def test_lp_warm_start_after_appending_columns():
         c = -rng.uniform(0.5, 1.5, size=n + extra)
         first = solve_lp(LinearProgram(c[:n], a[:, :n], b))
         lp = LinearProgram(c, a, b)
-        warm = solve_lp(lp, start=first.basis)
+        warm = solve_lp(lp, start=first)
         cold = solve_lp(lp)
         assert warm.status == cold.status == STATUS_OPTIMAL, f"trial {trial}"
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        np.testing.assert_allclose(warm.duals, cold.duals, rtol=0, atol=1e-12)
+        assert warm.iterations <= cold.iterations, f"trial {trial}"
         assert warm.objective <= first.objective + 1e-12
-        # the basis it returns restarts the same LP with nothing to do
-        again = solve_lp(lp, start=warm.basis)
-        assert again.iterations == len(warm.basis[0])
+        # an optimal start over the same columns has nothing left to do
+        again = solve_lp(lp, start=warm)
+        assert again.iterations == 0
         assert again.objective == pytest.approx(warm.objective, abs=1e-12)
 
 
-def test_lp_rejects_bad_start_bases():
-    lp = LinearProgram(np.array([-1.0, -1.0]),
-                       np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([1.0, 2.0]))
-    assert solve_lp(lp, start=((0,), (0,))).objective == pytest.approx(-1.0)
-    with pytest.raises(ValueError, match="not primal feasible"):
-        solve_lp(lp, start=((0,), (1,)))   # x0 = 2 overdraws row 0
-    with pytest.raises(ValueError, match="singular"):
-        solve_lp(LinearProgram(np.array([-1.0, -1.0]), np.array([[0.0, 1.0]]),
-                               np.array([1.0])), start=((0,), (0,)))
-    for start in (((0,), ()), ((2,), (0,)), ((0,), (5,))):
-        with pytest.raises(ValueError, match="pair"):
-            solve_lp(lp, start=start)
+def test_lp_start_extends_a_chain_of_solves():
+    # one column at a time, each solve starting from the one before, as
+    # column generation does; every link matches a cold solve
+    rng = np.random.default_rng(45)
+    a = np.vstack([rng.uniform(0.0, 3.0, size=(4, 30)), np.ones(30)])
+    b = np.append(rng.uniform(0.1, 1.0, size=4), 1.0)
+    c = -rng.uniform(0.5, 1.5, size=30)
+    out = None
+    for n in range(1, 31):
+        lp = LinearProgram(c[:n], a[:, :n], b)
+        out = solve_lp(lp, start=out)
+        cold = solve_lp(lp)
+        assert out.status == cold.status == STATUS_OPTIMAL
+        assert out.objective == pytest.approx(cold.objective, abs=1e-12)
+        np.testing.assert_allclose(out.duals, cold.duals, rtol=0, atol=1e-12)
+
+
+def test_lp_rejects_starts_over_other_rows_or_columns():
+    a = np.array([[1.0, 1.0, 2.0], [1.0, 0.0, 1.0]])
+    b = np.array([1.0, 2.0])
+    c = np.array([-1.0, -1.0, -1.5])
+    first = solve_lp(LinearProgram(c[:2], a[:, :2], b))
+    assert solve_lp(LinearProgram(c, a, b), start=first).objective == (
+        pytest.approx(-1.0)
+    )
+    with pytest.raises(ValueError, match="other rows"):
+        solve_lp(LinearProgram(c, a, np.array([1.0, 3.0])), start=first)
+    with pytest.raises(ValueError, match="other rows"):
+        solve_lp(LinearProgram(c, a[:1], b[:1]), start=first)
+    moved = a.copy()
+    moved[0, 1] = 0.5
+    for lp in (
+        LinearProgram(c, moved, b),                     # a column changed
+        LinearProgram(c * 2.0, a, b),                   # a cost changed
+        LinearProgram(c[[1, 0, 2]], a[:, [1, 0, 2]], b),  # reordered
+        LinearProgram(c[:1], a[:, :1], b),              # fewer columns
+    ):
+        with pytest.raises(ValueError, match="prefix"):
+            solve_lp(lp, start=first)
+    with pytest.raises(ValueError, match="solve_lp"):
+        solve_lp(LinearProgram(c, a, b), start=convex_core.SolveOutcome(
+            np.zeros(2), 0.0, STATUS_OPTIMAL, 0))
 
 
 def test_barrier_clipped_quadratic():

@@ -63,3 +63,9 @@ def test_tracer_records_the_relaxation_layers():
     masters = spans["convex_core.solve_lp"]
     assert len(masters) == plan.dual.iterations - 1
     assert all(span.parent is dual for span in masters)
+    # each master solve goes on from the last one's tableau, so its span
+    # counts only the pivots the new column brings (simplex_pivots); a
+    # replay of the basis would add up to one pivot per master row (3)
+    pivots = [span.info for span in masters]
+    assert all(isinstance(p, int) and p >= 0 for p in pivots)
+    assert sum(pivots) <= 2 * len(masters)

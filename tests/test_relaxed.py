@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from outage_planner import relaxed_optimum
 from outage_planner.channel import gain_at, snr
+from outage_planner.pipeline import plan_joint
 from outage_planner.relaxed_optimum import (
     GAP_TOL,
     DualPoint,
@@ -22,11 +24,12 @@ from outage_planner.relaxed_optimum import (
     powers_given_location,
     solve_relaxed,
 )
-from outage_planner.scenario import load_scenario
+from outage_planner.scenario import load_scenario, plan_violations
 from tests.conftest import (
     DEGENERATE,
     DEMO_SCENARIO,
     barrier_power_oracle,
+    exact_solve,
     full_grid_maximize_dual,
     random_scenario,
     small_doc,
@@ -265,6 +268,71 @@ def test_hover_plan_reaches_the_bound_with_degenerate_duals(case):
     assert plan.outage - dual.value <= 1e-9
     for loc, powers in zip(plan.locations, plan.powers):
         assert snr(loc, powers, scn) >= scn.gamma_min * (1 - 1e-9)
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_scenarios_relax_and_plan_cleanly(case):
+    """One sensor, one slot, q_i == q_f, co-located sensors, alpha = 2 and
+    thresholds unreachable or trivially met, on a 21 x 21 grid.  Every
+    master here ends at zero prices.  At an unreachable threshold no grid
+    point can transmit even at the caps, so the first pricing pass takes
+    the outage branch and the loop ends before any column.  The hover
+    plan and the joint plan keep within the bound, and the joint plan
+    meets every constraint.
+    """
+    scn = load_scenario(DEGENERATE[case])
+    grid = GridSpec.from_scenario(scn, resolution=21)
+    dual, hover = solve_relaxed(scn, grid)
+    assert (dual.mu == 0.0).all()
+    if case == "unreachable threshold":
+        assert dual.grid_index is None and dual.iterations == 1
+        assert dual.value == hover.outage == 1.0
+    assert dual.gap <= GAP_TOL
+    assert hover.outage >= dual.value - 1e-9
+    plan = plan_joint(scn, grid=grid)
+    assert plan.dual.value == dual.value
+    assert plan.outage >= dual.value - 1e-9
+    assert plan_violations(scn, plan.trajectory, plan.schedule) == []
+
+
+def test_final_master_matches_an_exact_solve(monkeypatch):
+    """On paper.json at 81 x 81 the master is solved 235 times, each solve
+    going on from the last one's tableau.  The final shares and prices
+    match an exact rational solve of the final basis within 1e-11: each
+    solve refines its basic values against the original rows, so
+    rounding does not build up along the chain.
+    """
+    masters = []
+    real = relaxed_optimum.solve_lp
+
+    def kept(lp, start=None):
+        masters.append((lp, real(lp, start=start)))
+        return masters[-1][1]
+
+    monkeypatch.setattr(relaxed_optimum, "solve_lp", kept)
+    scn = load_scenario(DEMO_SCENARIO)
+    maximize_dual(scn, GridSpec.from_scenario(scn))
+    assert len(masters) > 200
+    lp, out = masters[-1]
+    m, n = lp.a_ub.shape
+    vertex = np.concatenate([out.x, lp.b_ub - lp.a_ub @ out.x])
+    basis = np.flatnonzero(vertex > 1e-9)
+    assert basis.size == m   # a nondegenerate vertex names its basis
+    columns = np.hstack([lp.a_ub, np.eye(m)])[:, basis]
+    cost = np.concatenate([lp.c, np.zeros(m)])[basis]
+
+    def exact(matrix, rhs):
+        return exact_solve(
+            [[Fraction(float(v)) for v in row] for row in matrix],
+            [Fraction(float(v)) for v in rhs],
+        )
+
+    np.testing.assert_allclose(
+        vertex[basis], exact(columns, lp.b_ub), rtol=0, atol=1e-11
+    )
+    np.testing.assert_allclose(
+        out.duals, -exact(columns.T, cost), rtol=0, atol=1e-11
+    )
 
 
 def test_iteration_cap_reports_the_open_gap(monkeypatch):

@@ -479,6 +479,34 @@ def test_trajectory_step_on_degenerate_programs(monkeypatch, case):
         assert mine == pytest.approx(reference, rel=1e-8)
 
 
+@pytest.mark.parametrize("gamma", [100.0, 1e12, 1e-6])
+def test_steps_chain_through_a_silent_slot(gamma):
+    """A slot with no power (slot 3) has a flat tangent bound in the power
+    step: its target, zero, is already met, so it keeps zero powers and
+    drops out of the price test.  Power and trajectory steps chain through
+    it without a divide-by-zero warning (the suite turns RuntimeWarning
+    into an error), every step is accepted, the objective never falls and
+    every plan is feasible.  A state with every slot silent stays silent.
+    """
+    scn = load_scenario(small_doc(gamma_min=gamma))
+    state = _full_budget_state(scn)
+    powers = state.powers.copy()
+    powers[:, 3] = 0.0
+    state = sca_planner._state_from_plan(state.trajectory, powers, scn)
+    for step in (sca_planner.power_step, sca_planner.trajectory_step) * 3:
+        before = state.objective
+        state, ok = step(state, scn)
+        assert ok
+        assert state.objective >= before - 1e-9 * max(1.0, before)
+        assert (state.powers[:, 3] == 0.0).all()
+        assert plan_violations(scn, state.trajectory, state.schedule) == []
+    silent = sca_planner._state_from_plan(
+        state.trajectory, np.zeros_like(powers), scn
+    )
+    state, ok = sca_planner.power_step(silent, scn)
+    assert ok and (state.powers == 0.0).all()
+
+
 def test_trajectory_step_far_beyond_reach(monkeypatch):
     """With every cap out of reach the step's program does not depend on
     gamma: A' is in units of gamma * noise and the objective is (gamma / N)
