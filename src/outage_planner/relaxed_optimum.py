@@ -130,47 +130,11 @@ class HoverPlan:
     mu: np.ndarray          # prices of the dual bound the plan is checked against
 
 
-def _amp_target(scenario: Scenario) -> float:
-    """Received-amplitude target: sqrt(gamma_min * noise_power)."""
-    return math.sqrt(scenario.gamma_min * scenario.noise_power)
-
-
-def _slot_caps(scenario: Scenario) -> np.ndarray:
-    """Per-slot power cap for zero-priced sensors: the whole-horizon budget."""
-    return scenario.n_slots * scenario.power_budgets
-
-
-def _powers_from_gains(
-    mu: np.ndarray, g_row: np.ndarray, scenario: Scenario
-) -> np.ndarray:
-    """Cheapest powers meeting the SNR threshold at one location.
-
-    With all prices positive this is the stationarity solution
-    rho_k = amp_target * sqrt(g_k) / (mu_k * sum_j g_j / mu_j), which meets
-    the threshold with equality.  Zero-priced sensors are pinned at the
-    per-slot cap (they are free, so maximal contribution is optimal) and
-    the priced sensors split the residual amplitude the same way.  If no
-    sensor is priced and the caps cannot reach the threshold, the caps are
-    returned; callers detect that case by checking the achieved SNR.
-    """
-    b_amp = _amp_target(scenario)
-    priced = mu > EPS_MU
-    if priced.all():
-        s_val = float((g_row / mu).sum())
-        rho = b_amp * np.sqrt(g_row) / (mu * s_val)
-        return rho**2
-
-    caps = _slot_caps(scenario)
-    powers = np.zeros_like(mu)
-    free = ~priced
-    powers[free] = caps[free]
-    amp_free = float(np.sqrt(g_row[free] * caps[free]).sum())
-    resid = b_amp - amp_free
-    if priced.any() and resid > 0.0:
-        s_val = float((g_row[priced] / mu[priced]).sum())
-        rho = resid * np.sqrt(g_row[priced]) / (mu[priced] * s_val)
-        powers[priced] = rho**2
-    return powers
+def _cap_amplitudes(scenario: Scenario, gains: np.ndarray) -> np.ndarray:
+    """Received amplitudes sqrt(g_k * N * B_k) at each point (row of
+    ``gains``) of sensors transmitting at their per-slot cap N * B_k, the
+    whole-horizon budget."""
+    return np.sqrt(gains * (scenario.n_slots * scenario.power_budgets))
 
 
 def _checked_prices(mu, scenario: Scenario) -> np.ndarray:
@@ -185,55 +149,77 @@ def _checked_prices(mu, scenario: Scenario) -> np.ndarray:
     return mu
 
 
+def _transmit(
+    mu: np.ndarray, scenario: Scenario, gains: np.ndarray, amps=None
+):
+    """Cheapest threshold-meeting powers at checked prices mu over points
+    with channel ``gains`` and cap amplitudes ``amps`` (both (M, K); the
+    amplitudes are computed here if None and some price is zero).
+
+    Zero-priced sensors are free, so they transmit at their per-slot cap.
+    The priced ones split the leftover amplitude r = max(0, b - sum of the
+    free amplitudes), b = sqrt(gamma_min * noise_power), as
+    rho_k = r * sqrt(g_k) / (mu_k * s) with s = sum_j g_j / mu_j over the
+    priced sensors; this meets the threshold with equality at priced cost
+    r^2 / s.  Returns (costs, index, powers): that cost at every point,
+    shape (M,), infinite where nothing is priced and the caps fall short;
+    the first cheapest point's index; and its powers (watts).
+    """
+    b_amp = math.sqrt(scenario.gamma_min * scenario.noise_power)
+    priced = mu > EPS_MU
+    all_priced = priced.all()
+    if all_priced:
+        resid, s_vals = b_amp, gains @ (1.0 / mu)
+    else:
+        if amps is None:
+            amps = _cap_amplitudes(scenario, gains)
+        resid = np.maximum(b_amp - amps[:, ~priced].sum(axis=1), 0.0)
+        s_vals = gains[:, priced] @ (1.0 / mu[priced])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        costs = resid**2 / s_vals
+    # with nothing priced s = 0: r^2 / 0 is inf where the caps fall short,
+    # and 0 / 0 where they reach
+    if not priced.any():
+        costs[resid == 0.0] = 0.0
+    idx = int(costs.argmin())
+    r = resid if all_priced else resid[idx]
+    powers = np.where(priced, 0.0, scenario.n_slots * scenario.power_budgets)
+    if r > 0.0 and priced.any():
+        g = gains[idx, priced]
+        s_val = float((g / mu[priced]).sum())
+        powers[priced] = (r * np.sqrt(g) / (mu[priced] * s_val)) ** 2
+    return costs, idx, powers
+
+
 def powers_given_location(
     mu: np.ndarray, q, scenario: Scenario
 ) -> np.ndarray:
-    """Transmit-branch optimal powers (watts) at planar location q."""
-    mu = _checked_prices(mu, scenario)
-    g_row = gain_at(np.asarray(q, dtype=float)[None, :], scenario)[0]
-    return _powers_from_gains(mu, g_row, scenario)
+    """Transmit-branch optimal powers (watts) at planar location q.
 
-
-def _transmit_costs(
-    mu: np.ndarray, scenario: Scenario, gains: np.ndarray
-) -> np.ndarray:
-    """Minimal priced transmit cost at every grid point, shape (M,).
-
-    Infinite entries mark points where the threshold is unreachable (only
-    possible when every sensor is zero-priced and capped).
+    Raises ValueError unless mu holds K finite nonnegative prices and q
+    two finite numbers.  If no sensor is priced and the caps cannot reach
+    the threshold, the caps are returned; callers detect that case by
+    checking the achieved SNR.
     """
-    b_amp = _amp_target(scenario)
-    priced = mu > EPS_MU
-    if priced.all():
-        s_vals = gains @ (1.0 / mu)
-        return (b_amp**2) / s_vals
-
-    caps = _slot_caps(scenario)
-    free = ~priced
-    amp_free = np.sqrt(gains[:, free] * caps[free]).sum(axis=1)
-    resid = np.maximum(b_amp - amp_free, 0.0)
-    if priced.any():
-        s_vals = gains[:, priced] @ (1.0 / mu[priced])
-        return resid**2 / s_vals
-    costs = np.zeros(gains.shape[0])
-    costs[resid > 0.0] = np.inf
-    return costs
+    mu = _checked_prices(mu, scenario)
+    q = np.asarray(q, dtype=float)
+    if q.shape != (2,) or not np.isfinite(q).all():
+        raise ValueError("q must be two finite numbers")
+    return _transmit(mu, scenario, gain_at(q[None, :], scenario))[2]
 
 
-def _price(mu: np.ndarray, scenario: Scenario, gains: np.ndarray):
+def _price(mu: np.ndarray, scenario: Scenario, gains: np.ndarray, amps=None):
     """The dual at checked prices mu over the grid points with channel
-    ``gains``, as (value, powers, grid index or None).
+    ``gains`` and cap amplitudes ``amps`` (see ``_transmit``), as (value,
+    powers, grid index or None).
 
     ``powers`` are the cheapest threshold-meeting powers at the first
     (row-major) cheapest grid point, or zeros on the outage branch.
     """
     budgets = scenario.power_budgets
-    costs = _transmit_costs(mu, scenario, gains)
-    idx = int(costs.argmin())
-    cost_min = float(costs[idx])
-    if cost_min < 1.0:
-        powers = _powers_from_gains(mu, gains[idx], scenario)
-        return cost_min - float(mu @ budgets), powers, idx
+    costs, idx, powers = _transmit(mu, scenario, gains, amps)
+    if costs[idx] < 1.0:
+        return float(costs[idx]) - float(mu @ budgets), powers, idx
     return 1.0 - float(mu @ budgets), np.zeros_like(budgets), None
 
 
@@ -277,6 +263,7 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     k = scenario.n_sensors
     budgets = scenario.power_budgets
     gains = gain_at(grid.points(), scenario)
+    amps = _cap_amplitudes(scenario, gains)
     rows = np.append(budgets, 1.0)
     points: list[int] = []
     table = np.ones((k + 1, _MAX_ITERATIONS))   # column powers over a ones row
@@ -285,7 +272,7 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     master = None
     best: DualPoint | None = None
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        value, column, idx = _price(mu, scenario, gains)
+        value, column, idx = _price(mu, scenario, gains, amps)
         if best is None or value > best.value:
             best = DualPoint(mu, value, column - budgets, idx)
         gap = 1.0 - float(shares.sum()) - best.value

@@ -21,11 +21,7 @@ from outage_planner.convex_core import (
     SmoothConvexProgram,
     solve_barrier,
 )
-from outage_planner.relaxed_optimum import (
-    DualPoint,
-    _powers_from_gains,
-    _transmit_costs,
-)
+from outage_planner.relaxed_optimum import DualPoint, dual_function
 from outage_planner.sca_planner import _accept, _state_from_plan, direct_flight
 from outage_planner.scenario import (
     PowerSchedule,
@@ -675,21 +671,6 @@ def barrier_trajectory_step_reference(state, scenario):
     ))
 
 
-def full_grid_dual_point(mu, scenario, gains):
-    """The dual at mu with every grid point priced: value, supergradient and
-    the first (row-major) cheapest transmit point, or the outage branch."""
-    budgets = scenario.power_budgets
-    costs = _transmit_costs(mu, scenario, gains)
-    idx = int(np.argmin(costs))
-    cost_min = float(costs[idx])
-    if cost_min < 1.0:
-        powers = _powers_from_gains(mu, gains[idx], scenario)
-        value = cost_min - float(mu @ budgets)
-        return DualPoint(mu.copy(), value, powers - budgets, idx)
-    value = 1.0 - float(mu @ budgets)
-    return DualPoint(mu.copy(), value, -budgets)
-
-
 def default_mu_box(scenario):
     """Upper edge of the price box searched by the ellipsoid oracle."""
     k = scenario.n_sensors
@@ -702,7 +683,7 @@ def full_grid_maximize_dual(scenario, grid):
     An independent oracle for ``relaxed_optimum.maximize_dual``: the ball
     circumscribing the price box [0, ``default_mu_box``]^K, feasibility
     cuts on negative centers, objective cuts along the supergradient of
-    ``full_grid_dual_point``, and a stop once the volume has shrunk by
+    ``dual_function``, and a stop once the volume has shrunk by
     1e-8**K; returns the best evaluated center.
     """
     k = scenario.n_sensors
@@ -729,7 +710,7 @@ def full_grid_maximize_dual(scenario, grid):
             h = np.zeros(k)
             h[violating[0]] = -1.0
         else:
-            point = full_grid_dual_point(center, scenario, gains)
+            point = dual_function(center, scenario, gains)
             if best is None or point.value > best.value:
                 best = point
             h = -point.subgradient
@@ -750,6 +731,6 @@ def full_grid_maximize_dual(scenario, grid):
         if log_ratio < log_tol:
             break
     if best is None:
-        best = full_grid_dual_point(np.zeros(k), scenario, gains)
+        best = dual_function(np.zeros(k), scenario, gains)
     return DualPoint(best.mu, best.value, best.subgradient, best.grid_index,
                      iterations)

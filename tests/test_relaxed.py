@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,6 +87,14 @@ def test_non_finite_prices_are_rejected(small_scenario, bad):
             call()
 
 
+@pytest.mark.parametrize(
+    "q", [(np.nan, 0.0), (0.0, np.inf), (0.0, 0.0, 0.0), (1.0,), 3.0]
+)
+def test_powers_reject_bad_locations(small_scenario, q):
+    with pytest.raises(ValueError, match="two finite numbers"):
+        powers_given_location(np.ones(2), q, small_scenario)
+
+
 def test_grid_spec_row_major_points(small_scenario):
     grid = GridSpec(0.0, 2.0, 10.0, 11.0, nx=3, ny=2)
     pts = grid.points()
@@ -135,6 +144,58 @@ def test_dual_supergradient_inequality(small_scenario):
         at_b = dual_function(mu_b, small_scenario, gains)
         # concavity: g(b) <= g(a) + s_a . (b - a)
         assert at_b.value <= at_a.value + at_a.subgradient @ (mu_b - mu_a) + 1e-12
+
+
+ZERO_PRICE_CASES = (
+    "some zero", "all zero, caps reach", "all zero, caps fall short"
+)
+
+
+@pytest.mark.parametrize("seed", [0, 4, 5])
+@pytest.mark.parametrize("case", ZERO_PRICE_CASES)
+def test_zero_prices_match_a_per_point_loop(case, seed):
+    """Pricing with zero prices on a 21 x 21 grid against a loop over
+    ``powers_given_location``: a point's cost is its priced power if that
+    meets the threshold and infinite otherwise."""
+    scn = random_scenario(seed)
+    k = scn.n_sensors
+    assert k >= 3
+    points = GridSpec.from_scenario(scn, resolution=21).points()
+    gains = gain_at(points, scn)
+    caps = scn.n_slots * scn.power_budgets
+    mu = np.zeros(k)
+    if case == "some zero":
+        # sensor 0 is free but its cap alone reaches the threshold nowhere;
+        # the others are priced low enough to transmit somewhere
+        only_0 = np.append(caps[0], np.zeros(k - 1))
+        alone = max(snr(q, only_0, scn) for q in points)
+        scn = replace(scn, gamma_min=2.0 * alone)
+        top = gains[:, 1:].sum(axis=1).max() / (scn.gamma_min * scn.noise_power)
+        mu[1:] = top * np.random.default_rng(seed).uniform(0.25, 0.5, size=k - 1)
+    elif case == "all zero, caps fall short":
+        scn = replace(scn, gamma_min=2.0 * max(snr(q, caps, scn) for q in points))
+    free = mu == 0.0
+    costs = np.empty(len(points))
+    for i, q in enumerate(points):
+        powers = powers_given_location(mu, q, scn)
+        np.testing.assert_array_equal(powers[free], caps[free])
+        meets = snr(q, powers, scn) >= scn.gamma_min * (1 - 1e-9)
+        costs[i] = float(mu @ powers) if meets else np.inf
+    idx = int(costs.argmin())
+    budgets = scn.power_budgets
+    got = dual_function(mu, scn, gains)
+    assert got.value == pytest.approx(
+        min(1.0, costs[idx]) - float(mu @ budgets), abs=1e-12
+    )
+    if case == "all zero, caps fall short":
+        assert got.grid_index is None and got.value == 1.0
+        return
+    assert costs[idx] < 1.0 and got.grid_index == idx
+    column = got.subgradient + budgets
+    assert snr(points[idx], column, scn) >= scn.gamma_min * (1 - 1e-9)
+    np.testing.assert_array_equal(column[free], caps[free])
+    if case == "some zero":
+        assert np.all(column[~free] > 0.0)   # the priced sensors split the rest
 
 
 def test_maximize_dual_beats_random_prices(small_scenario):

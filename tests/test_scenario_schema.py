@@ -171,7 +171,7 @@ def test_every_single_edit_matches_schema_oracle():
         assert_matches_oracle([edit])
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.lists(setters, max_size=3), st.lists(reshapers, max_size=1))
 def test_edit_combinations_match_schema_oracle(value_edits, reshapes):
     assert_matches_oracle(value_edits + reshapes)
