@@ -90,14 +90,13 @@ def run_fly_hover_fly(
 ) -> BenchmarkResult:
     """Best single-hover itinerary over a grid of candidate hover points.
 
-    Ties in outage are broken by row-major grid order.  Candidates whose
-    solver-free bound cannot beat the incumbent are skipped; the scan is
-    seeded with the candidate of largest bound so pruning bites early.
+    Ties in outage are broken by row-major grid order.  Candidates are
+    visited by their solver-free bound on the served slots, largest first,
+    and those whose bound cannot beat the incumbent are never recovered.
     """
     if grid is None:
         grid = GridSpec.from_scenario(scenario, resolution=FHF_GRID_POINTS)
     points = grid.points()
-    n = scenario.n_slots
     q_i = np.asarray(scenario.q_start)
     q_f = np.asarray(scenario.q_final)
     v = scenario.v_max
@@ -126,31 +125,22 @@ def run_fly_hover_fly(
             scenario, [points[idx]], [max(hover[idx], 0.0)]
         )
 
-    bounds = np.full(points.shape[0], -1, dtype=int)
-    for idx in reachable:
-        bounds[idx] = max_active_upper_bound(scenario, build(idx), budget_norm)
-
-    # seed the incumbent with the most promising candidate
-    seed = int(np.flatnonzero(bounds == bounds.max())[0])
-    seed_rec = recover_powers(scenario, build(seed), budget_norm)
-    best_idx, best_rec = seed, seed_rec
-    evaluations = 1
-
-    for idx in reachable:
-        lb_outage = (n - bounds[idx]) / n
-        if lb_outage > best_rec.outage:
+    bounds = {
+        idx: max_active_upper_bound(scenario, build(idx), budget_norm)
+        for idx in reachable
+    }
+    # best bound first: once a bound falls below the incumbent's served
+    # count, no later candidate can beat it
+    best_n, best_idx, best_rec, evaluations = -1, -1, None, 0
+    for idx in sorted(reachable, key=lambda i: (-bounds[i], i)):
+        if bounds[idx] < best_n:
+            break
+        if bounds[idx] == best_n and idx > best_idx:
             continue
-        if lb_outage == best_rec.outage and idx >= best_idx:
-            continue
-        if idx == seed:
-            rec = seed_rec
-        else:
-            rec = recover_powers(scenario, build(idx), budget_norm)
-            evaluations += 1
-        if rec.outage < best_rec.outage or (
-            rec.outage == best_rec.outage and idx < best_idx
-        ):
-            best_idx, best_rec = idx, rec
+        rec = recover_powers(scenario, build(idx), budget_norm)
+        evaluations += 1
+        if (rec.n_active, -idx) > (best_n, -best_idx):
+            best_n, best_idx, best_rec = rec.n_active, idx, rec
 
     trajectory = build(best_idx)
     return _evaluated(

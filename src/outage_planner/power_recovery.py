@@ -90,14 +90,12 @@ def _solver_threshold(scenario: Scenario) -> float:
     )
 
 
-def _budget_capacity(
-    scenario: Scenario, budget_norm: str, m: int
-) -> np.ndarray:
-    """Energy C_k each sensor may spend over m served slots, shape (K,)."""
+def _spread(budget_norm: str, n_slots: int, served):
+    """Slots each budget is averaged over when ``served`` slots are served."""
     if budget_norm == "horizon":
-        return scenario.power_budgets * scenario.n_slots
+        return n_slots
     if budget_norm == "active_slots":
-        return scenario.power_budgets * m
+        return served
     raise ValueError(f"budget_norm must be one of {BUDGET_NORMS}")
 
 
@@ -120,7 +118,7 @@ def feasibility_for_subset(
     if slots.min() < 0 or slots.max() >= n or np.unique(slots).size < slots.size:
         raise ValueError("slots must be distinct indices in [0, n_slots)")
 
-    capacity = _budget_capacity(scenario, budget_norm, slots.size)
+    capacity = scenario.power_budgets * _spread(budget_norm, n, slots.size)
     gains = gain_at(trajectory.slot_positions[slots], scenario).T    # (K, m)
     h = gains * capacity[:, None] / _solver_threshold(scenario) ** 2
 
@@ -132,56 +130,13 @@ def feasibility_for_subset(
     return True, powers
 
 
-def _equal_split_prefix(
-    scenario: Scenario, full_amp_ranked: np.ndarray, budget_norm: str
-) -> int:
-    """Largest v certified feasible by the closed-form equal split.
-
-    Splitting each budget evenly over the v best slots scales every
-    full-budget amplitude by sqrt(N / v) under horizon normalization (no
-    scaling under active-slot normalization); the certificate checks the
-    v-th worst amplitude against the solver threshold with extra margin.
-    """
-    n = scenario.n_slots
-    b = _solver_threshold(scenario) * (1.0 + CERT_MARGIN)
-    prefix_min = np.minimum.accumulate(full_amp_ranked)
-    v_values = np.arange(1, n + 1)
-    if budget_norm == "horizon":
-        ok = prefix_min * np.sqrt(n / v_values) >= b
-    else:
-        ok = prefix_min >= b
-    idx = np.flatnonzero(~ok)
-    return int(idx[0]) if idx.size else n
-
-
-def _pooled_energy_prefix(
-    scenario: Scenario, gains_ranked: np.ndarray, budget_norm: str
-) -> int:
-    """Largest v not excluded by the pooled-energy necessary condition.
-
-    Cauchy-Schwarz gives amp_n^2 <= (sum_k c_kn)(sum_k P_kn), so serving
-    slot n needs total power >= gamma * noise / sum_k c_kn there; the sums
-    over served slots cannot exceed the total energy the budgets allow.
-    """
-    n = scenario.n_slots
-    need = scenario.gamma_min * scenario.noise_power / gains_ranked.sum(axis=1)
-    cum = np.cumsum(need)
-    total = scenario.power_budgets.sum()
-    v_values = np.arange(1, n + 1)
-    if budget_norm == "horizon":
-        ok = cum <= n * total * (1.0 + 1e-12)
-    else:
-        ok = cum <= v_values * total * (1.0 + 1e-12)
-    idx = np.flatnonzero(~ok)
-    return int(idx[0]) if idx.size else n
-
-
 def _rank_and_gains(
     scenario: Scenario,
     trajectory: Trajectory,
     schedule: PowerSchedule | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(ranking, channel gains in rank order), shapes (N,) and (N, K).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ranking, channel gains, full-budget amplitudes), the last two in
+    rank order; shapes (N,), (N, K) and (N,).
 
     Slots are ranked by full-budget SNR, or when a ``schedule`` is given
     (e.g. the SCA iterate's powers) by its SNR capped just below gamma
@@ -190,12 +145,9 @@ def _rank_and_gains(
     break the ties.
     """
     n = scenario.n_slots
-    k = scenario.n_sensors
     gains = gain_at(trajectory.slot_positions, scenario)   # (N, K)
-    full = PowerSchedule(
-        np.broadcast_to(scenario.power_budgets[:, None], (k, n)).copy()
-    )
-    full_snr = snr_from_gains(full, gains, scenario)
+    amps = np.sqrt(gains * scenario.power_budgets).sum(axis=1)
+    full_snr = amps**2 / scenario.noise_power
     if schedule is None:
         ranking = rank_slots(full_snr)
     else:
@@ -204,7 +156,40 @@ def _rank_and_gains(
             scenario.gamma_min * RANK_CAP,
         )
         ranking = np.lexsort((np.arange(n), -full_snr, -capped))
-    return ranking, gains[ranking]
+    return ranking, gains[ranking], amps[ranking]
+
+
+def _prefix_bracket(
+    scenario: Scenario,
+    gains_ranked: np.ndarray,
+    amps_ranked: np.ndarray,
+    budget_norm: str,
+) -> tuple[int, int]:
+    """(lo, hi) around the longest feasible prefix of the ranking.
+
+    lo is the largest v certified by the closed-form equal split: each
+    budget spread evenly over the v best slots scales every full-budget
+    amplitude by sqrt(spread / v), and the v-th worst scaled amplitude
+    must clear the solver threshold with extra margin.
+
+    hi is the largest v not excluded by pooled energy: Cauchy-Schwarz
+    gives amp_n^2 <= (sum_k g_kn)(sum_k P_kn), so serving slot n needs
+    total power >= gamma * noise / sum_k g_kn there, and the sum over the
+    served slots cannot exceed the energy the budgets allow.  The same
+    inequality gives lo <= hi.
+    """
+    n = scenario.n_slots
+    v = np.arange(1, n + 1)
+    spread = _spread(budget_norm, n, v)
+    b = _solver_threshold(scenario) * (1.0 + CERT_MARGIN)
+    certified = np.minimum.accumulate(amps_ranked) * np.sqrt(spread / v) >= b
+    need = scenario.gamma_min * scenario.noise_power / gains_ranked.sum(axis=1)
+    total = scenario.power_budgets.sum()
+    pooled = np.cumsum(need) <= spread * total * (1.0 + 1e-12)
+    # the first failing v, or n when none fails
+    return tuple(
+        int(np.argmin(np.append(ok, False))) for ok in (certified, pooled)
+    )
 
 
 def max_active_upper_bound(
@@ -213,10 +198,8 @@ def max_active_upper_bound(
     budget_norm: str = "horizon",
 ) -> int:
     """Solver-free upper bound on the non-outage slots recovery can reach."""
-    if budget_norm not in BUDGET_NORMS:
-        raise ValueError(f"budget_norm must be one of {BUDGET_NORMS}")
-    _, gains_ranked = _rank_and_gains(scenario, trajectory)
-    return _pooled_energy_prefix(scenario, gains_ranked, budget_norm)
+    _, gains_ranked, amps_ranked = _rank_and_gains(scenario, trajectory)
+    return _prefix_bracket(scenario, gains_ranked, amps_ranked, budget_norm)[1]
 
 
 def recover_powers(
@@ -232,19 +215,15 @@ def recover_powers(
     below by the equal-split certificate and above by the pooled-energy
     bound so most prefix lengths never reach the solver.
     """
-    if budget_norm not in BUDGET_NORMS:
-        raise ValueError(f"budget_norm must be one of {BUDGET_NORMS}")
     trajectory.require_finite()
     n = scenario.n_slots
     k = scenario.n_sensors
-    ranking, gains_ranked = _rank_and_gains(scenario, trajectory, schedule)
-    full_amp_ranked = np.sqrt(
-        gains_ranked * scenario.power_budgets[None, :]
-    ).sum(axis=1)
-
-    cert_v = _equal_split_prefix(scenario, full_amp_ranked, budget_norm)
-    hi = _pooled_energy_prefix(scenario, gains_ranked, budget_norm)
-    hi = max(hi, cert_v)
+    ranking, gains_ranked, amps_ranked = _rank_and_gains(
+        scenario, trajectory, schedule
+    )
+    cert_v, hi = _prefix_bracket(
+        scenario, gains_ranked, amps_ranked, budget_norm
+    )
 
     memo: dict[int, tuple[bool, np.ndarray | None]] = {}
 
@@ -256,22 +235,17 @@ def recover_powers(
         return memo[v]
 
     def probe(v: int) -> bool:
-        if v == 0 or (v <= cert_v and v not in memo):
-            return True   # certified without a solve
-        return solve(v)[0]
+        return v <= cert_v or solve(v)[0]   # certified without a solve
 
     result = bisect_max_feasible(probe, hi)
     v_star = result.value
 
-    powers = np.zeros((k, n))
-    if v_star > 0:
-        feasible, solved = solve(v_star)
-        if feasible:
-            powers = solved
-        else:
-            # certificate guarantees the closed-form split works
-            split = _budget_capacity(scenario, budget_norm, v_star) / v_star
-            powers[:, ranking[:v_star]] = split[:, None]
+    feasible, powers = solve(v_star) if v_star else (True, np.zeros((k, n)))
+    if not feasible:
+        # the certificate guarantees the closed-form split works
+        split = scenario.power_budgets * _spread(budget_norm, n, v_star) / v_star
+        powers = np.zeros((k, n))
+        powers[:, ranking[:v_star]] = split[:, None]
 
     active = np.sort(ranking[:v_star])
     return RecoveredSchedule(

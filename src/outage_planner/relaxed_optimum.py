@@ -27,7 +27,7 @@ import numpy as np
 
 from outage_planner.channel import gain_at
 from outage_planner.convex_core import LinearProgram, solve_lp
-from outage_planner.scenario import Scenario, ScenarioError
+from outage_planner.scenario import Scenario, ScenarioError, watts_to_dbm
 
 # prices at or below this are treated as zero (degenerate branch)
 EPS_MU = 1e-12
@@ -341,10 +341,7 @@ def solve_relaxed(
 
 
 def hover_plan_record(plan: HoverPlan, scenario: Scenario) -> dict:
-    """JSON-ready summary of a hover plan (powers reported in dBm)."""
-    def to_dbm(w: float) -> float | None:
-        return None if w <= 0.0 else 10.0 * math.log10(w) + 30.0
-
+    """JSON-ready summary of a hover plan (powers in dBm, None when zero)."""
     return {
         "outage": plan.outage,
         "mu": [float(v) for v in plan.mu],
@@ -353,7 +350,9 @@ def hover_plan_record(plan: HoverPlan, scenario: Scenario) -> dict:
                 "x": float(x),
                 "y": float(y),
                 "duration_s": float(tau),
-                "powers_dbm": [to_dbm(float(p)) for p in row],
+                "powers_dbm": [
+                    None if p <= 0.0 else watts_to_dbm(float(p)) for p in row
+                ],
             }
             for (x, y), tau, row in zip(
                 plan.locations, plan.durations, plan.powers

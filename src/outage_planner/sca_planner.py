@@ -747,9 +747,5 @@ def init_shf(scenario: Scenario, plan: HoverPlan) -> Trajectory:
         return direct_flight(scenario)
 
     spare = scenario.duration - t_fly
-    total_tau = float(stop_taus.sum())
-    if total_tau > 0.0:
-        hover = spare * stop_taus / total_tau
-    else:
-        hover = np.full(len(stops), spare / len(stops))
+    hover = spare * stop_taus / stop_taus.sum()
     return itinerary_trajectory(scenario, stops, hover)

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -160,14 +161,16 @@ class Scenario:
     def slot_length(self) -> float:
         return self.duration / self.n_slots
 
-    @property
+    # cached: the scenario is frozen, and a read-only array cannot drift
+    # from the sensors it was built from
+    @cached_property
     def sensor_xy(self) -> np.ndarray:
         """Sensor positions as a read-only (K, 2) array."""
         arr = np.array([s.position for s in self.sensors], dtype=float)
         arr.flags.writeable = False
         return arr
 
-    @property
+    @cached_property
     def power_budgets(self) -> np.ndarray:
         """Average-power budgets as a read-only (K,) array [W]."""
         arr = np.array([s.avg_power_budget for s in self.sensors], dtype=float)

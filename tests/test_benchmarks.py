@@ -1,5 +1,7 @@
 """Benchmark planners and the end-to-end joint pipeline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ from outage_planner.benchmarks import (
 )
 from outage_planner.channel import outage_probability, snr_series
 from outage_planner.pipeline import plan_joint
-from outage_planner.power_recovery import recover_powers
+from outage_planner.power_recovery import BUDGET_NORMS, recover_powers
 from outage_planner.relaxed_optimum import GridSpec
 from outage_planner.scenario import load_scenario, plan_violations
 from outage_planner.sca_planner import direct_flight, itinerary_trajectory
-from tests.conftest import small_doc
+from tests.conftest import random_scenario, small_doc
 
 
 def test_trajectory_only_uses_full_budgets(small_scenario):
@@ -50,7 +52,7 @@ def test_power_only_is_recovery_on_the_direct_path(small_scenario):
     assert plan_violations(small_scenario, res.trajectory, res.schedule) == []
 
 
-def fly_hover_fly_oracle(scenario, grid):
+def fly_hover_fly_oracle(scenario, grid, budget_norm="horizon"):
     """Full via-point sweep without pruning: the scheme's defining search."""
     best = None
     for via in grid.points():
@@ -61,7 +63,7 @@ def fly_hover_fly_oracle(scenario, grid):
         if hover < -1e-9 * scenario.duration:
             continue
         tr = itinerary_trajectory(scenario, [via], [max(hover, 0.0)])
-        rec = recover_powers(scenario, tr)
+        rec = recover_powers(scenario, tr, budget_norm)
         key = rec.outage
         if best is None or key < best[0] - 1e-15:
             best = (key, via, rec)
@@ -100,6 +102,20 @@ def test_fly_hover_fly_prunes_but_stays_exact(small_scenario):
     assert res.outage == pytest.approx(oracle_out, abs=1e-12)
     assert res.details["evaluations"] <= grid.nx * grid.ny
     assert res.details["hover_s"] >= 0.0
+
+
+@pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
+def test_fly_hover_fly_matches_oracle_on_random_scenarios(budget_norm):
+    for seed in range(6):
+        # thresholds up to 4x the generated one, so some slots go unserved
+        scn = random_scenario(seed)
+        scn = replace(scn, gamma_min=scn.gamma_min * 2 ** (seed % 3))
+        grid = GridSpec.from_scenario(scn, resolution=7)
+        res = run_fly_hover_fly(scn, grid, budget_norm)
+        oracle_out, oracle_via, _ = fly_hover_fly_oracle(scn, grid, budget_norm)
+        assert res.outage == oracle_out, seed
+        np.testing.assert_allclose(res.details["via"], oracle_via, atol=1e-9)
+        assert res.details["budget_norm"] == budget_norm
 
 
 def test_fly_hover_fly_tight_duration_falls_back(small_scenario):

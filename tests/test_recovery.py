@@ -131,10 +131,13 @@ def test_budget_norm_horizon_dominates_active_slots(small_scenario):
 
 
 def test_budget_norm_validation(small_scenario):
+    tr = direct_flight(small_scenario)
     with pytest.raises(ValueError):
-        recover_powers(
-            small_scenario, direct_flight(small_scenario), budget_norm="daily"
-        )
+        recover_powers(small_scenario, tr, budget_norm="daily")
+    with pytest.raises(ValueError):
+        max_active_upper_bound(small_scenario, tr, budget_norm="daily")
+    with pytest.raises(ValueError):
+        feasibility_for_subset(small_scenario, tr, [0], budget_norm="daily")
 
 
 def test_upper_bound_caps_recovery(small_scenario):
@@ -142,6 +145,27 @@ def test_upper_bound_caps_recovery(small_scenario):
     ub = max_active_upper_bound(small_scenario, tr, "horizon")
     rec = recover_powers(small_scenario, tr)
     assert 0 <= rec.n_active <= ub <= small_scenario.n_slots
+
+
+@pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
+def test_prefix_bracket_holds_the_recovered_count(budget_norm):
+    # lo is the equal-split certificate, hi the pooled-energy bound; the
+    # served count lies between them whichever ranking is searched
+    for seed in range(24):
+        scn = random_scenario(seed)
+        rng = np.random.default_rng(seed)
+        scaled = rng.uniform(0.0, 2.0, (scn.n_sensors, scn.n_slots))
+        random_powers = PowerSchedule(scaled * scn.power_budgets[:, None])
+        tr = direct_flight(scn)
+        for schedule in (None, random_powers):
+            rec = recover_powers(scn, tr, budget_norm, schedule=schedule)
+            _, gains, amps = power_recovery._rank_and_gains(scn, tr, schedule)
+            lo, hi = power_recovery._prefix_bracket(
+                scn, gains, amps, budget_norm
+            )
+            assert lo <= rec.n_active <= hi, (seed, schedule is None)
+            if schedule is None:
+                assert hi == max_active_upper_bound(scn, tr, budget_norm)
 
 
 def test_recovery_accepts_schedule_ranking(small_scenario):

@@ -1,5 +1,6 @@
 """Convexified refinement: tangent bounds, steps, initial trajectories."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ from outage_planner.benchmarks import run_trajectory_only
 from outage_planner.channel import gain_at, snr_series
 from outage_planner.convex_core import solve_socp
 from outage_planner.power_recovery import recover_powers
-from outage_planner.relaxed_optimum import GridSpec, solve_relaxed
+from outage_planner.relaxed_optimum import GridSpec, HoverPlan, solve_relaxed
 from outage_planner.scenario import (
     PowerSchedule,
     ScenarioError,
@@ -150,6 +151,110 @@ def test_init_shf_falls_back_to_direct_when_time_is_tight():
     tr = init_shf(scn, plan)
     np.testing.assert_allclose(
         tr.waypoints, direct_flight(scn).waypoints, atol=1e-9
+    )
+
+
+def open_path_length(points) -> float:
+    """Length of the polyline through ``points``, summed as the planner does."""
+    return sum(math.dist(a, b) for a, b in zip(points, points[1:]))
+
+
+def tour_length(order, locs, q_i, q_f) -> float:
+    return open_path_length([q_i] + [locs[i] for i in order] + [q_f])
+
+
+def random_stops(m, seed):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 100.0, (m, 2)), *rng.uniform(0.0, 100.0, (2, 2))
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_tsp_order_is_exact_up_to_eight_stops(m):
+    locs, q_i, q_f = random_stops(m, seed=m)
+    order = sca_planner._tsp_order(locs, q_i, q_f)
+    assert sorted(order) == list(range(m))
+    best = min(
+        tour_length(perm, locs, q_i, q_f)
+        for perm in itertools.permutations(range(m))
+    )
+    assert tour_length(order, locs, q_i, q_f) == pytest.approx(best, abs=1e-9)
+
+
+@pytest.mark.parametrize("m", range(9, 13))
+def test_tsp_order_is_two_opt_local_optimum_beyond_eight_stops(m):
+    locs, q_i, q_f = random_stops(m, seed=m)
+    order = sca_planner._tsp_order(locs, q_i, q_f)
+    assert sorted(order) == list(range(m))
+    # nearest-neighbour tour from the start, ties to the lower index
+    nearest, cur, left = [], q_i, set(range(m))
+    while left:
+        j = min(left, key=lambda j: (math.dist(cur, locs[j]), j))
+        nearest.append(j)
+        left.remove(j)
+        cur = locs[j]
+    length = tour_length(order, locs, q_i, q_f)
+    assert length <= tour_length(nearest, locs, q_i, q_f)
+    for i in range(m - 1):
+        for j in range(i + 1, m):
+            reversed_ij = order[:i] + order[i : j + 1][::-1] + order[j + 1 :]
+            assert tour_length(reversed_ij, locs, q_i, q_f) >= length - 1e-12
+
+
+def hover_plan(scn, locations, durations) -> HoverPlan:
+    k = scn.n_sensors
+    locations = np.asarray(locations, dtype=float)
+    return HoverPlan(
+        locations,
+        np.zeros((len(locations), k)),
+        np.asarray(durations, dtype=float),
+        0.0,
+        np.zeros(k),
+    )
+
+
+def test_init_shf_splits_spare_time_by_plan_durations(
+    small_scenario, monkeypatch
+):
+    scn = small_scenario
+    # zero and sub-1e-12 T durations are dropped; three stops remain
+    locs = [[60.0, 40.0], [70.0, 20.0], [20.0, 10.0], [10.0, 30.0], [40.0, 25.0]]
+    taus = [0.5, 0.0, 2.0, 1e-15, 1.0]
+    seen = {}
+    real = sca_planner.itinerary_trajectory
+
+    def spy(scenario, stops, hover_times):
+        seen.update(stops=np.asarray(stops), hover=np.asarray(hover_times))
+        return real(scenario, stops, hover_times)
+
+    monkeypatch.setattr(sca_planner, "itinerary_trajectory", spy)
+    tr = init_shf(scn, hover_plan(scn, locs, taus))
+    np.testing.assert_array_equal(
+        seen["stops"], [[20.0, 10.0], [40.0, 25.0], [60.0, 40.0]]
+    )
+    np.testing.assert_allclose(
+        seen["hover"] / seen["hover"].sum(), np.array([2.0, 1.0, 0.5]) / 3.5,
+        rtol=1e-12,
+    )
+    path = [scn.q_start, *seen["stops"], scn.q_final]
+    t_fly = open_path_length(path) / scn.v_max
+    assert seen["hover"].sum() == pytest.approx(scn.duration - t_fly, rel=1e-12)
+    np.testing.assert_array_equal(
+        tr.waypoints, real(scn, seen["stops"], seen["hover"]).waypoints
+    )
+
+
+@pytest.mark.parametrize(
+    "locs, taus",
+    [
+        ([[40.0, 25.0], [20.0, 10.0]], [0.0, 1e-15]),   # nothing to visit
+        ([[40.0, 25.0], [500.0, 500.0]], [1.0, 1.0]),   # tour does not fit
+    ],
+    ids=["no positive duration", "tour too long"],
+)
+def test_init_shf_falls_back_to_direct_flight(small_scenario, locs, taus):
+    tr = init_shf(small_scenario, hover_plan(small_scenario, locs, taus))
+    np.testing.assert_array_equal(
+        tr.waypoints, direct_flight(small_scenario).waypoints
     )
 
 

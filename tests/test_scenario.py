@@ -1,6 +1,7 @@
 """Loading, validation, unit conversion, and plan feasibility checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,25 @@ def test_with_overrides():
     np.testing.assert_allclose(scn2.power_budgets, [1.0, 1.0])
     # the original is untouched
     assert scn.duration == 8.0 and scn.n_slots == 8
+    assert scn.power_budgets[0] == pytest.approx(dbm_to_watts(27.0))
+
+
+def test_scenario_arrays_are_built_once_and_read_only():
+    scn = load_scenario(small_doc())
+    for name in ("sensor_xy", "power_budgets"):
+        arr = getattr(scn, name)
+        assert getattr(scn, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the cache is not part of the value: a fresh load compares and
+    # hashes equal, and replace() starts a new cache
+    fresh = load_scenario(small_doc())
+    assert fresh == scn and hash(fresh) == hash(scn)
+    moved = replace(scn, sensors=scn.sensors[:1])
+    assert moved.sensor_xy.shape == (1, 2)
+    rich = scn.with_overrides(p_ave_dbm=30.0)
+    np.testing.assert_allclose(rich.power_budgets, [1.0, 1.0])
+    assert not rich.power_budgets.flags.writeable
     assert scn.power_budgets[0] == pytest.approx(dbm_to_watts(27.0))
 
 
