@@ -5,20 +5,24 @@
 * power-only: the UAV flies the straight constant-speed path; the power
   schedule is recovered on it.
 * fly-hover-fly: the UAV flies at maximum speed to a single hover point,
-  waits there, then flies on to the finish; the hover point is picked by
-  scanning a grid and recovering powers on each candidate itinerary.
+  waits there, then flies on to the finish; the hover point is the grid
+  point whose itinerary recovery serves best.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from outage_planner.channel import outage_probability
-from outage_planner.power_recovery import (
+# max_active_upper_bound is not called here, but stays a module attribute:
+# the benchmark's tracer (perfbench/tracing.py) wraps it under this module
+from outage_planner.power_recovery import (  # noqa: F401
     max_active_upper_bound,
     recover_powers,
+    served_upper_bounds,
 )
 from outage_planner.relaxed_optimum import GridSpec
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
@@ -31,6 +35,7 @@ from outage_planner.sca_planner import (
 )
 
 FHF_GRID_POINTS = 41   # default via-point grid resolution per axis
+BOUND_BLOCK = 20_000   # slot-sensor entries per block of bounded candidates
 
 
 @dataclass(frozen=True)
@@ -83,6 +88,44 @@ def run_power_only(
     )
 
 
+def _via_slot_positions(
+    scenario: Scenario, vias: np.ndarray, hovers: np.ndarray
+) -> np.ndarray:
+    """Slot positions of the itineraries start -> via -> finish, (M, N, 2).
+
+    Row m equals ``itinerary_trajectory(scenario, [vias[m]], [hovers[m]])
+    .slot_positions`` bit for bit: the legs are measured with ``math.dist``
+    and sampled by the same arithmetic.
+    """
+    q_i = np.asarray(scenario.q_start, dtype=float)
+    q_f = np.asarray(scenario.q_final, dtype=float)
+    fly_in = np.array([math.dist(q_i, p) for p in vias]) / scenario.v_max
+    fly_out = np.array([math.dist(p, q_f) for p in vias]) / scenario.v_max
+    # three segments: fly in, hover at the via point, fly out
+    seg_t0 = np.stack([np.zeros_like(fly_in), fly_in, fly_in + hovers], axis=1)
+    seg_dt = np.stack([fly_in, hovers, fly_out], axis=1)
+    ends = np.stack(
+        [np.broadcast_to(q_i, vias.shape), vias, np.broadcast_to(q_f, vias.shape)],
+        axis=1,
+    )
+    seg_start, seg_end = ends[:, [0, 1, 1]], ends[:, [1, 1, 2]]
+
+    times = np.arange(1, scenario.n_slots + 1) * scenario.slot_length
+    seg = (seg_t0[:, None, :] <= times[None, :, None]).sum(axis=2) - 1
+    t0 = np.take_along_axis(seg_t0, seg, axis=1)
+    dt = np.take_along_axis(seg_dt, seg, axis=1)
+    frac = np.clip(
+        np.divide(times - t0, dt, out=np.zeros_like(dt), where=dt > 0.0),
+        0.0,
+        1.0,
+    )
+    rows = np.arange(len(vias))[:, None]
+    start = seg_start[rows, seg]
+    wp = start + frac[:, :, None] * (seg_end[rows, seg] - start)
+    wp[:, -1] = q_f
+    return wp
+
+
 def run_fly_hover_fly(
     scenario: Scenario,
     grid: GridSpec | None = None,
@@ -90,9 +133,12 @@ def run_fly_hover_fly(
 ) -> BenchmarkResult:
     """Best single-hover itinerary over a grid of candidate hover points.
 
-    Ties in outage are broken by row-major grid order.  Candidates are
-    visited by their solver-free bound on the served slots, largest first,
-    and those whose bound cannot beat the incumbent are never recovered.
+    Ties in outage are broken by row-major grid order.  Every reachable
+    candidate's served count is first bounded without a solver
+    (``served_upper_bounds``: pooled energy and weak duality at fixed
+    prices), in blocks of ``BOUND_BLOCK`` slot-sensor entries.  Candidates
+    are then recovered by bound, largest first, until a bound falls below
+    the best served count; the result is that of the full sweep.
     """
     if grid is None:
         grid = GridSpec.from_scenario(scenario, resolution=FHF_GRID_POINTS)
@@ -106,6 +152,7 @@ def run_fly_hover_fly(
     )
     hover = scenario.duration - legs / v
     reachable = np.flatnonzero(hover >= -1e-9 * scenario.duration)
+    hover = np.maximum(hover, 0.0)
     if reachable.size == 0:
         # no detour fits; degenerate to the straight flight
         recovered = recover_powers(
@@ -121,21 +168,27 @@ def run_fly_hover_fly(
         )
 
     def build(idx: int) -> Trajectory:
-        return itinerary_trajectory(
-            scenario, [points[idx]], [max(hover[idx], 0.0)]
-        )
+        return itinerary_trajectory(scenario, [points[idx]], [hover[idx]])
 
-    bounds = {
-        idx: max_active_upper_bound(scenario, build(idx), budget_norm)
-        for idx in reachable
-    }
+    per_block = max(1, BOUND_BLOCK // (scenario.n_slots * scenario.n_sensors))
+    bounds = np.concatenate([
+        served_upper_bounds(
+            scenario,
+            _via_slot_positions(scenario, points[block], hover[block]),
+            budget_norm,
+        )
+        for block in np.split(
+            reachable, range(per_block, reachable.size, per_block)
+        )
+    ])
     # best bound first: once a bound falls below the incumbent's served
     # count, no later candidate can beat it
     best_n, best_idx, best_rec, evaluations = -1, -1, None, 0
-    for idx in sorted(reachable, key=lambda i: (-bounds[i], i)):
-        if bounds[idx] < best_n:
+    for j in np.lexsort((reachable, -bounds)):
+        idx, bound = int(reachable[j]), int(bounds[j])
+        if bound < best_n:
             break
-        if bounds[idx] == best_n and idx > best_idx:
+        if bound == best_n and idx > best_idx:
             continue
         rec = recover_powers(scenario, build(idx), budget_norm)
         evaluations += 1
@@ -149,7 +202,7 @@ def run_fly_hover_fly(
         best_rec.schedule,
         scenario,
         via=tuple(np.round(points[best_idx], 12)),
-        hover_s=float(max(hover[best_idx], 0.0)),
+        hover_s=float(hover[best_idx]),
         n_active=best_rec.n_active,
         evaluations=evaluations,
         budget_norm=budget_norm,

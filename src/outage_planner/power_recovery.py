@@ -41,6 +41,7 @@ from outage_planner.channel import gain_at, snr_from_gains
 # solve_barrier is not called here, but stays a module attribute: the
 # benchmark's tracer (perfbench/tracing.py) wraps it under this module
 from outage_planner.convex_core import (  # noqa: F401
+    ACCEPT_USAGE,
     bisect_max_feasible,
     solve_barrier,
     solve_price_feasibility,
@@ -159,6 +160,27 @@ def _rank_and_gains(
     return ranking, gains[ranking], amps[ranking]
 
 
+def _leading_run(ok: np.ndarray) -> np.ndarray:
+    """Length of the leading run of true values along the last axis."""
+    pad = np.zeros(ok.shape[:-1] + (1,), dtype=bool)
+    return np.argmin(np.concatenate((ok, pad), axis=-1), axis=-1)
+
+
+def _pooled_energy_fits(
+    scenario: Scenario, gain_sums_ranked: np.ndarray, spread
+) -> np.ndarray:
+    """Whether the v best-ranked slots fit the pooled energy, v = 1..N.
+
+    Cauchy-Schwarz gives amp_n^2 <= (sum_k g_kn)(sum_k P_kn), so serving
+    slot n needs total power >= gamma * noise / sum_k g_kn there, and the
+    sum over the served slots cannot exceed the energy the budgets allow.
+    ``gain_sums_ranked`` holds sum_k g_kn in rank order along its last axis.
+    """
+    need = scenario.gamma_min * scenario.noise_power / gain_sums_ranked
+    total = scenario.power_budgets.sum()
+    return np.cumsum(need, axis=-1) <= spread * total * (1.0 + 1e-12)
+
+
 def _prefix_bracket(
     scenario: Scenario,
     gains_ranked: np.ndarray,
@@ -172,24 +194,51 @@ def _prefix_bracket(
     amplitude by sqrt(spread / v), and the v-th worst scaled amplitude
     must clear the solver threshold with extra margin.
 
-    hi is the largest v not excluded by pooled energy: Cauchy-Schwarz
-    gives amp_n^2 <= (sum_k g_kn)(sum_k P_kn), so serving slot n needs
-    total power >= gamma * noise / sum_k g_kn there, and the sum over the
-    served slots cannot exceed the energy the budgets allow.  The same
-    inequality gives lo <= hi.
+    hi is the largest v not excluded by pooled energy
+    (``_pooled_energy_fits``).  The same inequality gives lo <= hi.
     """
     n = scenario.n_slots
     v = np.arange(1, n + 1)
     spread = _spread(budget_norm, n, v)
     b = _solver_threshold(scenario) * (1.0 + CERT_MARGIN)
     certified = np.minimum.accumulate(amps_ranked) * np.sqrt(spread / v) >= b
-    need = scenario.gamma_min * scenario.noise_power / gains_ranked.sum(axis=1)
-    total = scenario.power_budgets.sum()
-    pooled = np.cumsum(need) <= spread * total * (1.0 + 1e-12)
+    pooled = _pooled_energy_fits(scenario, gains_ranked.sum(axis=1), spread)
     # the first failing v, or n when none fails
-    return tuple(
-        int(np.argmin(np.append(ok, False))) for ok in (certified, pooled)
+    return tuple(int(_leading_run(ok)) for ok in (certified, pooled))
+
+
+def served_upper_bounds(
+    scenario: Scenario,
+    slot_positions: np.ndarray,
+    budget_norm: str = "horizon",
+) -> np.ndarray:
+    """``max_active_upper_bound`` for M trajectories at once.
+
+    ``slot_positions`` has shape (M, N, 2), the slot positions of each
+    trajectory; the result holds the M bounds.  Every slot of every
+    trajectory goes through one array pass, so keep M * N * K modest.
+    """
+    m, n = slot_positions.shape[:2]
+    v = np.arange(1, n + 1)
+    spread = _spread(budget_norm, n, v)
+    budgets = scenario.power_budgets
+    gains = gain_at(slot_positions.reshape(m * n, 2), scenario).reshape(m, n, -1)
+
+    # pooled energy over the prefixes of the full-budget ranking
+    amps = np.sqrt(gains * budgets).sum(axis=2)
+    ranking = np.argsort(
+        -(amps**2 / scenario.noise_power), axis=1, kind="stable"
     )
+    gain_sums = np.take_along_axis(gains.sum(axis=2), ranking, axis=1)
+    pooled = _pooled_energy_fits(scenario, gain_sums, spread)
+
+    # priced: the v cheapest slot costs at the price test's first prices
+    h1 = gains * budgets / _solver_threshold(scenario) ** 2
+    nu = np.sqrt(h1.sum(axis=1))
+    nu /= nu.sum(axis=1, keepdims=True)
+    cost = np.sort(1.0 / (h1 / nu[:, None, :]).sum(axis=2), axis=1)
+    priced = np.cumsum(cost, axis=1) / spread <= ACCEPT_USAGE * (1.0 + 1e-9)
+    return np.minimum(_leading_run(pooled), _leading_run(priced))
 
 
 def max_active_upper_bound(
@@ -197,9 +246,29 @@ def max_active_upper_bound(
     trajectory: Trajectory,
     budget_norm: str = "horizon",
 ) -> int:
-    """Solver-free upper bound on the non-outage slots recovery can reach."""
-    _, gains_ranked, amps_ranked = _rank_and_gains(scenario, trajectory)
-    return _prefix_bracket(scenario, gains_ranked, amps_ranked, budget_norm)[1]
+    """Solver-free upper bound on the non-outage slots recovery can reach.
+
+    The smaller of two bounds on v, the served count:
+
+    * pooled energy: the v best slots of the full-budget ranking, the
+      prefixes recovery searches, must fit the energy the budgets allow
+      (``_pooled_energy_fits``); this is the upper end of recovery's
+      bracket.
+    * priced: with h1_kn = g_kn B_k / b^2, a budget spread over ``spread``
+      slots gives h = spread * h1 in the price test, and at prices nu on
+      the price simplex slot n costs c_n / spread, c_n = 1 / sum_k
+      (h1_kn / nu_k).  By weak duality the costs of any v slots sum to at
+      most rho*, their least worst-case budget share.  Recovery serves
+      only subsets that the price test accepts (rho* <= max_k u_k <=
+      ``ACCEPT_USAGE``) or the equal split certifies (rho* <= 1), so v is
+      excluded once the v cheapest costs over spread exceed
+      ``ACCEPT_USAGE``, with a 1e-9 relative margin for round-off.  The
+      prices are the price test's own start, nu proportional to
+      sqrt(sum_n h1_kn).
+    """
+    return int(
+        served_upper_bounds(scenario, trajectory.slot_positions[None], budget_norm)[0]
+    )
 
 
 def recover_powers(

@@ -5,18 +5,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from outage_planner import power_recovery
 from outage_planner.benchmarks import (
+    _via_slot_positions,
     run_fly_hover_fly,
     run_power_only,
     run_trajectory_only,
 )
 from outage_planner.channel import outage_probability, snr_series
 from outage_planner.pipeline import plan_joint
-from outage_planner.power_recovery import BUDGET_NORMS, recover_powers
+from outage_planner.power_recovery import (
+    BUDGET_NORMS,
+    max_active_upper_bound,
+    recover_powers,
+    served_upper_bounds,
+)
 from outage_planner.relaxed_optimum import GridSpec
 from outage_planner.scenario import load_scenario, plan_violations
 from outage_planner.sca_planner import direct_flight, itinerary_trajectory
-from tests.conftest import random_scenario, small_doc
+from tests.conftest import DEMO_SCENARIO, random_scenario, small_doc
 
 
 def test_trajectory_only_uses_full_budgets(small_scenario):
@@ -70,6 +77,23 @@ def fly_hover_fly_oracle(scenario, grid, budget_norm="horizon"):
     return best
 
 
+def reachable_vias(scenario, grid):
+    """(vias, hover times) of the reachable grid points, as the scheme sees them."""
+    points = grid.points()
+    legs = np.linalg.norm(points - scenario.q_start, axis=1) + np.linalg.norm(
+        np.asarray(scenario.q_final) - points, axis=1
+    )
+    hover = scenario.duration - legs / scenario.v_max
+    keep = hover >= -1e-9 * scenario.duration
+    return points[keep], np.maximum(hover[keep], 0.0)
+
+
+def threshold_varied(seed):
+    # thresholds up to 4x the generated one, so some slots go unserved
+    scn = random_scenario(seed)
+    return replace(scn, gamma_min=scn.gamma_min * 2 ** (seed % 3))
+
+
 def test_fly_hover_fly_matches_full_sweep_oracle():
     scn = load_scenario(
         small_doc(
@@ -107,15 +131,76 @@ def test_fly_hover_fly_prunes_but_stays_exact(small_scenario):
 @pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
 def test_fly_hover_fly_matches_oracle_on_random_scenarios(budget_norm):
     for seed in range(6):
-        # thresholds up to 4x the generated one, so some slots go unserved
-        scn = random_scenario(seed)
-        scn = replace(scn, gamma_min=scn.gamma_min * 2 ** (seed % 3))
+        scn = threshold_varied(seed)
         grid = GridSpec.from_scenario(scn, resolution=7)
         res = run_fly_hover_fly(scn, grid, budget_norm)
         oracle_out, oracle_via, _ = fly_hover_fly_oracle(scn, grid, budget_norm)
         assert res.outage == oracle_out, seed
         np.testing.assert_allclose(res.details["via"], oracle_via, atol=1e-9)
         assert res.details["budget_norm"] == budget_norm
+
+
+def test_block_positions_equal_itinerary_trajectory():
+    paper = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=32)
+    cases = [(paper, 21)] + [(random_scenario(seed), 9) for seed in range(8)]
+    for scn, resolution in cases:
+        vias, hovers = reachable_vias(
+            scn, GridSpec.from_scenario(scn, resolution=resolution)
+        )
+        assert vias.size
+        block = _via_slot_positions(scn, vias, hovers)
+        for via, hover, positions in zip(vias, hovers, block):
+            one = itinerary_trajectory(scn, [via], [hover])
+            assert np.array_equal(positions, one.slot_positions)
+
+
+@pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
+def test_served_bound_caps_recovery_on_every_candidate(budget_norm):
+    checked = tighter = 0
+    for seed in range(24):
+        scn = threshold_varied(seed)
+        vias, hovers = reachable_vias(
+            scn, GridSpec.from_scenario(scn, resolution=9)
+        )
+        bounds = served_upper_bounds(
+            scn, _via_slot_positions(scn, vias, hovers), budget_norm
+        )
+        for via, hover, bound in zip(vias, hovers, bounds):
+            tr = itinerary_trajectory(scn, [via], [hover])
+            assert bound == max_active_upper_bound(scn, tr, budget_norm)
+            rec = recover_powers(scn, tr, budget_norm)
+            assert rec.n_active <= bound, (seed, via)
+            _, gains, amps = power_recovery._rank_and_gains(scn, tr)
+            pooled = power_recovery._prefix_bracket(
+                scn, gains, amps, budget_norm
+            )[1]
+            assert bound <= pooled
+            tighter += bound < pooled
+            checked += 1
+    # the priced bound, not only the pooled one, is exercised
+    assert checked >= 800 and tighter > 0
+
+
+@pytest.mark.parametrize(
+    "budget_norm, max_evaluations",
+    # 36 and 170 with the pooled-energy bound alone
+    [("horizon", 3), ("active_slots", 97)],
+)
+def test_fly_hover_fly_matches_oracle_on_bundled_scenario(
+    budget_norm, max_evaluations
+):
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=32)
+    grid = GridSpec.from_scenario(scn, resolution=21)
+    res = run_fly_hover_fly(scn, grid, budget_norm)
+    oracle_out, oracle_via, oracle_rec = fly_hover_fly_oracle(
+        scn, grid, budget_norm
+    )
+    assert res.outage == oracle_out
+    np.testing.assert_allclose(res.details["via"], oracle_via, atol=1e-9)
+    assert res.details["n_active"] == oracle_rec.n_active
+    assert np.array_equal(res.schedule.powers, oracle_rec.schedule.powers)
+    # pruning guard: few candidates reach recovery
+    assert 0 < res.details["evaluations"] <= max_evaluations
 
 
 def test_fly_hover_fly_tight_duration_falls_back(small_scenario):

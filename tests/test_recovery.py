@@ -150,7 +150,8 @@ def test_upper_bound_caps_recovery(small_scenario):
 @pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
 def test_prefix_bracket_holds_the_recovered_count(budget_norm):
     # lo is the equal-split certificate, hi the pooled-energy bound; the
-    # served count lies between them whichever ranking is searched
+    # served count lies between them whichever ranking is searched, and
+    # the public bound (pooled and priced) lies between it and hi
     for seed in range(24):
         scn = random_scenario(seed)
         rng = np.random.default_rng(seed)
@@ -165,7 +166,8 @@ def test_prefix_bracket_holds_the_recovered_count(budget_norm):
             )
             assert lo <= rec.n_active <= hi, (seed, schedule is None)
             if schedule is None:
-                assert hi == max_active_upper_bound(scn, tr, budget_norm)
+                ub = max_active_upper_bound(scn, tr, budget_norm)
+                assert rec.n_active <= ub <= hi, seed
 
 
 def test_recovery_accepts_schedule_ranking(small_scenario):
@@ -273,7 +275,8 @@ def test_fly_hover_fly_at_bundled_size(demo_scenario):
         res.trajectory, res.schedule, demo_scenario
     )
     assert res.outage == (128 - res.details["n_active"]) / 128
-    assert 0 < res.details["evaluations"]
+    # the priced bound leaves a handful of the 41 x 41 candidates to recover
+    assert 0 < res.details["evaluations"] <= 10
     # the hover itinerary beats recovering powers on the straight flight
     direct = recover_powers(demo_scenario, direct_flight(demo_scenario))
     assert res.outage < direct.outage
