@@ -40,6 +40,8 @@ import numpy as np
 STATUS_OPTIMAL = "optimal"
 STATUS_UNBOUNDED = "unbounded"
 STATUS_MAX_ITERS = "max-iters"
+STATUS_SINGULAR = "singular"      # a cone solve's normal system failed to factor
+STATUS_STALLED = "stalled"        # a cone step could not stay inside the cones
 
 
 @dataclass
@@ -439,6 +441,12 @@ class ConeProgram:
     returns ``solve(r)``, the solution of (G^T H^2 G) dx = r, or None when
     that system is not positive definite to working precision.  ``x0``
     must be strictly feasible.
+
+    The solver works on the transposes, (p, cones), so that each
+    component of every cone is one run of memory.  The cone vectors it
+    passes (and those of ``NtScaling``) are transposed views of such
+    arrays; a program that returns them in the same layout, as
+    ``out.T`` of a (p, cones) array, spares each of its products a copy.
     """
 
     c: np.ndarray
@@ -449,52 +457,71 @@ class ConeProgram:
     factor: Callable
 
 
+# The helpers below take cone vectors component-major: x[i] is the
+# i-th component of every cone.
+
 def _rows(a, b):
-    """The dot product of each row of a with the same row of b."""
-    return np.einsum("...j,...j->...", a, b)
+    """The dot product of each cone of a with the same cone of b."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 def _det(x):
     """x_0^2 - |x_1:|^2 of each cone, as a product of two sums."""
-    norm = np.sqrt(_rows(x[:, 1:], x[:, 1:]))
-    return (x[:, 0] - norm) * (x[:, 0] + norm)
+    norm = np.sqrt(_rows(x[1:], x[1:]))
+    return (x[0] - norm) * (x[0] + norm)
 
 
 def _interior(x):
     """Whether every cone holds x strictly inside, all entries finite."""
-    inside = x[:, 0] - np.sqrt(_rows(x[:, 1:], x[:, 1:]))
-    return bool(inside.min() > 0.0 and x[:, 0].max() < np.inf)
+    inside = x[0] - np.sqrt(_rows(x[1:], x[1:]))
+    return bool(inside.min() > 0.0 and x[0].max() < np.inf)
 
 
 def _jordan(u, v):
     """The cone product u o v = (u . v, u_0 v_1: + v_0 u_1:), per cone."""
-    out = u[:, :1] * v + v[:, :1] * u
-    out[:, 0] = _rows(u, v)
+    out = u[0] * v + v[0] * u
+    out[0] = _rows(u, v)
     return out
 
 
 def _jordan_solve(lam, det, r):
     """v with lam o v = r, per cone (lam interior, det = det(lam))."""
     out = np.empty_like(r)
-    out[:, 0] = (lam[:, 0] * r[:, 0] - _rows(lam[:, 1:], r[:, 1:])) / det
-    out[:, 1:] = (r[:, 1:] - out[:, :1] * lam[:, 1:]) / lam[:, :1]
+    out[0] = (lam[0] * r[0] - _rows(lam[1:], r[1:])) / det
+    out[1:] = (r[1:] - out[0] * lam[1:]) / lam[0]
     return out
 
 
-def _max_step(unit, d):
-    """Largest a with lam + a d_i in the cones for each direction d_i.
+def _step_limit(lam, det_lam):
+    """``room(d)``: the largest a with lam + a d_i in the cones for each
+    direction d_i of d (directions, dim, cones), or inf when no cone
+    limits a.
 
-    ``unit`` is lam / sqrt(det lam), which a hyperbolic rotation L maps to
-    the identity e, and d (directions, cones, dim) holds the directions
-    divided by sqrt(det lam).  lam + a d_i stays inside while
-    1 + a min_eig(L d_i) > 0, and min_eig(L d_i) = rho_0 - |rho_1:|
-    (Vandenberghe 2010, sec. 8).  Returns inf when no cone limits a.
+    x = lam / sqrt(det lam) is mapped to the identity e by a hyperbolic
+    rotation L, and lam + a d stays inside while 1 + a min_eig(L d) > 0,
+    where min_eig(L d) = rho_0 - |rho_1:| with rho = L d / sqrt(det lam)
+    (Vandenberghe 2010, sec. 8):
+
+        rho_0 = x_0 d_0 - x_1: . d_1:,
+        rho_1: = d_1: - (rho_0 + d_0) x_1: / (x_0 + 1),
+
+    both taken of d before the division by sqrt(det lam), which then
+    applies to the eigenvalues only.  The parts of x are formed once,
+    for every direction of the iteration.
     """
-    x0, x = unit[:, 0], unit[:, 1:]
-    rho0 = x0 * d[..., 0] - _rows(x, d[..., 1:])
-    rho1 = d[..., 1:] - ((rho0 + d[..., 0]) / (x0 + 1.0))[..., None] * x
-    worst = float(np.max(np.sqrt(_rows(rho1, rho1)) - rho0, initial=0.0))
-    return 1.0 / worst if worst > 0.0 else np.inf
+    root = np.sqrt(det_lam)
+    jx = lam / root                            # x, then J x
+    tilt = jx[1:] / (jx[0] + 1.0)              # x_1: / (x_0 + 1)
+    jx[1:] *= -1.0
+
+    def room(d):
+        rho0 = np.einsum("ak,iak->ik", jx, d)
+        rho1 = d[:, 1:] - (rho0 + d[:, 0])[:, None] * tilt
+        worst = (np.sqrt(np.einsum("iak,iak->ik", rho1, rho1)) - rho0) / root
+        worst = float(worst.max(initial=0.0))
+        return 1.0 / worst if worst > 0.0 else np.inf
+
+    return room
 
 
 class NtScaling:
@@ -511,39 +538,47 @@ class NtScaling:
     where v = (w + e) / sqrt(2 (w_0 + 1)) is the square root of w.  A
     program's ``factor`` builds G^T H^2 G from the first form: per cone it
     is (2 g g^T - G^T J G) / beta^2 with g = G^T J w, where a structured
-    G can keep every term positive.  ``det_lam`` is lam_0^2 - |lam_1:|^2.
+    G can keep every term positive.  ``matrix`` holds H itself,
+    component-major (dim, dim, cones), formed once so that ``apply`` is
+    one product.  ``det_lam`` is lam_0^2 - |lam_1:|^2.  ``point`` and
+    ``lam`` are (cones, dim) views of component-major arrays.
     """
 
     def __init__(self, s, z):
+        s, z = s.T, z.T
         ds, dz = np.sqrt(_det(s)), np.sqrt(_det(z))
-        sn, zn = s / ds[:, None], z / dz[:, None]
+        sn, zn = s / ds, z / dz
         gamma = np.sqrt(0.5 * (1.0 + _rows(sn, zn)))
         w = sn - zn                # w = (s/|s| + J z/|z|) / (2 gamma)
-        w[:, 0] += 2.0 * zn[:, 0]
-        w /= 2.0 * gamma[:, None]
+        w[0] += 2.0 * zn[0]
+        w /= 2.0 * gamma
         v = w.copy()
-        v[:, 0] += 1.0
-        v /= np.sqrt(2.0 * v[:, :1])
-        v[:, 1:] *= -1.0           # J v
-        self.point = w
+        v[0] += 1.0
+        v /= np.sqrt(2.0 * v[0])
+        v[1:] *= -1.0              # J v
+        self.point = w.T
         self.beta = np.sqrt(ds / dz)
         self.det_lam = ds * dz     # det(lam) = sqrt(det(s) det(z))
-        self._jv = v
-        # lam = H^-1 z = beta (2 v (v . z) - J z), v . z = (J v) . (J z)
-        vz = v[:, 0] * z[:, 0] - _rows(v[:, 1:], z[:, 1:])
-        lam = (2.0 * vz)[:, None] * v
-        lam[:, 1:] *= -1.0
-        lam[:, 0] -= z[:, 0]
-        lam[:, 1:] += z[:, 1:]
-        self.lam = self.beta[:, None] * lam
+        # lam = H^-1 z = beta (2 v (v . z) - J z), v . z = (J v) . (J z):
+        # H s would cancel where H is far from the identity
+        vz = v[0] * z[0] - _rows(v[1:], z[1:])
+        lam = (2.0 * vz) * v
+        lam[1:] *= -1.0
+        lam[0] -= z[0]
+        lam[1:] += z[1:]
+        lam *= self.beta
+        self.lam = lam.T
+        dim = len(s)
+        h = (2.0 * v)[:, None] * v
+        flat = h.reshape(dim * dim, -1)    # a view: -J on the diagonal
+        flat[0] -= 1.0
+        flat[dim + 1 :: dim + 1] += 1.0
+        h /= self.beta
+        self.matrix = h
 
     def apply(self, u):
         """H u for a cone vector u."""
-        v = self._jv
-        y = (2.0 * _rows(v, u))[:, None] * v
-        y[:, 0] -= u[:, 0]
-        y[:, 1:] += u[:, 1:]
-        return y / self.beta[:, None]
+        return np.einsum("abk,bk->ak", self.matrix, u.T).T
 
 
 _SOCP_MAX_ITERS = 60      # primal-dual iterations per solve
@@ -566,38 +601,43 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     exactly.  The dual starts at the central point z = mu s^-1, with mu
     fitting G^T z to -c in least squares but at least ``_SOCP_MU_FLOOR``
     |c|_inf, and its residual c + G^T z shrinks with each step.
-    Each iteration factors the scaled normal system G^T H^2 G once
-    (``program.factor``) and solves it for the predictor and the
-    corrector.  Directions are formed in scaled variables,
-    dz~ = H G dx + t, so complementarity holds to rounding however
-    ill-conditioned the system.  While the corrector's dual equation is
-    off by more than a tenth of the tolerance below, it is refined by
-    further solves, ``_SOCP_REFINE`` at most.
+    Each iteration forms the scaling H once (``NtScaling``), factors the
+    scaled normal system G^T H^2 G once (``program.factor``) and solves
+    it for the predictor and the corrector.  Directions are formed in
+    scaled variables, dz~ = H G dx + t, so complementarity holds to
+    rounding however ill-conditioned the system.  While the corrector's
+    dual equation is off by more than a tenth of the tolerance below, it
+    is refined by further solves, ``_SOCP_REFINE`` at most.
     The solve stops once s . z <= ``_SOCP_GAP_REL`` max(1, |c @ x|) and
-    |c + G^T z|_inf <= ``_SOCP_RESIDUAL_REL`` |c|_inf.  Status is optimal,
-    or max-iters after ``_SOCP_MAX_ITERS`` iterations, a failed
-    factorization or a step that cannot stay inside the cones;
-    ``iterations`` counts the iterations.  Raises ValueError if ``x0`` is
-    not strictly feasible.
+    |c + G^T z|_inf <= ``_SOCP_RESIDUAL_REL`` |c|_inf, with status
+    optimal.  It also stops with status max-iters after
+    ``_SOCP_MAX_ITERS`` iterations, singular when ``program.factor``
+    returns None, and stalled when 60 halvings of a step leave the cones;
+    x is then the last iterate.  ``iterations`` counts the steps taken.
+    Raises ValueError if ``x0`` is not strictly feasible.
     """
     c = program.c
     x = np.array(program.x0, dtype=float)
-    s = program.slacks(x)
+    s = program.slacks(x).T        # cone vectors component-major
     if not _interior(s):
         raise ValueError("no strictly feasible start found")
-    degree = len(s)
+    degree = s.shape[1]
     residual_tol = _SOCP_RESIDUAL_REL * float(np.abs(c).max(initial=0.0))
-    z = s / _det(s)[:, None]       # s^-1 = J s / det(s)
-    z[:, 1:] *= -1.0
-    pull = program.g_tmul(z)
+    z = s / _det(s)                # s^-1 = J s / det(s)
+    z[1:] *= -1.0
+    pull = program.g_tmul(z.T)
     mu = -float((c * pull).sum()) / max(
         float((pull * pull).sum()), np.finfo(float).tiny
     )
     mu = max(mu, _SOCP_MU_FLOOR * float(np.abs(c).max(initial=0.0)))
     z *= mu if mu > 0.0 else 1.0
+    minus_c = -c
+    # the scaled steps ds~ and dz~ of a direction, side by side for room
+    pair = np.empty((2,) + s.shape)
+    ds, dz = pair
 
     for iteration in range(_SOCP_MAX_ITERS):
-        residual = c + program.g_tmul(z)
+        residual = c + program.g_tmul(z.T)
         gap = float((s * z).sum())
         objective = float((c * x).sum())
         if (
@@ -605,55 +645,60 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
             and np.abs(residual).max(initial=0.0) <= residual_tol
         ):
             return SolveOutcome(x, objective, STATUS_OPTIMAL, iteration)
-        nt = NtScaling(s, z)
+        nt = NtScaling(s.T, z.T)
         solve = program.factor(nt)
         if solve is None:
+            status = STATUS_SINGULAR
             break
-        lam = nt.lam
-        root = np.sqrt(nt.det_lam)[:, None]
-        unit = lam / root
+        lam = nt.lam.T
+        minus_h = -nt.matrix           # -H, so that ds~ = -H G dx is one product
 
-        def direction(t, rhs, refine):
-            # G dx + ds = 0, G^T dz = -residual and ds~ + dz~ = t in the
-            # scaled variables ds~ = H ds, dz~ = H^-1 dz; rhs is
-            # -residual - G^T H t
-            dx = solve(rhs)
-            ds = -nt.apply(program.g_mul(dx))
-            for _ in range(_SOCP_REFINE if refine else 0):
-                # iterative refinement of the dual equation G^T dz = -residual
-                error = rhs + program.g_tmul(nt.apply(ds))
-                if np.abs(error).max() <= 0.1 * residual_tol:
-                    break
-                dx = dx + solve(error)
-                ds = -nt.apply(program.g_mul(dx))
-            return dx, ds, t - ds
+        def times(u):
+            # -H u
+            return np.einsum("abk,bk->ak", minus_h, u)
 
-        def room(ds, dz):
-            return _max_step(unit, np.stack([ds, dz]) / root)
+        def scaled(dx):
+            # ds~ = -H G dx, written to ds
+            np.einsum("abk,bk->ak", minus_h, program.g_mul(dx).T, out=ds)
 
-        # predictor (affine scaling: t = -lam, so H t = -z and rhs = -c),
-        # then Mehrotra's centered corrector
-        _, ds, dz = direction(-lam, -c, False)
-        sigma = (1.0 - min(1.0, room(ds, dz))) ** 3
+        room = _step_limit(lam, nt.det_lam)
+        # predictor (affine scaling: t = -lam, so H t = -z and rhs = -c):
+        # G dx + ds = 0, G^T dz = -residual and ds~ + dz~ = t in the
+        # scaled variables ds~ = H ds, dz~ = H^-1 dz
+        scaled(solve(minus_c))
+        np.subtract(-lam, ds, out=dz)
+        sigma = (1.0 - min(1.0, room(pair))) ** 3
+        # then Mehrotra's centered corrector, rhs = -residual - G^T H t
         r = -_jordan(lam, lam) - _jordan(ds, dz)
-        r[:, 0] += sigma * gap / degree
+        r[0] += sigma * gap / degree
         t = _jordan_solve(lam, nt.det_lam, r)
-        dx, ds, dz = direction(
-            t, -residual - program.g_tmul(nt.apply(t)), True
-        )
-        alpha = min(1.0, _SOCP_FRACTION * room(ds, dz))
-        dz = nt.apply(dz)
+        rhs = program.g_tmul(times(t).T) - residual
+        dx = solve(rhs)
+        scaled(dx)
+        for _ in range(_SOCP_REFINE):
+            # iterative refinement of the dual equation G^T dz = -residual
+            error = rhs - program.g_tmul(times(ds).T)
+            if np.abs(error).max() <= 0.1 * residual_tol:
+                break
+            dx = dx + solve(error)
+            scaled(dx)
+        np.subtract(t, ds, out=dz)
+        alpha = min(1.0, _SOCP_FRACTION * room(pair))
+        back = times(dz)               # -dz = -H dz~
         for _ in range(60):
             x_new = x + alpha * dx
-            s_new = program.slacks(x_new)
-            z_new = z + alpha * dz
+            s_new = program.slacks(x_new).T
+            z_new = z - alpha * back
             if _interior(s_new) and _interior(z_new):
                 break
             alpha *= 0.5
         else:
+            status = STATUS_STALLED
             break
         x, s, z = x_new, s_new, z_new
-    return SolveOutcome(x, float((c * x).sum()), STATUS_MAX_ITERS, iteration + 1)
+    else:
+        iteration, status = _SOCP_MAX_ITERS, STATUS_MAX_ITERS
+    return SolveOutcome(x, float((c * x).sum()), status, iteration)
 
 
 # ---------------------------------------------------------------------------

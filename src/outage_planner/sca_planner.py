@@ -244,88 +244,101 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
     # scale, near 1e-10 when gamma is out of reach
     tau = curved * np.where(cap0[:m] > 0.0, np.minimum(1.0, cap0[:m]), 1.0)
     root = 2.0 * np.sqrt(kappa[:m] * tau)
+    minus_root, root2, weight = -root, root**2, 1.0 + curved
+    grad_t = np.ascontiguousarray(grad.T)          # cone data component-major
     slots = slice(n + 1, n + 1 + m)
     legs = slice(n + 1 + m, 3 * n)
-    chain = np.empty((n + 1, 2))                   # q_i, the free waypoints, q_f
-    chain[0], chain[-1] = q_i, q_f
+    chain = np.empty((2, n + 1))                   # q_i, the free waypoints, q_f
+    chain[:, 0], chain[:, -1] = q_i, q_f
+    q0_t = q0.T
 
     def waypoints(x):
         return q0 + x[:nq].reshape(m, 2)
 
+    # cone vectors are built component-major, (4, 3 N), and returned as
+    # their (3 N, 4) transposes: the layout solve_socp works in
     def slacks(x):
-        chain[1:-1] = waypoints(x)
+        d = x[:nq].reshape(m, 2).T
+        np.add(q0_t, d, out=chain[:, 1:-1])
         a = x[nq:]
-        u = cap0[:m] + (grad * x[:nq].reshape(m, 2)).sum(axis=1) - a[:m]
-        out = np.zeros((3 * n, 4))
-        out[:n, 0] = 1.0 - a
-        out[n, 0] = cap0[-1] - a[-1]
-        out[slots, 0] = u + tau
-        out[slots, 1:3] = root[:, None] * x[:nq].reshape(m, 2)
-        out[slots, 3] = curved * (u - tau)
-        out[legs, 0] = leg
-        out[legs, 1:3] = chain[1:] - chain[:-1]
-        return out
+        u = cap0[:m] + (grad_t * d).sum(axis=0) - a[:m]
+        out = np.zeros((4, 3 * n))
+        np.subtract(1.0, a, out=out[0, :n])
+        out[0, n] = cap0[-1] - a[-1]
+        np.add(u, tau, out=out[0, slots])
+        np.multiply(root, d, out=out[1:3, slots])
+        np.multiply(curved, u - tau, out=out[3, slots])
+        out[0, legs] = leg
+        np.subtract(chain[:, 1:], chain[:, :-1], out=out[1:3, legs])
+        return out.T
 
     def g_mul(dx):
-        d = dx[:nq].reshape(m, 2)
+        d = dx[:nq].reshape(m, 2).T
         da = dx[nq:]
-        du = da[:m] - (grad * d).sum(axis=1)       # G dx on the u rows
-        step = np.zeros((n + 1, 2))
-        step[1:-1] = d
-        out = np.zeros((3 * n, 4))
-        out[:n, 0] = da
-        out[n, 0] = da[-1]
-        out[slots, 0] = du
-        out[slots, 1:3] = -root[:, None] * d
-        out[slots, 3] = curved * du
-        out[legs, 1:3] = step[:-1] - step[1:]
-        return out
+        out = np.zeros((4, 3 * n))
+        du = out[0, slots]                         # G dx on the u rows
+        np.subtract(da[:m], (grad_t * d).sum(axis=0), out=du)
+        out[0, :n] = da
+        out[0, n] = da[-1]
+        np.multiply(minus_root, d, out=out[1:3, slots])
+        np.multiply(curved, du, out=out[3, slots])
+        step = out[1:3, legs]                      # leg r: d_r-1 - d_r
+        np.negative(d, out=step[:, :-1])
+        step[:, 1:] += d
+        return out.T
 
     def g_tmul(v):
-        row = v[slots]
-        on_u = row[:, 0] + curved * row[:, 3]      # weight of each u
-        along = v[legs, 1:3]
-        gd = along[1:] - along[:-1] - root[:, None] * row[:, 1:3]
-        gd -= on_u[:, None] * grad
-        ga = v[:n, 0].copy()
+        v = v.T
+        row = v[:, slots]
+        on_u = row[0] + curved * row[3]            # weight of each u
+        along = v[1:3, legs]
+        out = np.empty(nq + n)
+        gd = out[:nq].reshape(m, 2).T
+        np.subtract(along[:, 1:], along[:, :-1], out=gd)
+        gd -= root * row[1:3]
+        gd -= on_u * grad_t
+        ga = out[nq:]
+        ga[:] = v[0, :n]
         ga[:m] += on_u
-        ga[-1] += v[n, 0]
-        return np.concatenate([gd.ravel(), ga])
+        ga[-1] += v[0, n]
+        return out
 
     def factor(nt):
         # G^T H^2 G from H^2 = (2 J w w^T J - J) / beta^2 per cone
-        w, inv_b2 = nt.point, nt.beta**-2.0
-        bound = inv_b2[:n]                         # the A' <= 1 rows
+        w, inv_b2 = nt.point.T, nt.beta**-2.0
+        bound = inv_b2[:m]                         # the A' <= 1 rows
         # slot j's rows add omega g g^T + iso diag(I, 0) on (d_j, A'_j),
         # g = (g_d, g_a); a linear row has w = e, so g = (-grad_j, 1)
-        ws = w[slots]
-        omega = (1.0 + curved) * inv_b2[slots]
-        g_a = ws[:, 0] - ws[:, 3]
-        g_d = root[:, None] * ws[:, 1:3] - g_a[:, None] * grad
+        ws = w[:, slots]
+        omega = weight * inv_b2[slots]
+        g_a = ws[0] - ws[3]
+        g_d = root * ws[1:3] - g_a * grad_t
         # eliminate A'_j: pivot omega g_a^2 + bound, coupling omega g_a g_d,
         # leaving the ground iso I + (omega bound / pivot) g_d g_d^T
-        pivot = omega * g_a**2 + bound[:m]
-        couple = (omega * g_a)[:, None] * g_d
-        ground = np.empty((m, 3))
-        ground[:, 0] = root**2 * inv_b2[slots]
-        ground[:, 1:] = np.sqrt(omega * bound[:m] / pivot)[:, None] * g_d
-        last = bound[-1] + inv_b2[n]
+        pivot = omega * g_a**2 + bound
+        couple = (omega * g_a) * g_d
+        ground = np.empty((3, m))
+        ground[0] = root2 * inv_b2[slots]
+        ground[1:] = np.sqrt(omega * bound / pivot) * g_d
+        last = inv_b2[n - 1] + inv_b2[n]
         # leg r's spring (I + 2 w_1: w_1:^T) / beta^2
-        springs = np.empty((n, 3))
-        springs[:, 0] = inv_b2[legs]
-        springs[:, 1:] = np.sqrt(2.0 * springs[:, :1]) * w[legs, 1:3]
-        chol = _factor_spring_chain(ground, springs)
+        springs = np.empty((3, n))
+        springs[0] = inv_b2[legs]
+        springs[1:] = np.sqrt(2.0 * springs[0]) * w[1:3, legs]
+        chol = _factor_spring_chain(ground.T, springs.T)
         if chol is None or not 0.0 < last < math.inf:
             return None
 
         def solve(r):
             ra = r[nq:]
-            rd = r[:nq].reshape(m, 2) - (ra[:m] / pivot)[:, None] * couple
-            d = _solve_spring_chain(chol, rd)
-            da = np.empty(n)
-            da[:m] = (ra[:m] - (couple * d).sum(axis=1)) / pivot
+            rd = r[:nq].reshape(m, 2).T - (ra[:m] / pivot) * couple
+            out = np.empty(nq + n)
+            _solve_spring_chain(chol, rd.T, out[:nq])
+            d = out[:nq].reshape(m, 2).T
+            da = out[nq:]
+            da[:m] = (ra[:m] - (couple * d).sum(axis=0)) / pivot
             da[-1] = ra[-1] / last
-            return np.concatenate([d.ravel(), da])
+            return out
 
         return solve
 
@@ -422,31 +435,34 @@ def _factor_spring_chain(ground, springs):
     return inverse, mult
 
 
-def _solve_spring_chain(chol, r):
+def _solve_spring_chain(chol, r, out):
     """Solve the system factored by ``_factor_spring_chain`` for r (m, 2).
 
     With L_j+1 = K_j+1 S_j^-1: forward y_j = r_j + L_j y_j-1, then back
-    x_j = S_j^-1 y_j + L_j+1^T x_j+1.
+    x_j = S_j^-1 y_j + L_j+1^T x_j+1.  The solution is written to the
+    flat array ``out`` (2 m,), point by point.
     """
     inverse, mult = chol
-    m = len(mult)
-    xs, ys = r[:, 0].tolist(), r[:, 1].tolist()
+    b = r.ravel().tolist()                         # x_0, y_0, x_1, ...
     x = y = l11 = l12 = l21 = l22 = 0.0
-    for j in range(m):
-        x, y = xs[j] + l11 * x + l12 * y, ys[j] + l21 * x + l22 * y
-        xs[j], ys[j] = x, y
-        l11, l12, l21, l22 = mult[j]
+    i = 0
+    for step in mult:
+        x, y = b[i] + l11 * x + l12 * y, b[i + 1] + l21 * x + l22 * y
+        b[i], b[i + 1] = x, y
+        l11, l12, l21, l22 = step
+        i += 2
     x = y = 0.0
-    for j in range(m - 1, -1, -1):
-        i11, i12, i22 = inverse[j]
-        l11, l12, l21, l22 = mult[j]
-        bx, by = xs[j], ys[j]
+    for (i11, i12, i22), (l11, l12, l21, l22) in zip(
+        reversed(inverse), reversed(mult)
+    ):
+        i -= 2
+        bx, by = b[i], b[i + 1]
         x, y = (
             i11 * bx + i12 * by + l11 * x + l21 * y,
             i12 * bx + i22 * by + l12 * x + l22 * y,
         )
-        xs[j], ys[j] = x, y
-    return np.column_stack([xs, ys])
+        b[i], b[i + 1] = x, y
+    out[:] = b
 
 
 def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:

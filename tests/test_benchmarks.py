@@ -23,7 +23,7 @@ from outage_planner.power_recovery import (
 from outage_planner.relaxed_optimum import GridSpec
 from outage_planner.scenario import load_scenario, plan_violations
 from outage_planner.sca_planner import direct_flight, itinerary_trajectory
-from tests.conftest import DEMO_SCENARIO, random_scenario, small_doc
+from tests.conftest import DEGENERATE, DEMO_SCENARIO, random_scenario, small_doc
 
 
 def test_trajectory_only_uses_full_budgets(small_scenario):
@@ -57,6 +57,26 @@ def test_power_only_is_recovery_on_the_direct_path(small_scenario):
     assert res.outage == pytest.approx(rec.outage, abs=0)
     np.testing.assert_allclose(res.schedule.powers, rec.schedule.powers)
     assert plan_violations(small_scenario, res.trajectory, res.schedule) == []
+
+
+@pytest.mark.parametrize("case", sorted(DEGENERATE))
+def test_degenerate_inputs_through_benchmark_schemes(case):
+    """Every degenerate scenario plans soundly through each benchmark
+    scheme: trajectory_only, and power_only and fly-hover-fly (11 x 11
+    grid) under both budget norms.  Each plan meets every constraint and
+    reports the outage its own trajectory and schedule give."""
+    scn = load_scenario(DEGENERATE[case])
+    grid = GridSpec.from_scenario(scn, resolution=11)
+    results = [run_trajectory_only(scn)]
+    for budget_norm in BUDGET_NORMS:
+        results.append(run_power_only(scn, budget_norm))
+        results.append(run_fly_hover_fly(scn, grid, budget_norm))
+    assert len(results) == 5
+    for res in results:
+        assert plan_violations(scn, res.trajectory, res.schedule) == [], res.name
+        assert res.outage == outage_probability(
+            res.trajectory, res.schedule, scn
+        ), res.name
 
 
 def fly_hover_fly_oracle(scenario, grid, budget_norm="horizon"):

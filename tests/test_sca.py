@@ -16,6 +16,7 @@ from outage_planner import sca_planner
 from outage_planner.benchmarks import run_trajectory_only
 from outage_planner.channel import gain_at, snr_series
 from outage_planner.convex_core import solve_socp
+from outage_planner.pipeline import plan_joint
 from outage_planner.power_recovery import recover_powers
 from outage_planner.relaxed_optimum import GridSpec, HoverPlan, solve_relaxed
 from outage_planner.scenario import (
@@ -665,6 +666,51 @@ def test_trajectory_only_iterations_per_step(monkeypatch):
     assert all(factored)
     assert {status for status, _ in runs[0]} == {"optimal"}
     assert np.mean([its for _, its in runs[0]]) <= 20
+
+
+# cone iterations of each trajectory step on paper.json, and the outage
+PINNED_STEPS = {
+    ("trajectory_only", 16): (
+        [9, 11, 7, 10, 8, 9, 10, 14, 13, 10, 8, 9, 8, 8, 8, 9, 14, 8, 10, 8,
+         9, 8, 8, 8, 8, 14, 8, 8, 8, 10, 8, 8, 8, 8, 14, 8, 8, 8, 9, 9, 9, 9,
+         8, 10, 9],
+        1.0,
+    ),
+    ("trajectory_only", 32): (
+        [10, 11, 9, 10, 9, 9, 13, 14, 9, 9, 10, 9, 10, 9, 14, 9, 10, 9, 14, 9,
+         9, 9, 9, 9, 9, 9, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 9, 9, 9, 9, 10],
+        1.0,
+    ),
+    ("joint", 16): (
+        [9, 9, 8, 11, 10, 9, 9, 9, 9, 9, 9, 10, 10, 10, 11, 11, 10, 10, 11,
+         11, 10, 10, 11, 10, 11, 11, 11],
+        0.25,
+    ),
+    ("joint", 32): ([9, 10, 10, 10, 10, 10, 10, 10, 12], 0.1875),
+}
+
+
+@pytest.mark.parametrize("scheme, n_slots", sorted(PINNED_STEPS))
+def test_trajectory_step_iterates_are_pinned(monkeypatch, scheme, n_slots):
+    """The cone iterations of every trajectory step and the final outage
+    of trajectory_only and plan_joint on paper.json at N = 16 and 32
+    equal the recorded ones: 413, 403, 269 and 91 iterations in all.  A
+    change to the cone solver's arithmetic that keeps its iterates keeps
+    these counts."""
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=n_slots)
+    counts = []
+    real = sca_planner.solve_socp
+
+    def counted(program):
+        outcome = real(program)
+        assert outcome.status == "optimal"
+        counts.append(outcome.iterations)
+        return outcome
+
+    monkeypatch.setattr(sca_planner, "solve_socp", counted)
+    plan = run_trajectory_only if scheme == "trajectory_only" else plan_joint
+    outage = plan(scn).outage
+    assert (counts, outage) == PINNED_STEPS[scheme, n_slots]
 
 
 _RANDOM_STEPS = """
