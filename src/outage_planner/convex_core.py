@@ -442,11 +442,12 @@ class ConeProgram:
     that system is not positive definite to working precision.  ``x0``
     must be strictly feasible.
 
-    The solver works on the transposes, (p, cones), so that each
-    component of every cone is one run of memory.  The cone vectors it
-    passes (and those of ``NtScaling``) are transposed views of such
-    arrays; a program that returns them in the same layout, as
-    ``out.T`` of a (p, cones) array, spares each of its products a copy.
+    Cone vectors may come in any memory layout.  The solver works on
+    their transposes, (p, cones), so that each component of every cone
+    lies in one run of memory and numpy's loops run over the cones; the
+    cone vectors it passes (and those of ``NtScaling``) are transposed
+    views of such arrays.  A program that builds its own the same way,
+    returning ``out.T`` of a (p, cones) array, keeps that layout.
     """
 
     c: np.ndarray
@@ -651,21 +652,17 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
             status = STATUS_SINGULAR
             break
         lam = nt.lam.T
-        minus_h = -nt.matrix           # -H, so that ds~ = -H G dx is one product
+        minus_h = -nt.matrix
 
-        def times(u):
-            # -H u
-            return np.einsum("abk,bk->ak", minus_h, u)
-
-        def scaled(dx):
-            # ds~ = -H G dx, written to ds
-            np.einsum("abk,bk->ak", minus_h, program.g_mul(dx).T, out=ds)
+        def times(u, out=None):
+            # -H u, so that ds~ = -H G dx is one product
+            return np.einsum("abk,bk->ak", minus_h, u, out=out)
 
         room = _step_limit(lam, nt.det_lam)
         # predictor (affine scaling: t = -lam, so H t = -z and rhs = -c):
         # G dx + ds = 0, G^T dz = -residual and ds~ + dz~ = t in the
         # scaled variables ds~ = H ds, dz~ = H^-1 dz
-        scaled(solve(minus_c))
+        times(program.g_mul(solve(minus_c)).T, ds)
         np.subtract(-lam, ds, out=dz)
         sigma = (1.0 - min(1.0, room(pair))) ** 3
         # then Mehrotra's centered corrector, rhs = -residual - G^T H t
@@ -674,14 +671,14 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
         t = _jordan_solve(lam, nt.det_lam, r)
         rhs = program.g_tmul(times(t).T) - residual
         dx = solve(rhs)
-        scaled(dx)
+        times(program.g_mul(dx).T, ds)
         for _ in range(_SOCP_REFINE):
             # iterative refinement of the dual equation G^T dz = -residual
             error = rhs - program.g_tmul(times(ds).T)
             if np.abs(error).max() <= 0.1 * residual_tol:
                 break
             dx = dx + solve(error)
-            scaled(dx)
+            times(program.g_mul(dx).T, ds)
         np.subtract(t, ds, out=dz)
         alpha = min(1.0, _SOCP_FRACTION * room(pair))
         back = times(dz)               # -dz = -H dz~

@@ -9,6 +9,8 @@ from outage_planner import convex_core
 from outage_planner.convex_core import (
     STATUS_MAX_ITERS,
     STATUS_OPTIMAL,
+    STATUS_SINGULAR,
+    STATUS_STALLED,
     STATUS_UNBOUNDED,
     BoundBlock,
     ConeProgram,
@@ -398,6 +400,52 @@ def test_socp_reports_iteration_cap(monkeypatch):
     assert out.status == STATUS_MAX_ITERS
     assert out.iterations == 2
     assert np.hypot(*out.x) < 1.0
+
+
+def _unit_disk_program():
+    g = np.zeros((1, 4, 2))
+    g[0, 1, 0] = g[0, 2, 1] = -1.0
+    h = np.array([[1.0, 0.0, 0.0, 0.0]])
+    return dense_cone_program([1.0, 2.0], g, h, [0.3, -0.2])
+
+
+def test_socp_reports_failed_factorization(monkeypatch):
+    """A factorization that fails stops the solve as singular, counting
+    only the iterations that took a step, at the last iterate."""
+    program = _unit_disk_program()
+    factor, calls = program.factor, []
+
+    def failing_third(nt):
+        calls.append(nt)
+        return factor(nt) if len(calls) < 3 else None
+
+    monkeypatch.setattr(program, "factor", failing_third)
+    out = solve_socp(program)
+    assert out.status == STATUS_SINGULAR
+    assert out.iterations == 2 and len(calls) == 3
+    assert np.hypot(*out.x) < 1.0
+    assert out.objective == float(np.dot([1.0, 2.0], out.x))
+
+
+def test_socp_reports_a_step_that_cannot_stay_inside(monkeypatch):
+    """Slacks that leave the cone after the start's make each halving of
+    the first step fail: the solve stops as stalled after no step, at
+    the start."""
+    program = _unit_disk_program()
+    slacks, start, calls = program.slacks, program.x0.copy(), []
+
+    def outside_after_start(x):
+        calls.append(x)
+        out = slacks(x)
+        if len(calls) > 1:
+            out[:, 0] = -1.0
+        return out
+
+    monkeypatch.setattr(program, "slacks", outside_after_start)
+    out = solve_socp(program)
+    assert out.status == STATUS_STALLED
+    assert out.iterations == 0 and len(calls) == 61
+    np.testing.assert_array_equal(out.x, start)
 
 
 def test_price_feasibility_single_sensor_matches_closed_form():

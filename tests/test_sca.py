@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,12 @@ from hypothesis import strategies as st
 from outage_planner import sca_planner
 from outage_planner.benchmarks import run_trajectory_only
 from outage_planner.channel import gain_at, snr_series
-from outage_planner.convex_core import solve_socp
+from outage_planner.convex_core import (
+    STATUS_MAX_ITERS,
+    STATUS_SINGULAR,
+    STATUS_STALLED,
+    solve_socp,
+)
 from outage_planner.pipeline import plan_joint
 from outage_planner.power_recovery import recover_powers
 from outage_planner.relaxed_optimum import GridSpec, HoverPlan, solve_relaxed
@@ -666,6 +672,25 @@ def test_trajectory_only_iterations_per_step(monkeypatch):
     assert all(factored)
     assert {status for status, _ in runs[0]} == {"optimal"}
     assert np.mean([its for _, its in runs[0]]) <= 20
+
+
+@pytest.mark.parametrize(
+    "status", [STATUS_MAX_ITERS, STATUS_SINGULAR, STATUS_STALLED]
+)
+def test_trajectory_step_rejects_unfinished_solves(
+    monkeypatch, small_scenario, status
+):
+    """A cone solve that stops short of optimal, for any reason, leaves
+    the trajectory step's iterate as it was."""
+    state = _full_budget_state(small_scenario)
+    real = sca_planner.solve_socp
+
+    def stopped(program):
+        return replace(real(program), status=status)
+
+    monkeypatch.setattr(sca_planner, "solve_socp", stopped)
+    new, ok = sca_planner.trajectory_step(state, small_scenario)
+    assert not ok and new is state
 
 
 # cone iterations of each trajectory step on paper.json, and the outage
