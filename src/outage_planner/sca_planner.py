@@ -250,7 +250,6 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
     legs = slice(n + 1 + m, 3 * n)
     chain = np.empty((2, n + 1))                   # q_i, the free waypoints, q_f
     chain[:, 0], chain[:, -1] = q_i, q_f
-    q0_t = q0.T
 
     def waypoints(x):
         return q0 + x[:nq].reshape(m, 2)
@@ -259,7 +258,7 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
     # their (3 N, 4) transposes: the layout solve_socp works in
     def slacks(x):
         d = x[:nq].reshape(m, 2).T
-        np.add(q0_t, d, out=chain[:, 1:-1])
+        np.add(q0.T, d, out=chain[:, 1:-1])
         a = x[nq:]
         u = cap0[:m] + (grad_t * d).sum(axis=0) - a[:m]
         out = np.zeros((4, 3 * n))
@@ -333,7 +332,7 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
             ra = r[nq:]
             rd = r[:nq].reshape(m, 2).T - (ra[:m] / pivot) * couple
             out = np.empty(nq + n)
-            _solve_spring_chain(chol, rd.T, out[:nq])
+            out[:nq] = _solve_spring_chain(chol, rd.T)
             d = out[:nq].reshape(m, 2).T
             da = out[nq:]
             da[:m] = (ra[:m] - (couple * d).sum(axis=0)) / pivot
@@ -435,12 +434,12 @@ def _factor_spring_chain(ground, springs):
     return inverse, mult
 
 
-def _solve_spring_chain(chol, r, out):
+def _solve_spring_chain(chol, r):
     """Solve the system factored by ``_factor_spring_chain`` for r (m, 2).
 
     With L_j+1 = K_j+1 S_j^-1: forward y_j = r_j + L_j y_j-1, then back
-    x_j = S_j^-1 y_j + L_j+1^T x_j+1.  The solution is written to the
-    flat array ``out`` (2 m,), point by point.
+    x_j = S_j^-1 y_j + L_j+1^T x_j+1.  Returns the solution as one flat
+    list, point by point.
     """
     inverse, mult = chol
     b = r.ravel().tolist()                         # x_0, y_0, x_1, ...
@@ -462,7 +461,7 @@ def _solve_spring_chain(chol, r, out):
             i12 * bx + i22 * by + l12 * x + l22 * y,
         )
         b[i], b[i + 1] = x, y
-    out[:] = b
+    return b
 
 
 def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
