@@ -11,7 +11,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +29,7 @@ from outage_planner.sca_planner import (
     DEFAULT_ROUNDS,
     direct_flight,
     itinerary_trajectory,
+    itinerary_waypoints,
     plan_sca,
     trajectory_step,
 )
@@ -88,44 +88,6 @@ def run_power_only(
     )
 
 
-def _via_slot_positions(
-    scenario: Scenario, vias: np.ndarray, hovers: np.ndarray
-) -> np.ndarray:
-    """Slot positions of the itineraries start -> via -> finish, (M, N, 2).
-
-    Row m equals ``itinerary_trajectory(scenario, [vias[m]], [hovers[m]])
-    .slot_positions`` bit for bit: the legs are measured with ``math.dist``
-    and sampled by the same arithmetic.
-    """
-    q_i = np.asarray(scenario.q_start, dtype=float)
-    q_f = np.asarray(scenario.q_final, dtype=float)
-    fly_in = np.array([math.dist(q_i, p) for p in vias]) / scenario.v_max
-    fly_out = np.array([math.dist(p, q_f) for p in vias]) / scenario.v_max
-    # three segments: fly in, hover at the via point, fly out
-    seg_t0 = np.stack([np.zeros_like(fly_in), fly_in, fly_in + hovers], axis=1)
-    seg_dt = np.stack([fly_in, hovers, fly_out], axis=1)
-    ends = np.stack(
-        [np.broadcast_to(q_i, vias.shape), vias, np.broadcast_to(q_f, vias.shape)],
-        axis=1,
-    )
-    seg_start, seg_end = ends[:, [0, 1, 1]], ends[:, [1, 1, 2]]
-
-    times = np.arange(1, scenario.n_slots + 1) * scenario.slot_length
-    seg = (seg_t0[:, None, :] <= times[None, :, None]).sum(axis=2) - 1
-    t0 = np.take_along_axis(seg_t0, seg, axis=1)
-    dt = np.take_along_axis(seg_dt, seg, axis=1)
-    frac = np.clip(
-        np.divide(times - t0, dt, out=np.zeros_like(dt), where=dt > 0.0),
-        0.0,
-        1.0,
-    )
-    rows = np.arange(len(vias))[:, None]
-    start = seg_start[rows, seg]
-    wp = start + frac[:, :, None] * (seg_end[rows, seg] - start)
-    wp[:, -1] = q_f
-    return wp
-
-
 def run_fly_hover_fly(
     scenario: Scenario,
     grid: GridSpec | None = None,
@@ -174,7 +136,9 @@ def run_fly_hover_fly(
     bounds = np.concatenate([
         served_upper_bounds(
             scenario,
-            _via_slot_positions(scenario, points[block], hover[block]),
+            itinerary_waypoints(
+                scenario, points[block][:, None], hover[block][:, None]
+            )[:, 1:],
             budget_norm,
         )
         for block in np.split(

@@ -15,19 +15,22 @@ Five primitives, all dependency-free and reproducible run to run:
   factorization of the scaled normal system, as the SCA trajectory step
   does with its block-tridiagonal structure.
 * ``solve_barrier``: log-barrier interior-point method for smooth convex
-  programs.  Constraints are supplied in vectorized blocks.  A program
-  with structure may supply its own Newton system (``newton``);
-  otherwise the system is assembled densely from the blocks' Jacobians
-  and Hessians.  No planner stage calls it any more: the tests' dense
-  references do.  ``newton_direction`` is the ridge-guarded Newton
-  solve, shared with the SCA power step.
+  programs.  Constraints are supplied in vectorized blocks, and the
+  Newton system is assembled densely from their Jacobians and Hessians.
+  No planner stage calls it any more: the tests' dense references do.
 * ``solve_price_feasibility``: decides whether per-slot amplitude targets
   fit into per-sensor budgets, by Newton's method on the K budget prices
   of the concave dual (the paper's closed-form per-slot powers).
-  ``ascend_in_orthant`` is its line search, shared with the SCA power step.
 * ``bisect_max_feasible``: largest-feasible-integer search for monotone
   predicates, with a verification pass and a linear-scan fallback when the
   monotonicity assumption fails.
+
+The smooth programs share one Newton step, ``newton_step`` (H d = -grad,
+bordered by sum(d) = 0 on the price simplex, ridge-guarded otherwise),
+and one Armijo search, ``backtrack``.  The two programs over the K budget
+prices, the price test and the dual of the SCA power step, share one
+damped-Newton loop, ``minimize_prices``; each supplies only its value,
+gradient, Hessian and stop test.
 """
 
 from __future__ import annotations
@@ -205,6 +208,62 @@ def _appended(start: SolveOutcome, c, a, b):
 
 
 # ---------------------------------------------------------------------------
+# Smooth convex programs: one Newton step, one line search
+# ---------------------------------------------------------------------------
+
+_ARMIJO_C = 0.01         # slope fraction of the backtracking search
+
+
+def newton_step(hess, grad, ridge_scale=None):
+    """A descent direction d (grad @ d < 0) from H d = -grad, or None.
+
+    With ``ridge_scale`` None the step is bordered: d also keeps
+    sum(d) = 0, from the KKT system [[H, 1], [1^T, 0]] (d, y) = (-grad, 0)
+    that steps on the price simplex need, and a singular or non-descending
+    solve gives None.  Otherwise a failed or non-descending solve is
+    retried on H + r I, r starting at 1e-12 ``ridge_scale`` and growing
+    100-fold, five times at most; None when no try descends.
+    """
+    k = grad.size
+    if ridge_scale is None:
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = hess
+        kkt[k, k] = 0.0
+        try:
+            step = np.linalg.solve(kkt, np.append(-grad, 0.0))[:k]
+        except np.linalg.LinAlgError:
+            return None
+        return step if grad @ step < 0.0 else None
+    ridge = 0.0
+    for _ in range(6):
+        try:
+            step = np.linalg.solve(hess + ridge * np.eye(k) if ridge else hess, -grad)
+            if grad @ step < 0.0:
+                return step
+        except np.linalg.LinAlgError:
+            pass
+        ridge = ridge_scale * 1e-12 if ridge == 0.0 else ridge * 100.0
+    return None
+
+
+def backtrack(fun, x, step, ceiling, slope, alpha=1.0):
+    """Armijo backtracking search: (x + a step, fun there), or None.
+
+    a runs through ``alpha``, alpha / 2, ... until fun(x + a step) <=
+    ``ceiling`` + ``_ARMIJO_C`` a ``slope``, 60 halvings at most.
+    ``ceiling`` is fun(x), or a little above it to accept a rise within
+    round-off; ``slope`` < 0 is the derivative of fun along ``step``.
+    """
+    for _ in range(60):
+        cand = x + alpha * step
+        value = fun(cand)
+        if value <= ceiling + _ARMIJO_C * alpha * slope:
+            return cand, value
+        alpha *= 0.5
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Smooth convex programs: log-barrier Newton method
 # ---------------------------------------------------------------------------
 
@@ -214,11 +273,10 @@ class GenericBlock:
     ``value`` maps x to the (m_i,) constraint values, ``jacobian`` to the
     (m_i, n) Jacobian.  ``hessian_comb(x, w)`` must return
     sum_j w_j * hess(g_j)(x) as an (n, n) array, or None when every
-    constraint in the block is affine.  A program with its own ``newton``
-    system needs only the values, so ``jacobian`` may then be None.
+    constraint in the block is affine.
     """
 
-    def __init__(self, value, jacobian=None, hessian_comb=None):
+    def __init__(self, value, jacobian, hessian_comb=None):
         self._value = value
         self._jacobian = jacobian
         self._hessian_comb = hessian_comb
@@ -262,11 +320,6 @@ class SmoothConvexProgram:
 
     ``objective`` and ``gradient`` are required; ``hessian`` may be None for
     affine objectives.  ``x0`` must be strictly feasible for every block.
-    ``newton(x, t)``, when given, replaces the dense assembly: it returns
-    the gradient of the barrier function t f(x) - sum log(-g(x)), the
-    trace of its Hessian H, and ``solve(rhs, ridge)``, which returns the
-    solution of (H + ridge I) d = rhs, or None when that system is not
-    positive definite to working precision.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -274,7 +327,6 @@ class SmoothConvexProgram:
     x0: np.ndarray
     blocks: list = field(default_factory=list)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    newton: Callable | None = None
 
 
 def _barrier_value(program, t, x):
@@ -289,10 +341,8 @@ def _barrier_value(program, t, x):
 
 
 def _dense_newton(program, x, t):
-    """The barrier's Newton system, assembled densely from the blocks.
-
-    Returns (gradient, Hessian trace, solve) like ``program.newton``.
-    """
+    """Gradient and Hessian of the barrier t f(x) - sum log(-g(x)),
+    assembled densely from the blocks."""
     n = x.size
     grad = t * np.asarray(program.gradient(x), dtype=float)
     hess = np.zeros((n, n))
@@ -300,46 +350,12 @@ def _dense_newton(program, x, t):
         hess += t * np.asarray(program.hessian(x), dtype=float)
     for block in program.blocks:
         block.add_newton_terms(x, block.value(x), grad, hess)
-    return grad, float(np.trace(hess)), dense_solver(hess)
-
-
-def dense_solver(hess):
-    """``solve(rhs, ridge)`` for (hess + ridge I) d = rhs by LU.
-
-    Returns None when the system is singular.
-    """
-    def solve(rhs, ridge):
-        try:
-            return np.linalg.solve(
-                hess + ridge * np.eye(rhs.size) if ridge else hess, rhs
-            )
-        except np.linalg.LinAlgError:
-            return None
-
-    return solve
-
-
-def newton_direction(solve, grad, base):
-    """Solve H d = -grad for a descent direction (grad @ d < 0).
-
-    ``solve(rhs, ridge)`` solves (H + ridge I) d = rhs, or returns None.
-    A failed or non-descending solve is retried with a ridge, starting at
-    1e-12 * ``base`` and growing 100-fold, five times at most.  Returns
-    None when no try descends.
-    """
-    ridge = 0.0
-    for _ in range(6):
-        step = solve(-grad, ridge)
-        if step is not None and grad @ step < 0.0:
-            return step
-        ridge = base * 1e-12 if ridge == 0.0 else ridge * 100.0
-    return None
+    return grad, hess
 
 
 # log-barrier schedule
 _T0 = 1.0                # first barrier parameter
 _MU = 10.0               # growth of the barrier parameter per stage
-_ARMIJO_C = 0.01         # slope fraction of the backtracking search
 _NEWTON_TOL = 1e-10      # centering stops once lambda^2 / 2 is below this
 _MAX_STAGE_NEWTON = 60   # Newton steps per centering stage
 
@@ -352,8 +368,8 @@ def solve_barrier(
     """Minimize a smooth convex program with the log-barrier method.
 
     The barrier parameter starts at ``_T0`` and is multiplied by ``_MU``
-    after each centering stage; each stage runs damped Newton steps with
-    Armijo backtracking (halving, slope fraction ``_ARMIJO_C``) until the
+    after each centering stage; each stage runs damped Newton steps
+    (``newton_step`` with a ridge) searched by ``backtrack`` until the
     Newton decrement satisfies lambda^2 / 2 <= ``_NEWTON_TOL``, the
     decrement falls below the float resolution of the barrier value, or the
     stage budget ``_MAX_STAGE_NEWTON`` runs out; ``max_newton`` caps the
@@ -383,11 +399,8 @@ def solve_barrier(
             if newton_used >= max_newton:
                 status = STATUS_MAX_ITERS
                 break
-            if program.newton is not None:
-                grad, trace, solve = program.newton(x, t)
-            else:
-                grad, trace, solve = _dense_newton(program, x, t)
-            step = newton_direction(solve, grad, trace / n + 1.0)
+            grad, hess = _dense_newton(program, x, t)
+            step = newton_step(hess, grad, float(np.trace(hess)) / n + 1.0)
             if step is None:
                 break  # numerically stuck; let the outer loop decide
 
@@ -398,23 +411,17 @@ def solve_barrier(
             if 0.5 * decrement <= 1e-12 * abs(phi0):
                 break  # below the float resolution of the barrier value
 
-            slope = -decrement
-            alpha = 1.0
-            accepted = False
-            for _ in range(60):
-                cand = x + alpha * step
-                phi = _barrier_value(program, t, cand)
-                if phi <= phi0 + _ARMIJO_C * alpha * slope:
-                    x, phi_x = cand, phi
-                    accepted = True
-                    break
-                alpha *= 0.5
+            found = backtrack(
+                lambda v: _barrier_value(program, t, v), x, step, phi0,
+                -decrement,
+            )
             newton_used += 1
             stage_used += 1
-            if not accepted:
+            if found is None:
                 # float-noise floor for this stage; the iterate is already
                 # centered enough for the next t to take over
                 break
+            x, phi_x = found
 
         if status == STATUS_MAX_ITERS or m / t <= gap_tol:
             break
@@ -699,7 +706,7 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
 
 
 # ---------------------------------------------------------------------------
-# Amplitude targets within budgets: Newton's method on the K prices
+# Programs over the K budget prices: one damped-Newton loop
 # ---------------------------------------------------------------------------
 
 ACCEPT_USAGE = 1 + 2e-9   # max budget share still declared feasible: a
@@ -707,25 +714,51 @@ ACCEPT_USAGE = 1 + 2e-9   # max budget share still declared feasible: a
 _PRICE_MAX_NEWTON = 30    # Newton steps of the price test before giving up
 
 
-def ascend_in_orthant(fun, x, step, value, slope, fraction):
-    """Backtracking line search that increases ``fun`` and keeps x > 0.
+def minimize_prices(model, value, nu, max_steps, fraction, simplex=False):
+    """Minimize a convex function f of K prices nu > 0 by damped Newton.
 
-    The first trial point lies ``fraction`` of the way from x to the
-    boundary of the positive orthant along ``step`` (at most a full
-    step); the length is then halved until Armijo's condition
-    fun(x + a step) >= value + _ARMIJO_C a slope holds, where ``value``
-    is fun(x) and ``slope`` > 0 its derivative along ``step``.  Returns
-    the accepted point, or None when 60 halvings find none.
+    ``model(nu)`` either settles the program at nu and returns
+    (answer, None), or returns (None, (f, grad, hess, ridge_scale)): f,
+    its gradient and Hessian at nu and the ridge scale of ``newton_step``.
+    ``value(nu)`` is f alone, for the search.  Each ``newton_step`` is
+    searched by ``backtrack`` from ``fraction`` of the way to the boundary
+    nu = 0 (a full step at most), under the approximate Armijo ceiling
+    f + 1e-12 |f|: a rise of f within its round-off is accepted, so Newton
+    steps still shrink the gradient once f has settled (Hager & Zhang,
+    SIAM J. Optim. 2005).  With ``simplex`` the prices stay on
+    sum(nu) = 1: the steps are bordered and each new point is rescaled
+    onto the simplex.  Returns the answer, or None when a step or its
+    search fails or ``max_steps`` steps settle nothing.
     """
-    shrink = step < 0.0
-    room = np.min(x[shrink] / -step[shrink], initial=np.inf)
-    alpha = min(1.0, fraction * float(room))
-    for _ in range(60):
-        cand = x + alpha * step
-        if fun(cand) >= value + _ARMIJO_C * alpha * slope:
-            return cand
-        alpha *= 0.5
+    for _ in range(max_steps):
+        answer, newton = model(nu)
+        if newton is None:
+            return answer
+        f, grad, hess, ridge_scale = newton
+        step = newton_step(hess, grad, None if simplex else ridge_scale)
+        if step is None:
+            return None
+        shrink = step < 0.0
+        room = np.min(nu[shrink] / -step[shrink], initial=np.inf)
+        found = backtrack(
+            value, nu, step, f + 1e-12 * abs(f), float(grad @ step),
+            min(1.0, fraction * float(room)),
+        )
+        if found is None:
+            return None
+        nu = found[0] / found[0].sum() if simplex else found[0]
     return None
+
+
+def start_prices(h: np.ndarray) -> np.ndarray:
+    """The price test's first prices for ``h`` of shape (..., K, m).
+
+    nu_k is proportional to sqrt(sum_n h_kn), on the price simplex.
+    ``power_recovery.served_upper_bounds`` prices its bound at these
+    prices, as the price test's own start, so the two must stay equal.
+    """
+    nu = np.sqrt(h.sum(axis=-1))
+    return nu / nu.sum(axis=-1, keepdims=True)
 
 
 def solve_price_feasibility(h: np.ndarray) -> np.ndarray | None:
@@ -739,52 +772,35 @@ def solve_price_feasibility(h: np.ndarray) -> np.ndarray | None:
     u = x 1 and f(nu) = nu . u = sum_n 1 / s_n sandwich the least
     worst-case share rho*: f(nu) <= rho* <= max_k u_k (weak duality), with
     equality at the maximizer of the concave f over the price simplex,
-    which Newton's method seeks.  Returns x / max(1, max_k u_k) once
+    which ``minimize_prices`` seeks as the minimizer of -f from
+    ``start_prices``.  Returns x / max(1, max_k u_k) once
     max_k u_k <= ``ACCEPT_USAGE``, and None (infeasible) once
-    f > ``ACCEPT_USAGE`` or when ``_PRICE_MAX_NEWTON`` steps or a stalled
+    f > ``ACCEPT_USAGE`` or when ``_PRICE_MAX_NEWTON`` steps or a failed
     step leave the verdict open (the conservative answer).
     """
-    k = h.shape[0]
-
     def priced(nu):
         s = (h / nu[:, None]).sum(axis=0)
         return float((1.0 / s).sum()), s
 
-    kkt = np.zeros((k + 1, k + 1))
-    kkt[:k, k] = kkt[k, :k] = 1.0
-    rhs = np.zeros(k + 1)
-    nu = np.sqrt(h.sum(axis=1))
-    nu /= nu.sum()
-    for _ in range(_PRICE_MAX_NEWTON):
+    def model(nu):
         f, s = priced(nu)
         a = h / (nu**2)[:, None]
         x = a / s**2
         usage = x.sum(axis=1)
         top = float(usage.max())
         if top <= ACCEPT_USAGE:
-            return x / max(1.0, top)
+            return x / max(1.0, top), None
         if f > ACCEPT_USAGE:
-            return None
+            return None, None
+        # the gradient of f is u, and f is homogeneous of degree one, so
+        # its Hessian is singular along nu: only the bordered step solves
+        hess = np.diag(2.0 * usage / nu) - 2.0 * (a / s**3) @ a.T
+        return None, (-f, -usage, hess, None)
 
-        # Newton step of max f subject to sum(nu) = 1; the gradient of f
-        # is u, and f is homogeneous of degree one, so its Hessian is
-        # singular along nu and only the bordered system is solvable
-        kkt[:k, :k] = 2.0 * (a / s**3) @ a.T - np.diag(2.0 * usage / nu)
-        rhs[:k] = -usage
-        try:
-            step = np.linalg.solve(kkt, rhs)[:k]
-        except np.linalg.LinAlgError:
-            break
-        slope = float(usage @ step)
-        if not slope > 1e-15 * f:
-            break  # converged short of a verdict
-        cand = ascend_in_orthant(
-            lambda v: priced(v)[0], nu, step, f, slope, 0.99
-        )
-        if cand is None:
-            break
-        nu = cand / cand.sum()
-    return None
+    return minimize_prices(
+        model, lambda v: -priced(v)[0], start_prices(h), _PRICE_MAX_NEWTON,
+        0.99, simplex=True,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from outage_planner.convex_core import (  # noqa: F401
     bisect_max_feasible,
     solve_barrier,
     solve_price_feasibility,
+    start_prices,
 )
 from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 
@@ -234,8 +235,7 @@ def served_upper_bounds(
 
     # priced: the v cheapest slot costs at the price test's first prices
     h1 = gains * budgets / _solver_threshold(scenario) ** 2
-    nu = np.sqrt(h1.sum(axis=1))
-    nu /= nu.sum(axis=1, keepdims=True)
+    nu = start_prices(h1.swapaxes(1, 2))
     cost = np.sort(1.0 / (h1 / nu[:, None, :]).sum(axis=2), axis=1)
     priced = np.cumsum(cost, axis=1) / spread <= ACCEPT_USAGE * (1.0 + 1e-9)
     return np.minimum(_leading_run(pooled), _leading_run(priced))
@@ -263,8 +263,8 @@ def max_active_upper_bound(
       ``ACCEPT_USAGE``) or the equal split certifies (rho* <= 1), so v is
       excluded once the v cheapest costs over spread exceed
       ``ACCEPT_USAGE``, with a 1e-9 relative margin for round-off.  The
-      prices are the price test's own start, nu proportional to
-      sqrt(sum_n h1_kn).
+      prices are the price test's own start (``start_prices``), nu
+      proportional to sqrt(sum_n h1_kn).
     """
     return int(
         served_upper_bounds(scenario, trajectory.slot_positions[None], budget_norm)[0]

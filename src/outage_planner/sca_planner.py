@@ -40,9 +40,7 @@ from outage_planner.channel import gain_at
 from outage_planner.convex_core import (  # noqa: F401
     STATUS_OPTIMAL,
     ConeProgram,
-    ascend_in_orthant,
-    dense_solver,
-    newton_direction,
+    minimize_prices,
     solve_barrier,
     solve_price_feasibility,
     solve_socp,
@@ -498,7 +496,7 @@ def _optimal_shares(e2, beta, off, gamma):
     S_n = min(gamma beta_n w_n / 2, t_n), where t_n = (1 + off_n) / beta_n
     caps A'_n at 1.  If recovery's price test finds every t_n reachable,
     its shares are optimal; a zero price caps every slot, so this covers
-    every slack budget.  Otherwise Newton's method minimizes the convex
+    every slack budget.  Otherwise ``minimize_prices`` minimizes the convex
     dual g(nu) = sum_k nu_k + mean_n [gamma min(1, beta_n S_n - off_n)
     - S_n^2 / w_n] over nu > 0.  Its gradient is 1 - usage of the shares
     p'_kn = (S_n / w_n)^2 e2_kn / nu_k^2, and it stops once g exceeds the
@@ -529,8 +527,8 @@ def _optimal_shares(e2, beta, off, gamma):
         return float(value), w, amp
 
     tol = 1e-10 * max(1.0, gamma)
-    nu = 0.5 * gamma * np.sqrt((beta**2 * e2).mean(axis=1))
-    for _ in range(_PRICE_STEP_MAX_NEWTON):
+
+    def model(nu):
         g, w, amp = dual(nu)
         a = e2 / (nu**2)[:, None]            # -dw_n / dnu_k
         ratio2 = (amp / w) ** 2
@@ -541,27 +539,21 @@ def _optimal_shares(e2, beta, off, gamma):
             np.minimum(1.0, beta * np.sqrt(p * e2).sum(axis=0) - off)
         )
         if min(g, gamma) - primal <= tol:
-            return p
-
+            return p, None
         # capped slots add -2 S^2 / w^3 a a^T to the Hessian.  Where every
         # slot is capped g is linear along nu and the Hessian singular:
-        # the ridge of newton_direction then turns the step into descent
+        # the ridge of newton_step, scaled by the mean of the diagonal
+        # term, then turns the step into descent
         curv = np.where(amp < top, 0.0, 2.0 * ratio2 / w)
         diag = 2.0 * usage / nu
         hess = np.diag(diag) - (a * curv) @ a.T / n
-        step = newton_direction(dense_solver(hess), 1.0 - usage, diag.mean())
-        if step is None:
-            return None
-        # the search accepts a rise of g within its round-off, so Newton
-        # steps still shrink the gradient once g has settled (the
-        # approximate Armijo test of Hager & Zhang, SIAM J. Optim. 2005)
-        nu = ascend_in_orthant(
-            lambda v: -dual(v)[0], nu, step, -g - 1e-12 * abs(g),
-            float((usage - 1.0) @ step), _PRICE_STEP_BOUNDARY,
-        )
-        if nu is None:
-            return None
-    return None
+        return None, (g, 1.0 - usage, hess, diag.mean())
+
+    return minimize_prices(
+        model, lambda v: dual(v)[0],
+        0.5 * gamma * np.sqrt((beta**2 * e2).mean(axis=1)),
+        _PRICE_STEP_MAX_NEWTON, _PRICE_STEP_BOUNDARY,
+    )
 
 
 def plan_sca(
@@ -666,69 +658,81 @@ def _tsp_order(locs: np.ndarray, q_i, q_f) -> list[int]:
     return order
 
 
-def itinerary_trajectory(
-    scenario: Scenario, stops, hover_times
-) -> Trajectory:
-    """Waypoints for a stop-and-go itinerary sampled on the slot grid.
+def itinerary_waypoints(scenario: Scenario, stops, hovers) -> np.ndarray:
+    """Waypoints of M stop-and-go itineraries sampled on the slot grid.
 
-    Flies start -> stops -> finish with every leg at maximum speed and
-    hovers at stop i for ``hover_times[i]`` seconds.  Arriving early means
-    hovering at the final position for the remaining slots.  Raises
-    ValueError if the legs alone do not fit in the mission duration.
+    Itinerary m flies start -> stops[m, 0] -> ... -> stops[m, S - 1] ->
+    finish with every leg at maximum speed and hovers ``hovers[m, i]``
+    seconds at stop i; ``stops`` has shape (M, S, 2), ``hovers`` (M, S)
+    and the result (M, N + 1, 2).  Arriving early means hovering at the
+    finish for the remaining slots.  Legs are measured with ``math.dist``
+    and each segment starts at the cumulative sum of the times before it,
+    so a row has the same bits in any batch.  Raises ValueError for a
+    non-finite stop or hover time, a negative hover time, or legs plus
+    hovers longer than the mission duration T (1 + 1e-9): any longer
+    would make some slot outrun the speed limit.
     """
+    hovers = np.asarray(hovers, dtype=float)
+    stops = np.asarray(stops, dtype=float)
+    if stops.size == 0:
+        stops = stops.reshape(hovers.shape + (2,))
+    if hovers.ndim != 2 or stops.shape != hovers.shape + (2,):
+        raise ValueError("need one hover time per stop")
+    if not (np.isfinite(stops).all() and np.isfinite(hovers).all()):
+        raise ValueError("itinerary stops and hover times must be finite")
+    if (hovers < 0.0).any():
+        raise ValueError("hover times must be nonnegative")
+    m, s = hovers.shape
     q_i = np.asarray(scenario.q_start, dtype=float)
     q_f = np.asarray(scenario.q_final, dtype=float)
-    stops = [np.asarray(s, dtype=float) for s in stops]
-    hover = np.asarray(hover_times, dtype=float)
-    if hover.shape != (len(stops),) or (hover < 0.0).any():
-        raise ValueError("need one nonnegative hover time per stop")
-
-    path = [q_i] + stops + [q_f]
-    leg_lengths = [
-        math.dist(path[i], path[i + 1]) for i in range(len(path) - 1)
-    ]
-    t_fly = sum(leg_lengths) / scenario.v_max
-    if t_fly > scenario.duration * (1.0 + 1e-9):
-        raise ValueError("itinerary legs exceed the mission duration")
-
-    seg_start, seg_end, seg_t0, seg_dt = [], [], [], []
-    clock = 0.0
-    for i in range(len(path) - 1):
-        dt = leg_lengths[i] / scenario.v_max
-        seg_start.append(path[i])
-        seg_end.append(path[i + 1])
-        seg_t0.append(clock)
-        seg_dt.append(dt)
-        clock += dt
-        if i < len(stops):
-            seg_start.append(path[i + 1])
-            seg_end.append(path[i + 1])
-            seg_t0.append(clock)
-            seg_dt.append(hover[i])
-            clock += hover[i]
-
-    seg_t0 = np.asarray(seg_t0)
-    seg_dt = np.asarray(seg_dt)
-    seg_start = np.asarray(seg_start, dtype=float)
-    seg_end = np.asarray(seg_end, dtype=float)
+    ends = np.concatenate(
+        [np.broadcast_to(q_i, (m, 1, 2)), stops, np.broadcast_to(q_f, (m, 1, 2))],
+        axis=1,
+    )
+    legs = np.array(
+        [[math.dist(a, b) for a, b in zip(path, path[1:])] for path in ends.tolist()]
+    ).reshape(m, s + 1)
+    # segment j runs from point (j + 1) // 2 of the path to point
+    # j // 2 + 1: legs at even j, hovers at odd j
+    seg_dt = np.empty((m, 2 * s + 1))
+    seg_dt[:, 0::2] = legs / scenario.v_max
+    seg_dt[:, 1::2] = hovers
+    clock = np.cumsum(seg_dt, axis=1)
+    if (clock[:, -1] > scenario.duration * (1.0 + 1e-9)).any():
+        raise ValueError("itinerary legs and hovers exceed the mission duration")
+    seg_t0 = np.zeros_like(seg_dt)
+    seg_t0[:, 1:] = clock[:, :-1]
+    j = np.arange(2 * s + 1)
+    seg_from, seg_to = (j + 1) // 2, j // 2 + 1
 
     times = np.arange(scenario.n_slots + 1) * scenario.slot_length
-    seg_idx = np.clip(
-        np.searchsorted(seg_t0, times, side="right") - 1, 0, len(seg_t0) - 1
-    )
-    frac = np.zeros_like(times)
-    nonzero = seg_dt[seg_idx] > 0.0
-    frac[nonzero] = np.clip(
-        (times[nonzero] - seg_t0[seg_idx][nonzero]) / seg_dt[seg_idx][nonzero],
+    seg = (seg_t0[:, None, :] <= times[None, :, None]).sum(axis=2) - 1
+    t0 = np.take_along_axis(seg_t0, seg, axis=1)
+    dt = np.take_along_axis(seg_dt, seg, axis=1)
+    frac = np.clip(
+        np.divide(times - t0, dt, out=np.zeros_like(dt), where=dt > 0.0),
         0.0,
         1.0,
     )
-    wp = seg_start[seg_idx] + frac[:, None] * (
-        seg_end[seg_idx] - seg_start[seg_idx]
-    )
-    wp[0] = q_i
-    wp[-1] = q_f
-    return Trajectory(wp, scenario.slot_length)
+    rows = np.arange(m)[:, None]
+    start = ends[rows, seg_from[seg]]
+    wp = start + frac[:, :, None] * (ends[rows, seg_to[seg]] - start)
+    wp[:, 0] = q_i
+    wp[:, -1] = q_f
+    return wp
+
+
+def itinerary_trajectory(
+    scenario: Scenario, stops, hover_times
+) -> Trajectory:
+    """The stop-and-go itinerary start -> stops -> finish on the slot grid.
+
+    ``itinerary_waypoints`` for one itinerary: every leg at maximum speed,
+    ``hover_times[i]`` seconds at stop i, any time left at the finish.
+    Raises ValueError as that does.
+    """
+    wp = itinerary_waypoints(scenario, [stops], [hover_times])
+    return Trajectory(wp[0], scenario.slot_length)
 
 
 def init_shf(scenario: Scenario, plan: HoverPlan) -> Trajectory:

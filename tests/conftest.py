@@ -603,45 +603,18 @@ def exact_solve(m, x):
     return np.array([float(v) for v in x])
 
 
-def refined_dense_newton(program, x, t):
-    """The barrier's Newton system assembled densely from the blocks.
-
-    Like ``convex_core``'s dense assembly, but ``solve`` follows the LU
-    solve with one step of iterative refinement.  Late in the trajectory
-    step's barrier (t >= 1e6) the plain LU step can be off by more than
-    its own size, against an exact rational solve of the same system,
-    while the refined step stays within about 1e-8 of it.
-    """
-    n = x.size
-    grad = t * program.gradient(x)
-    hess = np.zeros((n, n))
-    for block in program.blocks:
-        block.add_newton_terms(x, block.value(x), grad, hess)
-
-    def solve(rhs, ridge):
-        h = hess + ridge * np.eye(n)
-        try:
-            step = np.linalg.solve(h, rhs)
-            return step + np.linalg.solve(h, rhs - h @ step)
-        except np.linalg.LinAlgError:
-            return None
-
-    return grad, float(np.trace(hess)), solve
-
-
 def barrier_trajectory_solve(state, scenario, gap_tol=None):
     """The trajectory step's program solved by the dense log-barrier.
 
     The barrier assembles its Newton system densely from the blocks of
-    ``dense_trajectory_program`` and solves it by ``refined_dense_newton``,
-    down to ``gap_tol`` (default 1e-10 max(1, gamma), the tolerance the
-    planner's barrier used).  Returns the solver outcome, or None where
-    the step has nothing to solve or the barrier fails.
+    ``dense_trajectory_program`` and solves it down to ``gap_tol``
+    (default 1e-10 max(1, gamma), the tolerance the planner's barrier
+    used).  Returns the solver outcome, or None where the step has
+    nothing to solve or the barrier fails.
     """
     program = dense_trajectory_program(state, scenario)
     if program is None:
         return None
-    program.newton = lambda x, t: refined_dense_newton(program, x, t)
     if gap_tol is None:
         gap_tol = 1e-10 * max(1.0, scenario.gamma_min)
     try:

@@ -7,7 +7,6 @@ import pytest
 
 from outage_planner import power_recovery
 from outage_planner.benchmarks import (
-    _via_slot_positions,
     run_fly_hover_fly,
     run_power_only,
     run_trajectory_only,
@@ -22,7 +21,11 @@ from outage_planner.power_recovery import (
 )
 from outage_planner.relaxed_optimum import GridSpec
 from outage_planner.scenario import load_scenario, plan_violations
-from outage_planner.sca_planner import direct_flight, itinerary_trajectory
+from outage_planner.sca_planner import (
+    direct_flight,
+    itinerary_trajectory,
+    itinerary_waypoints,
+)
 from tests.conftest import DEGENERATE, DEMO_SCENARIO, random_scenario, small_doc
 
 
@@ -168,10 +171,39 @@ def test_block_positions_equal_itinerary_trajectory():
             scn, GridSpec.from_scenario(scn, resolution=resolution)
         )
         assert vias.size
-        block = _via_slot_positions(scn, vias, hovers)
-        for via, hover, positions in zip(vias, hovers, block):
+        block = itinerary_waypoints(scn, vias[:, None], hovers[:, None])
+        for via, hover, waypoints in zip(vias, hovers, block):
             one = itinerary_trajectory(scn, [via], [hover])
-            assert np.array_equal(positions, one.slot_positions)
+            assert np.array_equal(waypoints, one.waypoints)
+
+    # batches of two and three stops, with zero hovers and zero-length legs
+    rng = np.random.default_rng(4)
+    for scn, _ in cases:
+        q_i, q_f = np.asarray(scn.q_start), np.asarray(scn.q_final)
+        for n_stops in (2, 3):
+            # near the straight path, in order, so that the legs fit
+            along = np.sort(rng.uniform(0.0, 1.0, (12, n_stops, 1)), axis=1)
+            stops = q_i + along * (q_f - q_i) + rng.uniform(-2.0, 2.0, (12, n_stops, 2))
+            stops[0, 0] = q_i                 # no first leg
+            stops[1, 1] = stops[1, 0]         # no leg between two stops
+            paths = np.concatenate(
+                [np.broadcast_to(q_i, (12, 1, 2)), stops,
+                 np.broadcast_to(q_f, (12, 1, 2))], axis=1,
+            )
+            fly = np.linalg.norm(np.diff(paths, axis=1), axis=2).sum(axis=1)
+            spare = scn.duration - fly / scn.v_max
+            assert (spare > 0.0).all()
+            share = rng.uniform(0.0, 1.0, (12, n_stops))
+            share[2:6, rng.integers(n_stops)] = 0.0     # zero hovers
+            share[6] = 0.0
+            hovers = 0.999 * spare[:, None] * share / n_stops
+            block = itinerary_waypoints(scn, stops, hovers)
+            assert block.shape == (12, scn.n_slots + 1, 2)
+            for stop, hover, waypoints in zip(stops, hovers, block):
+                one = itinerary_trajectory(scn, stop, hover)
+                assert np.array_equal(waypoints, one.waypoints)
+            moves = np.linalg.norm(np.diff(block, axis=1), axis=2)
+            assert moves.max() <= scn.v_max * scn.slot_length * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
@@ -183,7 +215,9 @@ def test_served_bound_caps_recovery_on_every_candidate(budget_norm):
             scn, GridSpec.from_scenario(scn, resolution=9)
         )
         bounds = served_upper_bounds(
-            scn, _via_slot_positions(scn, vias, hovers), budget_norm
+            scn,
+            itinerary_waypoints(scn, vias[:, None], hovers[:, None])[:, 1:],
+            budget_norm,
         )
         for via, hover, bound in zip(vias, hovers, bounds):
             tr = itinerary_trajectory(scn, [via], [hover])

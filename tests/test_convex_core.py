@@ -18,11 +18,15 @@ from outage_planner.convex_core import (
     LinearProgram,
     NtScaling,
     SmoothConvexProgram,
+    backtrack,
     bisect_max_feasible,
+    minimize_prices,
+    newton_step,
     solve_barrier,
     solve_lp,
     solve_price_feasibility,
     solve_socp,
+    start_prices,
 )
 
 
@@ -463,6 +467,108 @@ def test_price_feasibility_single_sensor_matches_closed_form():
             assert shares.sum() <= 1.0 + 1e-12
             assert (np.sqrt(h * shares) >= 1.0 - 1e-9).all()
     assert verdicts == {True, False}
+
+
+def test_bordered_newton_step_keeps_the_simplex():
+    # as in the price test, H is singular along the prices nu (a function
+    # homogeneous of degree one), so only the bordered system solves
+    rng = np.random.default_rng(3)
+    for k in (2, 3, 6):
+        a = rng.normal(size=(k, k))
+        nu = rng.uniform(0.5, 2.0, k)
+        proj = np.eye(k) - np.outer(nu, nu) / (nu @ nu)
+        hess = proj @ (a @ a.T + np.eye(k)) @ proj
+        grad = rng.normal(size=k)
+        step = newton_step(hess, grad)
+        assert abs(step.sum()) <= 1e-12 * np.abs(step).max()
+        # the KKT rows: H d + grad is a multiple of the border's ones
+        resid = hess @ step + grad
+        np.testing.assert_allclose(resid, resid.mean(), atol=1e-10)
+        assert grad @ step < 0.0
+
+
+def test_newton_step_ridges_a_singular_hessian():
+    hess = np.diag([2.0, 0.0, 0.0])     # positive semidefinite, LU fails
+    grad = np.array([1.0, -1.0, 0.5])
+    step = newton_step(hess, grad, 4.0)
+    assert grad @ step < 0.0
+    # the first ridge, 1e-12 times the scale, already descends
+    np.testing.assert_allclose(
+        (hess + 4e-12 * np.eye(3)) @ step, -grad, rtol=1e-9
+    )
+
+
+def test_newton_step_gives_none_when_no_try_descends():
+    grad = np.array([1.0, 2.0])
+    # H + r I stays negative definite for every ridge r up to 1e-4
+    assert newton_step(-np.eye(2), grad, 1.0) is None
+    # bordered: H is negative definite on the plane sum(d) = 0
+    assert newton_step(-np.eye(2), grad) is None
+
+
+def test_backtrack_halves_to_armijo_and_gives_up_after_60_halvings():
+    x = np.array([1.0, -2.0])
+    calls = []
+
+    def square(v):
+        calls.append(v)
+        return float(v @ v)
+
+    # the full step overshoots to -x, the same value; half of it lands at 0
+    cand, value = backtrack(square, x, -2.0 * x, 5.0, -20.0)
+    np.testing.assert_array_equal(cand, [0.0, 0.0])
+    assert value == 0.0 and len(calls) == 2
+
+    calls.clear()
+    assert backtrack(lambda v: calls.append(v) or np.inf, x, -x, 5.0, -5.0) is None
+    assert len(calls) == 60
+
+
+def _log_barrier_model(c, on_simplex):
+    """f(nu) = c . nu - sum log nu for ``minimize_prices``: settled once
+    its gradient, projected on the simplex when ``on_simplex``, is below
+    1e-12.  Returns (model, value)."""
+    def value(nu):
+        return float(c @ nu - np.log(nu).sum())
+
+    def model(nu):
+        grad = c - 1.0 / nu
+        free = grad - grad.mean() if on_simplex else grad
+        if np.abs(free).max() <= 1e-12:
+            return nu, None
+        return None, (value(nu), grad, np.diag(1.0 / nu**2), 1.0)
+
+    return model, value
+
+
+def test_minimize_prices_settles_or_gives_none():
+    c = np.array([0.5, 2.0, 8.0])
+    model, value = _log_barrier_model(c, False)
+    nu = minimize_prices(model, value, np.ones(3), 50, 0.5)
+    np.testing.assert_allclose(nu, 1.0 / c, rtol=1e-12)
+    # the step cap
+    assert minimize_prices(model, value, np.ones(3), 2, 0.5) is None
+    # on the simplex the minimizer of -sum log nu is uniform
+    model, value = _log_barrier_model(np.zeros(3), True)
+    start = np.array([0.7, 0.2, 0.1])
+    nu = minimize_prices(model, value, start, 50, 0.99, simplex=True)
+    np.testing.assert_allclose(nu, 1.0 / 3.0, rtol=1e-12)
+
+    def concave(nu):     # no Newton step descends
+        return None, (0.0, np.ones(3), -np.eye(3), 1.0)
+
+    assert minimize_prices(concave, value, start, 50, 0.5) is None
+
+
+def test_start_prices_rows_are_the_price_test_start():
+    rng = np.random.default_rng(5)
+    h = rng.uniform(0.1, 9.0, size=(4, 3, 7))    # (M, K, m)
+    nu = start_prices(h)
+    np.testing.assert_allclose(nu.sum(axis=1), 1.0, rtol=1e-15)
+    for row, one in zip(h, nu):
+        np.testing.assert_array_equal(start_prices(row), one)
+        root = np.sqrt(row.sum(axis=1))
+        np.testing.assert_allclose(one, root / root.sum(), rtol=1e-15)
 
 
 def test_bisect_max_feasible_monotone():

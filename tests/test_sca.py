@@ -37,6 +37,7 @@ from outage_planner.sca_planner import (
     direct_flight,
     init_shf,
     itinerary_trajectory,
+    itinerary_waypoints,
     plan_sca,
     square_sum_lower_bound,
 )
@@ -124,6 +125,64 @@ def test_itinerary_trajectory_rejects_impossible_legs(small_scenario):
     far = [(500.0, 500.0)]
     with pytest.raises(ValueError):
         itinerary_trajectory(small_scenario, far, [0.0])
+
+
+def test_itinerary_waypoints_hand_batches():
+    scn = load_scenario(
+        small_doc(
+            sensors=[{"x": 20.0, "y": 0.0, "p_ave_dbm": 27.0}],
+            vmax_mps=10.0,
+            t_s=8.0,
+            n_slots=8,
+            q_i=[0.0, 0.0],
+            q_f=[40.0, 0.0],
+        )
+    )
+    # fly 0-1 s, a zero-length leg, hover 1-3 s, fly to 30 by 5 s, no
+    # hover there, fly to 40 by 6 s and wait; then hover 0-1 s at the
+    # start (a zero-length first leg) and fly straight through 20
+    three = itinerary_waypoints(
+        scn, [[(10.0, 0.0), (10.0, 0.0), (30.0, 0.0)]], [[0.0, 2.0, 0.0]]
+    )
+    two = itinerary_waypoints(
+        scn, [[(0.0, 0.0), (20.0, 0.0)], [(20.0, 0.0), (20.0, 0.0)]],
+        [[1.0, 0.0], [0.0, 0.0]],
+    )
+    np.testing.assert_allclose(
+        three[0, :, 0], [0, 10, 10, 10, 20, 30, 40, 40, 40], atol=1e-12
+    )
+    np.testing.assert_allclose(
+        two[:, :, 0],
+        [[0, 0, 10, 20, 30, 40, 40, 40, 40], [0, 10, 20, 30, 40, 40, 40, 40, 40]],
+        atol=1e-12,
+    )
+    assert not three[..., 1].any() and not two[..., 1].any()
+
+
+@pytest.mark.parametrize("stop, hover", [
+    ((30.0, 20.0), 5.0),          # legs 3.15 s plus 5 s exceed T = 8 s
+    ((30.0, 20.0), math.nan),
+    ((30.0, 20.0), math.inf),
+    ((30.0, 20.0), 1e9),
+    ((math.nan, 20.0), 0.0),
+    ((30.0, math.inf), 0.0),
+    ((30.0, 20.0), -1.0),
+])
+def test_itinerary_trajectory_rejects_plans_that_break_the_speed_limit(
+    small_scenario, stop, hover
+):
+    with pytest.raises(ValueError):
+        itinerary_trajectory(small_scenario, [stop], [hover])
+
+
+def test_itinerary_trajectory_takes_the_whole_spare_time(small_scenario):
+    scn = small_scenario
+    stop = np.array([30.0, 20.0])
+    fly = (math.dist(scn.q_start, stop) + math.dist(stop, scn.q_final)) / scn.v_max
+    tr = itinerary_trajectory(scn, [stop], [scn.duration - fly])
+    moves = np.linalg.norm(np.diff(tr.waypoints, axis=0), axis=1)
+    assert moves.max() <= scn.v_max * scn.slot_length * (1.0 + 1e-9)
+    np.testing.assert_array_equal(tr.waypoints[-1], scn.q_final)
 
 
 def test_init_shf_visits_hover_points(small_scenario):
