@@ -6,10 +6,14 @@ grid of candidate locations this is a linear program in the time shares,
 with a column for every grid point and threshold-meeting power vector.
 It is solved by Dantzig-Wolfe column generation.  A master LP over the
 columns found so far maximizes the served time share subject to the
-per-sensor average-power budgets.  Its budget-row duals are prices mu, at
-which every grid point has a closed-form cheapest power vector that meets
-the SNR threshold exactly (pricing); the cheapest grid point gives the
-next column.
+per-sensor average-power budgets.  At any prices mu every grid point has
+a closed-form cheapest power vector that meets the SNR threshold exactly
+(pricing); the cheapest grid point gives the next column.  The first pass
+prices at zero and the second at uniform prices that spend exactly 1.
+After that each pass prices halfway between the master's budget-row
+duals and the stability center, the best-bound prices so far after the
+first pass (Wentges' dual smoothing), and falls back to the duals
+themselves when that column does not improve the master.
 
 Pricing also evaluates the time-normalized Lagrangian dual: with v(mu)
 the optimal value of the per-point subproblem (outage indicator plus
@@ -242,50 +246,85 @@ def dual_function(
 
 
 def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
-    """Maximize the dual over the grid by column generation.
+    """Maximize the dual over the grid by stabilized column generation.
 
     A column is a grid point with its cheapest threshold-meeting powers at
     the prices it was priced at.  The master LP gives each column a time
     share x_j >= 0 and maximizes sum_j x_j subject to one row per budget,
     sum_j powers_jk x_j <= budget_k, and one for the total time, sum_j
-    x_j <= 1.  Its budget-row duals are the next prices, starting from
-    zero; each iteration prices the whole grid there (``dual_function``),
-    keeps the best dual value as the bound, and adds the cheapest point's
-    column.  Each master solve goes on from the previous solve's final
-    tableau with the new column appended, which leaves it primal feasible.
+    x_j <= 1; its duals are y (budget rows) and y0 (time row).  Each
+    pricing pass prices the whole grid (``dual_function``) and keeps the
+    best dual value as the bound.  Each master solve goes on from the
+    previous solve's final tableau with the new column appended, which
+    leaves it primal feasible.
+
+    The passes are smoothed (Wentges 1997):
+
+    * Start: the first pass prices at zero and adds its column; the second
+      prices at the uniform budget-normalized prices 1 / (K * budget_k),
+      which spend exactly 1, and adds its column if it transmits.  The
+      second is skipped when those prices overflow.
+    * Center: the best-bound prices among the passes after the first.  The
+      zero-price bound would hold the center at zero for about half the
+      passes.
+    * Each later pass prices at (center + y) / 2 and adds the column if it
+      prices out at the master's duals, 1 - y @ powers - y0 > 0.  If it
+      does not, or if nothing transmits there, the next pass prices at y
+      itself and adds its column.
 
     The loop stops once the master's outage, 1 - sum_j x_j, is within
-    ``GAP_TOL`` of the bound, when no grid point can transmit, or after
-    ``_MAX_ITERATIONS`` pricing passes.  Returns the best-bound evaluation
-    with the iteration count, the final ``gap`` and the master's
-    positive-time columns.
+    ``GAP_TOL`` of the bound, when no grid point can transmit at the
+    master's duals, or after ``_MAX_ITERATIONS`` pricing passes.  Returns
+    the best-bound evaluation with the iteration count, the final ``gap``
+    and the master's positive-time columns.
     """
     k = scenario.n_sensors
     budgets = scenario.power_budgets
     gains = gain_at(grid.points(), scenario)
     amps = _cap_amplitudes(scenario, gains)
     rows = np.append(budgets, 1.0)
+    with np.errstate(over="ignore"):
+        uniform = 1.0 / (k * budgets)
     points: list[int] = []
     table = np.ones((k + 1, _MAX_ITERATIONS))   # column powers over a ones row
-    mu = np.zeros(k)
+    duals = np.zeros(k + 1)   # the master's budget-row duals, then y0
     shares = np.zeros(0)
     master = None
     best: DualPoint | None = None
+    center, center_value = None, -math.inf
+    # each pass prices at the master's duals, at the uniform prices or at
+    # the smoothed prices; an empty master's duals are zero
+    mu, kind = np.zeros(k), "duals"
     for iterations in range(1, _MAX_ITERATIONS + 1):
         value, column, idx = _price(mu, scenario, gains, amps)
         if best is None or value > best.value:
             best = DualPoint(mu, value, column - budgets, idx)
+        if iterations > 1 and value > center_value:
+            center, center_value = mu, value
         gap = 1.0 - float(shares.sum()) - best.value
-        if gap <= GAP_TOL or idx is None or iterations == _MAX_ITERATIONS:
+        if gap <= GAP_TOL or iterations == _MAX_ITERATIONS:
             break
-        table[:k, len(points)] = column
-        points.append(idx)
-        n = len(points)
-        master = solve_lp(
-            LinearProgram(-np.ones(n), table[:, :n], rows), start=master
-        )
-        shares = master.x
-        mu = master.duals[:k]
+        if idx is not None and (
+            kind != "smoothed" or 1.0 - duals[:k] @ column - duals[k] > 0.0
+        ):
+            table[:k, len(points)] = column
+            points.append(idx)
+            n = len(points)
+            master = solve_lp(
+                LinearProgram(-np.ones(n), table[:, :n], rows), start=master
+            )
+            shares, duals = master.x, master.duals
+        elif kind == "smoothed":   # Wentges' fallback
+            mu, kind = duals[:k], "duals"
+            continue
+        elif kind == "duals":   # nothing transmits at the master's duals
+            break
+        if iterations > 1:
+            mu, kind = 0.5 * (center + duals[:k]), "smoothed"
+        elif np.isfinite(uniform).all():
+            mu, kind = uniform, "uniform"
+        else:
+            mu = duals[:k]
 
     used = np.flatnonzero(shares > 0.0)
     return replace(

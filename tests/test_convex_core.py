@@ -1,6 +1,7 @@
 """Solver checks against hand oracles and brute-force enumeration."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from outage_planner.convex_core import (
     solve_socp,
     start_prices,
 )
+from tests.conftest import exact_solve
 
 
 def vertex_oracle(c, a_ub, b_ub, lower, upper):
@@ -189,6 +191,50 @@ def test_lp_start_extends_a_chain_of_solves():
         assert out.status == cold.status == STATUS_OPTIMAL
         assert out.objective == pytest.approx(cold.objective, abs=1e-12)
         np.testing.assert_allclose(out.duals, cold.duals, rtol=0, atol=1e-12)
+
+
+def test_lp_long_chain_matches_an_exact_solve():
+    """240 solves of a master-like LP (10 resource rows and a total-time
+    row), each appending the column that column generation would price at
+    the last solve's duals: the powers that meet sum_k sqrt(g_k p_k) = 10
+    at least cost over a pool of random gains.  The chain pivots more
+    than twice per solve.  The final vertex and duals match an exact
+    rational solve of the final basis within 1e-11: rounding does not
+    build up along the chain."""
+    rng = np.random.default_rng(46)
+    m, solves = 10, 240
+    b = np.append(rng.uniform(0.5, 1.0, size=m), 1.0)
+    gains = rng.uniform(0.0, 1.0, size=(2000, m)) ** 4
+    a = np.ones((m + 1, solves))
+    out, pivots, prices = None, 0, np.ones(m)
+    for n in range(1, solves + 1):
+        mu = np.maximum(prices, 1e-3)
+        s = gains @ (1.0 / mu)
+        best = int(s.argmax())
+        a[:m, n - 1] = (10.0 * np.sqrt(gains[best]) / (mu * s[best])) ** 2
+        out = solve_lp(LinearProgram(-np.ones(n), a[:, :n], b), start=out)
+        assert out.status == STATUS_OPTIMAL
+        pivots += out.iterations
+        prices = out.duals[:m]
+    assert pivots > 2 * solves
+    vertex = np.concatenate([out.x, b - a @ out.x])
+    basis = np.flatnonzero(vertex > 1e-9)
+    assert basis.size == m + 1   # a nondegenerate vertex names its basis
+    columns = np.hstack([a, np.eye(m + 1)])[:, basis]
+    cost = np.concatenate([-np.ones(solves), np.zeros(m + 1)])[basis]
+
+    def exact(matrix, rhs):
+        return exact_solve(
+            [[Fraction(float(v)) for v in row] for row in matrix],
+            [Fraction(float(v)) for v in rhs],
+        )
+
+    np.testing.assert_allclose(
+        vertex[basis], exact(columns, b), rtol=0, atol=1e-11
+    )
+    np.testing.assert_allclose(
+        out.duals, -exact(columns.T, cost), rtol=0, atol=1e-11
+    )
 
 
 def test_lp_rejects_starts_over_other_rows_or_columns():

@@ -59,9 +59,11 @@ def test_tracer_records_the_relaxation_layers():
     (hover,) = spans["relaxed_optimum.build_hover_plan"]
     assert dual.info == plan.dual.iterations >= 1
     assert hover.info == len(plan.relaxed.locations)
-    # the master LP runs inside the column-generation loop
+    # the master LP runs inside the column-generation loop, once after
+    # each pass that adds a column; a smoothed pass whose column does not
+    # price out adds none, and the last pass adds none
     masters = spans["convex_core.solve_lp"]
-    assert len(masters) == plan.dual.iterations - 1
+    assert 1 <= len(masters) <= plan.dual.iterations - 1
     assert all(span.parent is dual for span in masters)
     # each master solve goes on from the last one's tableau, so its span
     # counts only the pivots the new column brings (simplex_pivots); a

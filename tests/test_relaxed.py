@@ -1,5 +1,6 @@
 """Speed-unconstrained optimum: pricing, duals, and hover plans."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from outage_planner import relaxed_optimum
 from outage_planner.channel import gain_at, snr
 from outage_planner.pipeline import plan_joint
 from outage_planner.relaxed_optimum import (
+    EPS_MU,
     GAP_TOL,
     DualPoint,
     GridSpec,
@@ -29,6 +31,7 @@ from outage_planner.scenario import load_scenario, plan_violations
 from tests.conftest import (
     DEGENERATE,
     DEMO_SCENARIO,
+    REPO_ROOT,
     barrier_power_oracle,
     exact_solve,
     full_grid_maximize_dual,
@@ -326,6 +329,7 @@ def test_hover_plan_reaches_the_bound_with_degenerate_duals(case):
         paper = json.loads(DEMO_SCENARIO.read_text())
         scn = _at_threshold(paper, float(case.split()[1][:-1]))
     dual, plan = solve_relaxed(scn, GridSpec.from_scenario(scn, resolution=81))
+    assert dual.gap <= GAP_TOL
     assert plan.outage - dual.value <= 1e-9
     for loc, powers in zip(plan.locations, plan.powers):
         assert snr(loc, powers, scn) >= scn.gamma_min * (1 - 1e-9)
@@ -357,7 +361,7 @@ def test_degenerate_scenarios_relax_and_plan_cleanly(case):
 
 
 def test_final_master_matches_an_exact_solve(monkeypatch):
-    """On paper.json at 81 x 81 the master is solved 235 times, each solve
+    """On paper.json at 81 x 81 the master is solved 107 times, each solve
     going on from the last one's tableau.  The final shares and prices
     match an exact rational solve of the final basis within 1e-11: each
     solve refines its basic values against the original rows, so
@@ -373,7 +377,7 @@ def test_final_master_matches_an_exact_solve(monkeypatch):
     monkeypatch.setattr(relaxed_optimum, "solve_lp", kept)
     scn = load_scenario(DEMO_SCENARIO)
     maximize_dual(scn, GridSpec.from_scenario(scn))
-    assert len(masters) > 200
+    assert len(masters) >= 100
     lp, out = masters[-1]
     m, n = lp.a_ub.shape
     vertex = np.concatenate([out.x, lp.b_ub - lp.a_ub @ out.x])
@@ -394,6 +398,119 @@ def test_final_master_matches_an_exact_solve(monkeypatch):
     np.testing.assert_allclose(
         out.duals, -exact(columns.T, cost), rtol=0, atol=1e-11
     )
+
+
+# dual values of the unsmoothed loop (prices from zero, at the master's
+# duals on every pass), on paper.json at 81 x 81 and the joint workload's
+# seeds 0-5 (perfbench/workloads.py: N = 48, sensors jittered per seed)
+UNSMOOTHED_DUALS = {
+    "paper.json": 0.027333913432771362,
+    "joint 0": 0.02733391337644242,
+    "joint 1": 0.0320986563165343,
+    "joint 2": 0.02009568642248294,
+    "joint 3": 0.029754903120081666,
+    "joint 4": 0.01939545262978426,
+    "joint 5": 0.017692708003079094,
+}
+
+
+def _workloads_module():
+    path = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look it up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("case", sorted(UNSMOOTHED_DUALS))
+def test_smoothed_loop_reaches_the_unsmoothed_dual(case):
+    if case == "paper.json":
+        scn = load_scenario(DEMO_SCENARIO)
+    else:
+        seed = int(case.split()[1])
+        scn = _workloads_module().build(REPO_ROOT, "joint", seed).scenario
+    got = maximize_dual(scn, GridSpec.from_scenario(scn))
+    assert got.gap <= GAP_TOL
+    assert got.value == pytest.approx(UNSMOOTHED_DUALS[case], abs=GAP_TOL)
+
+
+def _record_passes(monkeypatch):
+    """Record every pricing pass's prices and every master's duals, in
+    call order, as ("price", mu) and ("master", duals)."""
+    events = []
+    price, solve = relaxed_optimum._price, relaxed_optimum.solve_lp
+
+    def priced(mu, *args):
+        events.append(("price", np.array(mu)))
+        return price(mu, *args)
+
+    def solved(lp, start=None):
+        out = solve(lp, start=start)
+        events.append(("master", out.duals))
+        return out
+
+    monkeypatch.setattr(relaxed_optimum, "_price", priced)
+    monkeypatch.setattr(relaxed_optimum, "solve_lp", solved)
+    return events
+
+
+def test_paper_json_passes_stay_smoothed(monkeypatch):
+    """On paper.json at 81 x 81 the smoothed loop makes 108 pricing
+    passes, where pricing from zero at the master's duals made 236, and
+    only its first pass has a zero price.  A loop that heads in from zero
+    again fails the ceiling."""
+    events = _record_passes(monkeypatch)
+    scn = load_scenario(DEMO_SCENARIO)
+    got = maximize_dual(scn, GridSpec.from_scenario(scn))
+    mus = [mu for kind, mu in events if kind == "price"]
+    assert len(mus) == got.iterations <= 120
+    assert got.gap <= GAP_TOL
+    assert [i for i, mu in enumerate(mus) if (mu <= EPS_MU).any()] == [0]
+    # the second pass prices at the uniform budget-normalized prices
+    np.testing.assert_array_equal(
+        mus[1], 1.0 / (scn.n_sensors * scn.power_budgets)
+    )
+
+
+def test_fallback_prices_at_the_master_duals(monkeypatch, small_scenario):
+    """On the two-sensor scenario at 5 x 5 a smoothed column fails to price
+    out at the master's duals, so the next pass prices at those duals
+    (Wentges' fallback); the loop still closes the gap."""
+    events = _record_passes(monkeypatch)
+    k = small_scenario.n_sensors
+    got = maximize_dual(
+        small_scenario, GridSpec.from_scenario(small_scenario, resolution=5)
+    )
+    duals, fallbacks = None, 0
+    for (kind, arr), (before, _) in zip(events[1:], events):
+        if kind == "master":
+            duals = arr[:k]
+        elif before == "price" and np.array_equal(arr, duals):
+            fallbacks += 1
+    assert fallbacks >= 1
+    assert got.gap <= GAP_TOL
+
+
+def test_uniform_start_is_skipped_when_it_overflows(monkeypatch):
+    """Budgets of 1e-311 W make the uniform prices 1 / (K * budget)
+    overflow.  The second pass then prices at the master's duals, and no
+    pass prices at a non-finite price.  (Budget rows this small fall below
+    the simplex's pivot tolerance, so only the prices are checked.)"""
+    events = _record_passes(monkeypatch)
+    sensors = [
+        {"x": 20.0, "y": 10.0, "p_ave_dbm": -3080.0},
+        {"x": 60.0, "y": 40.0, "p_ave_dbm": -3080.0},
+    ]
+    # a large reference gain lets the caps reach the threshold
+    scn = load_scenario(small_doc(sensors=sensors, beta0_db=3080.0))
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(1.0 / (2 * scn.power_budgets)).any()
+    got = maximize_dual(scn, GridSpec.from_scenario(scn, resolution=21))
+    mus = [mu for kind, mu in events if kind == "price"]
+    assert got.iterations == len(mus) >= 2
+    assert all(np.isfinite(mu).all() for mu in mus)
+    assert got.gap <= GAP_TOL
 
 
 def test_iteration_cap_reports_the_open_gap(monkeypatch):

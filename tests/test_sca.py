@@ -770,7 +770,7 @@ PINNED_STEPS = {
          11, 10, 10, 11, 10, 11, 11, 11],
         0.25,
     ),
-    ("joint", 32): ([9, 10, 10, 10, 10, 10, 10, 10, 12], 0.1875),
+    ("joint", 32): ([9, 10, 9, 10, 10, 10, 10, 10, 12], 0.1875),
 }
 
 
@@ -778,7 +778,7 @@ PINNED_STEPS = {
 def test_trajectory_step_iterates_are_pinned(monkeypatch, scheme, n_slots):
     """The cone iterations of every trajectory step and the final outage
     of trajectory_only and plan_joint on paper.json at N = 16 and 32
-    equal the recorded ones: 413, 403, 269 and 91 iterations in all.  A
+    equal the recorded ones: 413, 403, 269 and 90 iterations in all.  A
     change to the cone solver's arithmetic that keeps its iterates keeps
     these counts."""
     scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=n_slots)
