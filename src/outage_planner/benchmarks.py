@@ -97,10 +97,11 @@ def run_fly_hover_fly(
 
     Ties in outage are broken by row-major grid order.  Every reachable
     candidate's served count is first bounded without a solver
-    (``served_upper_bounds``: pooled energy and weak duality at fixed
-    prices), in blocks of ``BOUND_BLOCK`` slot-sensor entries.  Candidates
-    are then recovered by bound, largest first, until a bound falls below
-    the best served count; the result is that of the full sweep.
+    (``served_upper_bounds``: the upper end of recovery's bracket,
+    ``power_recovery._prefix_bracket``), in blocks of ``BOUND_BLOCK``
+    slot-sensor entries.  Candidates are then recovered by bound, largest
+    first, until a bound falls below the best served count; the result is
+    that of the full sweep.
     """
     if grid is None:
         grid = GridSpec.from_scenario(scenario, resolution=FHF_GRID_POINTS)

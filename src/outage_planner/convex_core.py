@@ -754,7 +754,7 @@ def start_prices(h: np.ndarray) -> np.ndarray:
     """The price test's first prices for ``h`` of shape (..., K, m).
 
     nu_k is proportional to sqrt(sum_n h_kn), on the price simplex.
-    ``power_recovery.served_upper_bounds`` prices its bound at these
+    ``power_recovery._prefix_bracket`` prices its bound at these
     prices, as the price test's own start, so the two must stay equal.
     """
     nu = np.sqrt(h.sum(axis=-1))

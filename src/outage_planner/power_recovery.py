@@ -81,9 +81,9 @@ class RecoveredSchedule:
 
 
 def rank_slots(snr_values) -> np.ndarray:
-    """Slot indices ordered by SNR descending, ties by slot index ascending."""
-    snr_values = np.asarray(snr_values, dtype=float)
-    return np.lexsort((np.arange(snr_values.size), -snr_values))
+    """Slot indices ordered by SNR descending along the last axis, ties by
+    slot index ascending."""
+    return np.argsort(-np.asarray(snr_values, dtype=float), axis=-1, kind="stable")
 
 
 def _solver_threshold(scenario: Scenario) -> float:
@@ -134,11 +134,11 @@ def feasibility_for_subset(
 
 def _rank_and_gains(
     scenario: Scenario,
-    trajectory: Trajectory,
+    slot_positions: np.ndarray,
     schedule: PowerSchedule | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ranking, channel gains, full-budget amplitudes), the last two in
-    rank order; shapes (N,), (N, K) and (N,).
+    """(ranking, channel gains, full-budget amplitudes) of M trajectories,
+    shapes (M, N), (M, N, K) and (M, N), from slot positions (M, N, 2).
 
     Slots are ranked by full-budget SNR, or when a ``schedule`` is given
     (e.g. the SCA iterate's powers) by its SNR capped just below gamma
@@ -146,19 +146,20 @@ def _rank_and_gains(
     the schedule cannot reorder them; full-budget SNR, then slot index,
     break the ties.
     """
-    n = scenario.n_slots
-    gains = gain_at(trajectory.slot_positions, scenario)   # (N, K)
-    amps = np.sqrt(gains * scenario.power_budgets).sum(axis=1)
-    full_snr = amps**2 / scenario.noise_power
-    if schedule is None:
-        ranking = rank_slots(full_snr)
-    else:
+    m, n = slot_positions.shape[:2]
+    gains = gain_at(slot_positions.reshape(m * n, 2), scenario).reshape(m, n, -1)
+    amps = np.sqrt(gains * scenario.power_budgets).sum(axis=2)
+    ranking = rank_slots(amps**2 / scenario.noise_power)
+    if schedule is not None:
         capped = np.minimum(
-            snr_from_gains(schedule, gains, scenario),
+            [snr_from_gains(schedule, g, scenario) for g in gains],
             scenario.gamma_min * RANK_CAP,
         )
-        ranking = np.lexsort((np.arange(n), -full_snr, -capped))
-    return ranking, gains[ranking], amps[ranking]
+        # a stable sort on the cap keeps the full-budget order within ties
+        ranking = np.take_along_axis(
+            ranking, rank_slots(np.take_along_axis(capped, ranking, 1)), 1
+        )
+    return ranking, gains, amps
 
 
 def _leading_run(ok: np.ndarray) -> np.ndarray:
@@ -167,45 +168,64 @@ def _leading_run(ok: np.ndarray) -> np.ndarray:
     return np.argmin(np.concatenate((ok, pad), axis=-1), axis=-1)
 
 
-def _pooled_energy_fits(
-    scenario: Scenario, gain_sums_ranked: np.ndarray, spread
-) -> np.ndarray:
-    """Whether the v best-ranked slots fit the pooled energy, v = 1..N.
-
-    Cauchy-Schwarz gives amp_n^2 <= (sum_k g_kn)(sum_k P_kn), so serving
-    slot n needs total power >= gamma * noise / sum_k g_kn there, and the
-    sum over the served slots cannot exceed the energy the budgets allow.
-    ``gain_sums_ranked`` holds sum_k g_kn in rank order along its last axis.
-    """
-    need = scenario.gamma_min * scenario.noise_power / gain_sums_ranked
-    total = scenario.power_budgets.sum()
-    return np.cumsum(need, axis=-1) <= spread * total * (1.0 + 1e-12)
-
-
 def _prefix_bracket(
     scenario: Scenario,
-    gains_ranked: np.ndarray,
-    amps_ranked: np.ndarray,
+    ranking: np.ndarray,
+    gains: np.ndarray,
+    amps: np.ndarray,
     budget_norm: str,
-) -> tuple[int, int]:
-    """(lo, hi) around the longest feasible prefix of the ranking.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi) around the served count v of each of M trajectories.
 
-    lo is the largest v certified by the closed-form equal split: each
-    budget spread evenly over the v best slots scales every full-budget
+    Takes ``_rank_and_gains``' output; lo and hi have shape (M,).  lo is
+    the largest v certified by the closed-form equal split: each budget
+    spread evenly over the v best-ranked slots scales every full-budget
     amplitude by sqrt(spread / v), and the v-th worst scaled amplitude
     must clear the solver threshold with extra margin.
 
-    hi is the largest v not excluded by pooled energy
-    (``_pooled_energy_fits``).  The same inequality gives lo <= hi.
+    hi is the smaller of two bounds on v:
+
+    * pooled energy: Cauchy-Schwarz gives amp_n^2 <= (sum_k g_kn)(sum_k
+      P_kn), so serving slot n needs total power >= gamma * noise /
+      sum_k g_kn there, and the sum over the v best-ranked slots cannot
+      exceed the energy the budgets allow.
+    * priced, for any v slots: with h1_kn = g_kn B_k / b^2, a budget
+      spread over ``spread`` slots gives h = spread * h1 in the price
+      test, and at prices nu on the price simplex slot n costs
+      c_n / spread, c_n = 1 / sum_k (h1_kn / nu_k).  By weak duality the
+      costs of any v slots sum to at most rho*, their least worst-case
+      budget share.  Recovery serves only subsets that the price test
+      accepts (rho* <= max_k u_k <= ``ACCEPT_USAGE``) or the equal split
+      certifies (rho* <= 1), so v is excluded once the v cheapest costs
+      over spread exceed ``ACCEPT_USAGE``, with a 1e-9 relative margin
+      for round-off.  The prices are the price test's own start
+      (``start_prices``).
+
+    Both bounds admit every certified v, so lo <= hi.
     """
     n = scenario.n_slots
     v = np.arange(1, n + 1)
     spread = _spread(budget_norm, n, v)
-    b = _solver_threshold(scenario) * (1.0 + CERT_MARGIN)
-    certified = np.minimum.accumulate(amps_ranked) * np.sqrt(spread / v) >= b
-    pooled = _pooled_energy_fits(scenario, gains_ranked.sum(axis=1), spread)
-    # the first failing v, or n when none fails
-    return tuple(int(_leading_run(ok)) for ok in (certified, pooled))
+    budgets = scenario.power_budgets
+    b = _solver_threshold(scenario)
+    amps_ranked = np.take_along_axis(amps, ranking, axis=1)
+    certified = (
+        np.minimum.accumulate(amps_ranked, axis=1) * np.sqrt(spread / v)
+        >= b * (1.0 + CERT_MARGIN)
+    )
+
+    need = scenario.gamma_min * scenario.noise_power / np.take_along_axis(
+        gains.sum(axis=2), ranking, axis=1
+    )
+    pooled = np.cumsum(need, axis=1) <= spread * budgets.sum() * (1.0 + 1e-12)
+
+    h1 = gains * budgets / b**2
+    nu = start_prices(h1.swapaxes(1, 2))
+    cost = np.sort(1.0 / (h1 / nu[:, None, :]).sum(axis=2), axis=1)
+    priced = np.cumsum(cost, axis=1) / spread <= ACCEPT_USAGE * (1.0 + 1e-9)
+    return _leading_run(certified), np.minimum(
+        _leading_run(pooled), _leading_run(priced)
+    )
 
 
 def served_upper_bounds(
@@ -219,26 +239,8 @@ def served_upper_bounds(
     trajectory; the result holds the M bounds.  Every slot of every
     trajectory goes through one array pass, so keep M * N * K modest.
     """
-    m, n = slot_positions.shape[:2]
-    v = np.arange(1, n + 1)
-    spread = _spread(budget_norm, n, v)
-    budgets = scenario.power_budgets
-    gains = gain_at(slot_positions.reshape(m * n, 2), scenario).reshape(m, n, -1)
-
-    # pooled energy over the prefixes of the full-budget ranking
-    amps = np.sqrt(gains * budgets).sum(axis=2)
-    ranking = np.argsort(
-        -(amps**2 / scenario.noise_power), axis=1, kind="stable"
-    )
-    gain_sums = np.take_along_axis(gains.sum(axis=2), ranking, axis=1)
-    pooled = _pooled_energy_fits(scenario, gain_sums, spread)
-
-    # priced: the v cheapest slot costs at the price test's first prices
-    h1 = gains * budgets / _solver_threshold(scenario) ** 2
-    nu = start_prices(h1.swapaxes(1, 2))
-    cost = np.sort(1.0 / (h1 / nu[:, None, :]).sum(axis=2), axis=1)
-    priced = np.cumsum(cost, axis=1) / spread <= ACCEPT_USAGE * (1.0 + 1e-9)
-    return np.minimum(_leading_run(pooled), _leading_run(priced))
+    ranked = _rank_and_gains(scenario, slot_positions)
+    return _prefix_bracket(scenario, *ranked, budget_norm)[1]
 
 
 def max_active_upper_bound(
@@ -246,26 +248,8 @@ def max_active_upper_bound(
     trajectory: Trajectory,
     budget_norm: str = "horizon",
 ) -> int:
-    """Solver-free upper bound on the non-outage slots recovery can reach.
-
-    The smaller of two bounds on v, the served count:
-
-    * pooled energy: the v best slots of the full-budget ranking, the
-      prefixes recovery searches, must fit the energy the budgets allow
-      (``_pooled_energy_fits``); this is the upper end of recovery's
-      bracket.
-    * priced: with h1_kn = g_kn B_k / b^2, a budget spread over ``spread``
-      slots gives h = spread * h1 in the price test, and at prices nu on
-      the price simplex slot n costs c_n / spread, c_n = 1 / sum_k
-      (h1_kn / nu_k).  By weak duality the costs of any v slots sum to at
-      most rho*, their least worst-case budget share.  Recovery serves
-      only subsets that the price test accepts (rho* <= max_k u_k <=
-      ``ACCEPT_USAGE``) or the equal split certifies (rho* <= 1), so v is
-      excluded once the v cheapest costs over spread exceed
-      ``ACCEPT_USAGE``, with a 1e-9 relative margin for round-off.  The
-      prices are the price test's own start (``start_prices``), nu
-      proportional to sqrt(sum_n h1_kn).
-    """
+    """Solver-free upper bound on the non-outage slots recovery can reach:
+    the upper end of recovery's bracket (``_prefix_bracket``)."""
     return int(
         served_upper_bounds(scenario, trajectory.slot_positions[None], budget_norm)[0]
     )
@@ -280,19 +264,21 @@ def recover_powers(
     """Maximize the number of non-outage slots on a fixed trajectory.
 
     Slots are ranked by SNR (of ``schedule`` if given, else full budgets)
-    and the longest feasible prefix is located by bisection, bracketed
-    below by the equal-split certificate and above by the pooled-energy
-    bound so most prefix lengths never reach the solver.
+    and the longest feasible prefix is located by bisection inside the
+    solver-free bracket of ``_prefix_bracket``, so most prefix lengths
+    never reach the solver.
     """
     trajectory.require_finite()
     n = scenario.n_slots
     k = scenario.n_sensors
-    ranking, gains_ranked, amps_ranked = _rank_and_gains(
-        scenario, trajectory, schedule
+    ranking, gains, amps = _rank_and_gains(
+        scenario, trajectory.slot_positions[None], schedule
     )
-    cert_v, hi = _prefix_bracket(
-        scenario, gains_ranked, amps_ranked, budget_norm
+    cert_v, hi = (
+        int(end[0])
+        for end in _prefix_bracket(scenario, ranking, gains, amps, budget_norm)
     )
+    ranking = ranking[0]
 
     memo: dict[int, tuple[bool, np.ndarray | None]] = {}
 

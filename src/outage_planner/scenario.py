@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-# Feasibility comparisons are relative with a small absolute floor.
+# Feasibility comparisons are relative to each constraint's own limit, so
+# a plan is judged the same in any units.
 REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
 # The keys of a scenario document and of each sensor, in reporting order.
 _KEYS = ("sensors", "h_m", "beta0_db", "alpha", "noise_dbm", "gamma_min",
@@ -353,7 +353,7 @@ def load_scenario(source) -> Scenario:
 
 
 def _allowed(scale: float) -> float:
-    return max(REL_TOL * abs(scale), ABS_TOL)
+    return REL_TOL * abs(scale)
 
 
 def validate_plan(
@@ -363,8 +363,9 @@ def validate_plan(
 
     Returns signed residuals for both endpoint constraints, each per-slot
     speed constraint, and each sensor's average-power constraint.  The plan
-    is feasible iff no entry is flagged as violated; comparisons are
-    relative with tolerance 1e-9 and an absolute floor of 1e-12.
+    is feasible iff no entry is flagged as violated; each comparison
+    allows 1e-9 of its limit (of the endpoint span, at least 1 m, for the
+    endpoints).
     """
     wp = trajectory.waypoints
     n = scenario.n_slots

@@ -5,17 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from outage_planner import power_recovery
 from outage_planner.benchmarks import (
     run_fly_hover_fly,
     run_power_only,
     run_trajectory_only,
 )
-from outage_planner.channel import outage_probability, snr_series
+from outage_planner.channel import gain_at, outage_probability, snr_series
 from outage_planner.pipeline import plan_joint
 from outage_planner.power_recovery import (
     BUDGET_NORMS,
     max_active_upper_bound,
+    rank_slots,
     recover_powers,
     served_upper_bounds,
 )
@@ -26,7 +26,13 @@ from outage_planner.sca_planner import (
     itinerary_trajectory,
     itinerary_waypoints,
 )
-from tests.conftest import DEGENERATE, DEMO_SCENARIO, random_scenario, small_doc
+from tests.conftest import (
+    DEGENERATE,
+    DEMO_SCENARIO,
+    full_budget_schedule,
+    random_scenario,
+    small_doc,
+)
 
 
 def test_trajectory_only_uses_full_budgets(small_scenario):
@@ -206,6 +212,19 @@ def test_block_positions_equal_itinerary_trajectory():
             assert moves.max() <= scn.v_max * scn.slot_length * (1.0 + 1e-9)
 
 
+def pooled_energy_bound(scn, tr, budget_norm):
+    """Largest v whose v best full-budget slots fit the pooled energy."""
+    gains = gain_at(tr.slot_positions, scn)
+    ranking = rank_slots(snr_series(tr, full_budget_schedule(scn), scn))
+    need = 0.0
+    for v, slot in enumerate(ranking, start=1):
+        need += scn.gamma_min * scn.noise_power / gains[slot].sum()
+        spread = scn.n_slots if budget_norm == "horizon" else v
+        if need > spread * scn.power_budgets.sum() * (1.0 + 1e-12):
+            return v - 1
+    return scn.n_slots
+
+
 @pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
 def test_served_bound_caps_recovery_on_every_candidate(budget_norm):
     checked = tighter = 0
@@ -224,10 +243,7 @@ def test_served_bound_caps_recovery_on_every_candidate(budget_norm):
             assert bound == max_active_upper_bound(scn, tr, budget_norm)
             rec = recover_powers(scn, tr, budget_norm)
             assert rec.n_active <= bound, (seed, via)
-            _, gains, amps = power_recovery._rank_and_gains(scn, tr)
-            pooled = power_recovery._prefix_bracket(
-                scn, gains, amps, budget_norm
-            )[1]
+            pooled = pooled_energy_bound(scn, tr, budget_norm)
             assert bound <= pooled
             tighter += bound < pooled
             checked += 1

@@ -45,6 +45,10 @@ def test_rank_slots_orderings():
     # ties break toward the earlier slot
     assert list(rank_slots([2.0, 7.0, 7.0, 1.0])) == [1, 2, 0, 3]
     assert list(rank_slots([3.0, 3.0, 3.0])) == [0, 1, 2]
+    # one ranking per row
+    assert rank_slots([[5.0, 4.0, 3.0], [2.0, 7.0, 7.0]]).tolist() == [
+        [0, 1, 2], [1, 2, 0],
+    ]
 
 
 def test_empty_subset_is_trivially_feasible(small_scenario):
@@ -149,9 +153,9 @@ def test_upper_bound_caps_recovery(small_scenario):
 
 @pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
 def test_prefix_bracket_holds_the_recovered_count(budget_norm):
-    # lo is the equal-split certificate, hi the pooled-energy bound; the
-    # served count lies between them whichever ranking is searched, and
-    # the public bound (pooled and priced) lies between it and hi
+    # lo is the equal-split certificate, hi the smaller of the pooled-energy
+    # and priced bounds; the served count lies between them whichever
+    # ranking is searched, and under full budgets hi is the public bound
     for seed in range(24):
         scn = random_scenario(seed)
         rng = np.random.default_rng(seed)
@@ -160,14 +164,43 @@ def test_prefix_bracket_holds_the_recovered_count(budget_norm):
         tr = direct_flight(scn)
         for schedule in (None, random_powers):
             rec = recover_powers(scn, tr, budget_norm, schedule=schedule)
-            _, gains, amps = power_recovery._rank_and_gains(scn, tr, schedule)
-            lo, hi = power_recovery._prefix_bracket(
-                scn, gains, amps, budget_norm
+            ranked = power_recovery._rank_and_gains(
+                scn, tr.slot_positions[None], schedule
+            )
+            np.testing.assert_array_equal(ranked[0][0], rec.ranking)
+            (lo,), (hi,) = power_recovery._prefix_bracket(
+                scn, *ranked, budget_norm
             )
             assert lo <= rec.n_active <= hi, (seed, schedule is None)
             if schedule is None:
-                ub = max_active_upper_bound(scn, tr, budget_norm)
-                assert rec.n_active <= ub <= hi, seed
+                assert hi == max_active_upper_bound(scn, tr, budget_norm), seed
+
+
+@pytest.mark.parametrize("budget_norm", BUDGET_NORMS)
+@pytest.mark.parametrize("n_slots", [16, 32, 48, 128])
+def test_recovery_tests_no_prefix_above_the_bound(
+    monkeypatch, n_slots, budget_norm
+):
+    # the bisection searches below the bracket's upper end, the public
+    # bound; at N = 32 under active_slots that bound is 0 while the
+    # pooled-energy bound is 4, so no prefix may reach the price test
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=n_slots)
+    tr = direct_flight(scn)
+    sizes = []
+    real = power_recovery.solve_price_feasibility
+
+    def recorded(h):
+        sizes.append(h.shape[1])
+        return real(h)
+
+    monkeypatch.setattr(power_recovery, "solve_price_feasibility", recorded)
+    bound = max_active_upper_bound(scn, tr, budget_norm)
+    rec = recover_powers(scn, tr, budget_norm)
+    assert rec.n_active <= bound
+    assert all(size <= bound for size in sizes), (sizes, bound)
+    assert rec.probes == len(sizes)
+    if (n_slots, budget_norm) == (32, "active_slots"):
+        assert bound == 0 and sizes == []
 
 
 def test_recovery_accepts_schedule_ranking(small_scenario):

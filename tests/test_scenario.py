@@ -266,6 +266,16 @@ def test_validate_plan_flags_endpoint_and_budget(small_scenario):
     assert all(r.residual > 0 for r in over)
 
 
+def test_validate_plan_budget_tolerance_is_relative(small_scenario):
+    # at -90 dBm (1e-12 W) a plan overspending by half is flagged and one
+    # off by round-off is not, as at any other budget
+    scn = small_scenario.with_overrides(p_ave_dbm=-90.0)
+    tr, sched = _feasible_plan(scn)
+    for factor, flagged in ((1.5, True), (1.0 + 1e-10, False)):
+        over = plan_violations(scn, tr, PowerSchedule(sched.powers * factor))
+        assert {r.constraint for r in over} == ({"avg_power"} if flagged else set())
+
+
 def test_validate_plan_shape_mismatch(small_scenario):
     tr, sched = _feasible_plan(small_scenario)
     with pytest.raises(PlanShapeError):
