@@ -439,22 +439,16 @@ class ConeProgram:
     """minimize c @ x  subject to  G x + s = h,  s in K.
 
     K is a product of second-order cones {s : s_0 >= |s_1:|} of one
-    dimension p, and a cone vector is a (cones, p) array, one cone per
-    row.  A smaller cone or a linear row (s_0 >= 0) is padded with zero
-    rows of G and h; its padded entries of s and z then stay exactly zero,
-    so it acts as the smaller cone.  ``slacks(x)`` returns h - G x,
-    ``g_mul(dx)`` returns G dx and ``g_tmul(v)`` returns G^T v.
-    ``factor(nt)`` receives the ``NtScaling`` H of the current iterate and
-    returns ``solve(r)``, the solution of (G^T H^2 G) dx = r, or None when
-    that system is not positive definite to working precision.  ``x0``
-    must be strictly feasible.
-
-    Cone vectors may come in any memory layout.  The solver works on
-    their transposes, (p, cones), so that each component of every cone
-    lies in one run of memory and numpy's loops run over the cones; the
-    cone vectors it passes (and those of ``NtScaling``) are transposed
-    views of such arrays.  A program that builds its own the same way,
-    returning ``out.T`` of a (p, cones) array, keeps that layout.
+    dimension p, and a cone vector is a (p, cones) array: row i holds the
+    i-th component of every cone.  A smaller cone or a linear row
+    (s_0 >= 0) is padded with zero rows of G and h; its padded entries of
+    s and z then stay exactly zero, so it acts as the smaller cone.
+    ``slacks(x)`` returns h - G x, ``g_mul(dx)`` returns G dx and
+    ``g_tmul(v)`` returns G^T v.  ``factor(nt)`` receives the
+    ``NtScaling`` H of the current iterate and returns ``solve(r)``, the
+    solution of (G^T H^2 G) dx = r, or None when that system is not
+    positive definite to working precision.  ``x0`` must be strictly
+    feasible.
     """
 
     c: np.ndarray
@@ -464,9 +458,6 @@ class ConeProgram:
     g_tmul: Callable
     factor: Callable
 
-
-# The helpers below take cone vectors component-major: x[i] is the
-# i-th component of every cone.
 
 def _rows(a, b):
     """The dot product of each cone of a with the same cone of b."""
@@ -547,13 +538,12 @@ class NtScaling:
     program's ``factor`` builds G^T H^2 G from the first form: per cone it
     is (2 g g^T - G^T J G) / beta^2 with g = G^T J w, where a structured
     G can keep every term positive.  ``matrix`` holds H itself,
-    component-major (dim, dim, cones), formed once so that ``apply`` is
-    one product.  ``det_lam`` is lam_0^2 - |lam_1:|^2.  ``point`` and
-    ``lam`` are (cones, dim) views of component-major arrays.
+    (dim, dim, cones), formed once so that ``apply`` is one product.
+    ``det_lam`` is lam_0^2 - |lam_1:|^2.  s, z, ``point`` and ``lam`` are
+    cone vectors, (dim, cones).
     """
 
     def __init__(self, s, z):
-        s, z = s.T, z.T
         ds, dz = np.sqrt(_det(s)), np.sqrt(_det(z))
         sn, zn = s / ds, z / dz
         gamma = np.sqrt(0.5 * (1.0 + _rows(sn, zn)))
@@ -564,7 +554,7 @@ class NtScaling:
         v[0] += 1.0
         v /= np.sqrt(2.0 * v[0])
         v[1:] *= -1.0              # J v
-        self.point = w.T
+        self.point = w
         self.beta = np.sqrt(ds / dz)
         self.det_lam = ds * dz     # det(lam) = sqrt(det(s) det(z))
         # lam = H^-1 z = beta (2 v (v . z) - J z), v . z = (J v) . (J z):
@@ -575,7 +565,7 @@ class NtScaling:
         lam[0] -= z[0]
         lam[1:] += z[1:]
         lam *= self.beta
-        self.lam = lam.T
+        self.lam = lam
         dim = len(s)
         h = (2.0 * v)[:, None] * v
         flat = h.reshape(dim * dim, -1)    # a view: -J on the diagonal
@@ -584,9 +574,9 @@ class NtScaling:
         h /= self.beta
         self.matrix = h
 
-    def apply(self, u):
-        """H u for a cone vector u."""
-        return np.einsum("abk,bk->ak", self.matrix, u.T).T
+    def apply(self, u, out=None):
+        """H u for a cone vector u, into ``out`` if given."""
+        return np.einsum("abk,bk->ak", self.matrix, u, out=out)
 
 
 _SOCP_MAX_ITERS = 60      # primal-dual iterations per solve
@@ -626,14 +616,14 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     """
     c = program.c
     x = np.array(program.x0, dtype=float)
-    s = program.slacks(x).T        # cone vectors component-major
+    s = program.slacks(x)
     if not _interior(s):
         raise ValueError("no strictly feasible start found")
     degree = s.shape[1]
     residual_tol = _SOCP_RESIDUAL_REL * float(np.abs(c).max(initial=0.0))
     z = s / _det(s)                # s^-1 = J s / det(s)
     z[1:] *= -1.0
-    pull = program.g_tmul(z.T)
+    pull = program.g_tmul(z)
     mu = -float((c * pull).sum()) / max(
         float((pull * pull).sum()), np.finfo(float).tiny
     )
@@ -645,7 +635,7 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     ds, dz = pair
 
     for iteration in range(_SOCP_MAX_ITERS):
-        residual = c + program.g_tmul(z.T)
+        residual = c + program.g_tmul(z)
         gap = float((s * z).sum())
         objective = float((c * x).sum())
         if (
@@ -653,46 +643,40 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
             and np.abs(residual).max(initial=0.0) <= residual_tol
         ):
             return SolveOutcome(x, objective, STATUS_OPTIMAL, iteration)
-        nt = NtScaling(s.T, z.T)
+        nt = NtScaling(s, z)
         solve = program.factor(nt)
         if solve is None:
             status = STATUS_SINGULAR
             break
-        lam = nt.lam.T
-        minus_h = -nt.matrix
-
-        def times(u, out=None):
-            # -H u, so that ds~ = -H G dx is one product
-            return np.einsum("abk,bk->ak", minus_h, u, out=out)
-
+        lam = nt.lam
         room = _step_limit(lam, nt.det_lam)
         # predictor (affine scaling: t = -lam, so H t = -z and rhs = -c):
         # G dx + ds = 0, G^T dz = -residual and ds~ + dz~ = t in the
-        # scaled variables ds~ = H ds, dz~ = H^-1 dz
-        times(program.g_mul(solve(minus_c)).T, ds)
+        # scaled variables ds~ = H ds = -H G dx, dz~ = H^-1 dz
+        nt.apply(-program.g_mul(solve(minus_c)), ds)
         np.subtract(-lam, ds, out=dz)
         sigma = (1.0 - min(1.0, room(pair))) ** 3
         # then Mehrotra's centered corrector, rhs = -residual - G^T H t
         r = -_jordan(lam, lam) - _jordan(ds, dz)
         r[0] += sigma * gap / degree
         t = _jordan_solve(lam, nt.det_lam, r)
-        rhs = program.g_tmul(times(t).T) - residual
+        rhs = program.g_tmul(nt.apply(-t)) - residual
         dx = solve(rhs)
-        times(program.g_mul(dx).T, ds)
+        nt.apply(-program.g_mul(dx), ds)
         for _ in range(_SOCP_REFINE):
             # iterative refinement of the dual equation G^T dz = -residual
-            error = rhs - program.g_tmul(times(ds).T)
+            error = rhs - program.g_tmul(nt.apply(-ds))
             if np.abs(error).max() <= 0.1 * residual_tol:
                 break
             dx = dx + solve(error)
-            times(program.g_mul(dx).T, ds)
+            nt.apply(-program.g_mul(dx), ds)
         np.subtract(t, ds, out=dz)
         alpha = min(1.0, _SOCP_FRACTION * room(pair))
-        back = times(dz)               # -dz = -H dz~
+        z_step = nt.apply(dz)          # dz = H dz~
         for _ in range(60):
             x_new = x + alpha * dx
-            s_new = program.slacks(x_new).T
-            z_new = z - alpha * back
+            s_new = program.slacks(x_new)
+            z_new = z + alpha * z_step
             if _interior(s_new) and _interior(z_new):
                 break
             alpha *= 0.5

@@ -47,7 +47,7 @@ from outage_planner.convex_core import (  # noqa: F401
     solve_price_feasibility,
     start_prices,
 )
-from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
+from outage_planner.scenario import PowerSchedule, Scenario, ScenarioError, Trajectory
 
 THRESH_INFLATION = 3e-9   # relative inflation of gamma inside the test
 CERT_MARGIN = 1e-6        # slack for the closed-form equal-split certificate
@@ -110,8 +110,10 @@ def feasibility_for_subset(
     """Test whether every slot in ``slots`` can be served without outage.
 
     Returns (feasible, powers); ``powers`` has shape (K, N) with zeros on
-    inactive slots and is None when infeasible.
+    inactive slots and is None when infeasible.  Raises ScenarioError when
+    the trajectory does not fit the scenario.
     """
+    trajectory.require_fit(scenario)
     slots = np.asarray(slots, dtype=int)
     n = scenario.n_slots
     k = scenario.n_sensors
@@ -238,7 +240,14 @@ def served_upper_bounds(
     ``slot_positions`` has shape (M, N, 2), the slot positions of each
     trajectory; the result holds the M bounds.  Every slot of every
     trajectory goes through one array pass, so keep M * N * K modest.
+    Raises ScenarioError when N is not the scenario's slot count.
     """
+    if slot_positions.shape[1] != scenario.n_slots:
+        raise ScenarioError(
+            "trajectory",
+            f"slot positions have {slot_positions.shape[1]} slots, "
+            f"scenario expects {scenario.n_slots}",
+        )
     ranked = _rank_and_gains(scenario, slot_positions)
     return _prefix_bracket(scenario, *ranked, budget_norm)[1]
 
@@ -249,7 +258,9 @@ def max_active_upper_bound(
     budget_norm: str = "horizon",
 ) -> int:
     """Solver-free upper bound on the non-outage slots recovery can reach:
-    the upper end of recovery's bracket (``_prefix_bracket``)."""
+    the upper end of recovery's bracket (``_prefix_bracket``).  Raises
+    ScenarioError when the trajectory does not fit the scenario."""
+    trajectory.require_fit(scenario)
     return int(
         served_upper_bounds(scenario, trajectory.slot_positions[None], budget_norm)[0]
     )
@@ -266,9 +277,11 @@ def recover_powers(
     Slots are ranked by SNR (of ``schedule`` if given, else full budgets)
     and the longest feasible prefix is located by bisection inside the
     solver-free bracket of ``_prefix_bracket``, so most prefix lengths
-    never reach the solver.
+    never reach the solver.  Raises ScenarioError when the trajectory has
+    a non-finite waypoint or does not fit the scenario.
     """
     trajectory.require_finite()
+    trajectory.require_fit(scenario)
     n = scenario.n_slots
     k = scenario.n_sensors
     ranking, gains, amps = _rank_and_gains(

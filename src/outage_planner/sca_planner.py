@@ -252,8 +252,6 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
     def waypoints(x):
         return q0 + x[:nq].reshape(m, 2)
 
-    # cone vectors are built component-major, (4, 3 N), and returned as
-    # their (3 N, 4) transposes: the layout solve_socp works in
     def slacks(x):
         d = x[:nq].reshape(m, 2).T
         np.add(q0.T, d, out=chain[:, 1:-1])
@@ -267,7 +265,7 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
         np.multiply(curved, u - tau, out=out[3, slots])
         out[0, legs] = leg
         np.subtract(chain[:, 1:], chain[:, :-1], out=out[1:3, legs])
-        return out.T
+        return out
 
     def g_mul(dx):
         d = dx[:nq].reshape(m, 2).T
@@ -282,10 +280,9 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
         step = out[1:3, legs]                      # leg r: d_r-1 - d_r
         np.negative(d, out=step[:, :-1])
         step[:, 1:] += d
-        return out.T
+        return out
 
     def g_tmul(v):
-        v = v.T
         row = v[:, slots]
         on_u = row[0] + curved * row[3]            # weight of each u
         along = v[1:3, legs]
@@ -302,7 +299,7 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
 
     def factor(nt):
         # G^T H^2 G from H^2 = (2 J w w^T J - J) / beta^2 per cone
-        w, inv_b2 = nt.point.T, nt.beta**-2.0
+        w, inv_b2 = nt.point, nt.beta**-2.0
         bound = inv_b2[:m]                         # the A' <= 1 rows
         # slot j's rows add omega g g^T + iso diag(I, 0) on (d_j, A'_j),
         # g = (g_d, g_a); a linear row has w = e, so g = (-grad_j, 1)
@@ -571,9 +568,10 @@ def plan_sca(
     a round is accepted, when a round improves the clipped objective by at
     most ``DEFAULT_REL_IMPROVEMENT`` (relative), or after ``max_rounds``
     rounds.  The trace records every step.  Raises ScenarioError when
-    ``init`` has a non-finite waypoint.
+    ``init`` has a non-finite waypoint or does not fit the scenario.
     """
     init.require_finite()
+    init.require_fit(scenario)
     if steps is None:
         steps = (("trajectory", trajectory_step), ("power", power_step))
     powers0 = np.broadcast_to(

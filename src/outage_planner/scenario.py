@@ -234,6 +234,24 @@ class Trajectory:
         if not np.isfinite(self.waypoints).all():
             raise ScenarioError("trajectory", "waypoints must be finite")
 
+    def require_fit(self, scenario: Scenario) -> None:
+        """Raise ScenarioError unless the trajectory has the scenario's
+        N + 1 waypoints and its slot length, within ``REL_TOL``.  The
+        planners read slot counts and speed limits from both, so a
+        trajectory that does not fit would plan another mission.
+        """
+        n, delta = scenario.n_slots, scenario.slot_length
+        if self.n_slots != n:
+            raise ScenarioError(
+                "trajectory",
+                f"trajectory has {self.n_slots} slots, scenario expects {n}",
+            )
+        if abs(self.slot_length - delta) > _allowed(delta):
+            raise ScenarioError(
+                "trajectory",
+                f"slot length {self.slot_length} s, scenario expects {delta} s",
+            )
+
 
 @dataclass(frozen=True)
 class PowerSchedule:
@@ -365,14 +383,15 @@ def validate_plan(
     speed constraint, and each sensor's average-power constraint.  The plan
     is feasible iff no entry is flagged as violated; each comparison
     allows 1e-9 of its limit (of the endpoint span, at least 1 m, for the
-    endpoints).
+    endpoints).  Raises PlanShapeError when the trajectory does not fit
+    the scenario (``Trajectory.require_fit``) or the schedule is not (K, N).
     """
+    try:
+        trajectory.require_fit(scenario)
+    except ScenarioError as exc:
+        raise PlanShapeError(str(exc)) from exc
     wp = trajectory.waypoints
     n = scenario.n_slots
-    if wp.shape[0] != n + 1:
-        raise PlanShapeError(
-            f"trajectory has {wp.shape[0] - 1} slots, scenario expects {n}"
-        )
     if schedule.powers.shape != (scenario.n_sensors, n):
         raise PlanShapeError(
             f"power schedule shape {schedule.powers.shape} does not match "
@@ -391,7 +410,7 @@ def validate_plan(
             ConstraintResidual(name, idx, gap, 0.0, gap, end_allowed)
         )
 
-    v_limit = scenario.v_max * trajectory.slot_length
+    v_limit = scenario.v_max * scenario.slot_length
     steps = np.linalg.norm(np.diff(wp, axis=0), axis=1)
     for i, step in enumerate(steps, start=1):
         out.append(

@@ -362,8 +362,9 @@ def interior_cones(rng, count, dim):
 
 
 def squared_scaling(nt):
-    """H^2 per cone from the scaling point, (2 J w w^T J - J) / beta^2."""
-    jw = nt.point @ J4
+    """H^2 per cone from the scaling point, (2 J w w^T J - J) / beta^2,
+    as (cones, 4, 4)."""
+    jw = nt.point.T @ J4
     return (2.0 * jw[:, :, None] * jw[:, None, :] - J4) / nt.beta[:, None, None] ** 2
 
 
@@ -371,11 +372,16 @@ def squared_scaling(nt):
 def test_nt_scaling_identities(dim):
     rng = np.random.default_rng(dim)
     s, z = interior_cones(rng, 6, dim), interior_cones(rng, 6, dim)
-    nt = NtScaling(s, z)
-    h = np.stack([nt.apply(np.tile(e, (6, 1))) for e in np.eye(4)], axis=2)
-    np.testing.assert_allclose(nt.apply(s), nt.lam, rtol=1e-12, atol=1e-12)
+    nt = NtScaling(s.T, z.T)
+    lam = nt.lam.T
+
+    def apply(u):
+        return nt.apply(u.T).T
+
+    h = np.stack([apply(np.tile(e, (6, 1))) for e in np.eye(4)], axis=2)
+    np.testing.assert_allclose(apply(s), lam, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(
-        np.linalg.solve(h, z[:, :, None])[:, :, 0], nt.lam, rtol=1e-12,
+        np.linalg.solve(h, z[:, :, None])[:, :, 0], lam, rtol=1e-12,
         atol=1e-12,
     )
     np.testing.assert_allclose(h @ h, squared_scaling(nt), rtol=1e-12, atol=1e-12)
@@ -383,24 +389,25 @@ def test_nt_scaling_identities(dim):
         np.einsum("kab,kb->ka", squared_scaling(nt), s), z, rtol=1e-11,
         atol=1e-12,
     )
-    assert (nt.lam[:, dim:] == 0.0).all()      # padding stays exactly zero
+    assert (lam[:, dim:] == 0.0).all()         # padding stays exactly zero
     np.testing.assert_allclose(
-        nt.det_lam, (nt.lam[:, 0] ** 2 - (nt.lam[:, 1:] ** 2).sum(axis=1)),
+        nt.det_lam, (lam[:, 0] ** 2 - (lam[:, 1:] ** 2).sum(axis=1)),
         rtol=1e-12,
     )
 
 
 def dense_cone_program(c, g, h, x0):
-    """A ConeProgram over a dense G (cones, 4, n): slacks h - G x, and a
-    factor that solves G^T H^2 G densely."""
+    """A ConeProgram over a dense G (cones, 4, n) and h (cones, 4): slacks
+    h - G x, and a factor that solves G^T H^2 G densely.  Its cone
+    vectors are the (4, cones) transposes of the dense rows."""
     def factor(nt):
         m = np.einsum("kai,kab,kbj->ij", g, squared_scaling(nt), g)
         return lambda r: np.linalg.solve(m, r)
 
     return ConeProgram(
         np.asarray(c, dtype=float), np.asarray(x0, dtype=float),
-        lambda x: h - g @ x, lambda dx: g @ dx,
-        lambda v: np.einsum("kai,ka->i", g, v), factor,
+        lambda x: (h - g @ x).T, lambda dx: (g @ dx).T,
+        lambda v: np.einsum("kai,ka->i", g, v.T), factor,
     )
 
 
@@ -488,7 +495,7 @@ def test_socp_reports_a_step_that_cannot_stay_inside(monkeypatch):
         calls.append(x)
         out = slacks(x)
         if len(calls) > 1:
-            out[:, 0] = -1.0
+            out[0] = -1.0
         return out
 
     monkeypatch.setattr(program, "slacks", outside_after_start)

@@ -12,13 +12,16 @@ from outage_planner.power_recovery import (
     max_active_upper_bound,
     rank_slots,
     recover_powers,
+    served_upper_bounds,
 )
 from outage_planner.scenario import (
     PowerSchedule,
+    ScenarioError,
+    Trajectory,
     load_scenario,
     plan_violations,
 )
-from outage_planner.sca_planner import direct_flight
+from outage_planner.sca_planner import direct_flight, plan_sca
 from tests.conftest import (
     DEGENERATE,
     DEMO_SCENARIO,
@@ -326,3 +329,40 @@ def test_undecided_test_falls_back_to_equal_split(monkeypatch, budget_norm):
     # only the certified prefix is served, at its closed-form equal split
     assert rec.n_active > 0
     assert_serves(scn, tr, rec.schedule, rec.active_slots)
+
+
+def _misfit_trajectory(scn, case):
+    """A straight flight of scn's endpoints that does not fit it, scn
+    having 32 slots: 1 or 16 slots, or 32 slots 100 times too long."""
+    n, delta = {
+        "1 slot": (1, scn.duration),
+        "16 slots": (16, scn.duration / 16),
+        "long slots": (32, 100.0 * scn.slot_length),
+    }[case]
+    return Trajectory(np.linspace(scn.q_start, scn.q_final, n + 1), delta)
+
+
+MISFIT_CALLS = {
+    "recover_powers": lambda scn, tr: recover_powers(scn, tr),
+    "max_active_upper_bound": lambda scn, tr: max_active_upper_bound(scn, tr),
+    "feasibility_for_subset": lambda scn, tr: feasibility_for_subset(scn, tr, [0]),
+    "plan_sca": lambda scn, tr: plan_sca(scn, tr, max_rounds=1),
+    "served_upper_bounds": lambda scn, tr: served_upper_bounds(
+        scn, tr.slot_positions[None]
+    ),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case)
+    for entry in MISFIT_CALLS
+    for case in ("1 slot", "16 slots", "long slots")
+    # slot positions carry no slot length: served_upper_bounds checks N
+    if (entry, case) != ("served_upper_bounds", "long slots")
+])
+def test_entry_points_reject_a_trajectory_that_does_not_fit(entry, case):
+    """Recovery, its bounds and the SCA loop raise ScenarioError instead of
+    planning another mission or failing inside numpy."""
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=32)
+    with pytest.raises(ScenarioError, match="trajectory"):
+        MISFIT_CALLS[entry](scn, _misfit_trajectory(scn, case))

@@ -528,16 +528,16 @@ def test_trajectory_cone_solve_matches_dense_assembly(n_slots, stage):
 
     rng = np.random.default_rng(n_slots)
     for x in (x0, 0.5 * (x0 + outcome.x)):
-        assert _close(program.slacks(x), h - g @ x, 1e-12)
+        assert _close(program.slacks(x).T, h - g @ x, 1e-12)
     dx = rng.normal(size=x0.size)
     v = rng.normal(size=h.shape)
-    assert _close(program.g_mul(dx), g @ dx, 1e-12)
-    assert _close(program.g_tmul(v), np.einsum("kai,ka->i", g, v), 1e-12)
+    assert _close(program.g_mul(dx).T, g @ dx, 1e-12)
+    assert _close(program.g_tmul(v.T), np.einsum("kai,ka->i", g, v), 1e-12)
 
     nt, pairs = systems[0 if stage == "first" else -2]
     assert pairs
     for r, got in pairs:
-        want = exact_normal_solve(g, nt.point, nt.beta, r)
+        want = exact_normal_solve(g, nt.point.T, nt.beta, r)
         assert _close(got, want, 1e-9)
 
 

@@ -286,6 +286,19 @@ def test_validate_plan_shape_mismatch(small_scenario):
         validate_plan(small_scenario, tr, PowerSchedule(sched.powers[:, :-1]))
 
 
+def test_validate_plan_takes_the_speed_limit_from_the_scenario(demo_scenario):
+    # 40 m jumps break two 25 m legs; a trajectory claiming 100 times the
+    # slot length would hide them behind a 2500 m limit
+    scn = demo_scenario.with_overrides(n_slots=32)
+    tr, sched = _feasible_plan(scn)
+    wp = tr.waypoints.copy()
+    wp[5, 0] += 40.0
+    broken = plan_violations(scn, Trajectory(wp, scn.slot_length), sched)
+    assert {(r.constraint, r.index) for r in broken} == {("speed", 5), ("speed", 6)}
+    with pytest.raises(PlanShapeError, match="slot length"):
+        validate_plan(scn, Trajectory(wp, 100.0 * scn.slot_length), sched)
+
+
 def test_stationary_zero_power_plan_is_feasible():
     # coincident endpoints, parked UAV, silent sensors: nothing violated
     doc = small_doc(q_i=[30.0, 30.0], q_f=[30.0, 30.0])
