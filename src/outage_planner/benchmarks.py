@@ -118,15 +118,17 @@ def run_fly_hover_fly(
     hover = np.maximum(hover, 0.0)
     if reachable.size == 0:
         # no detour fits; degenerate to the straight flight
-        recovered = recover_powers(
-            scenario, direct_flight(scenario), budget_norm
-        )
+        trajectory = direct_flight(scenario)
+        recovered = recover_powers(scenario, trajectory, budget_norm)
         return _evaluated(
             "fly_hover_fly",
-            direct_flight(scenario),
+            trajectory,
             recovered.schedule,
             scenario,
             via=None,
+            hover_s=0.0,
+            n_active=recovered.n_active,
+            evaluations=1,
             budget_norm=budget_norm,
         )
 

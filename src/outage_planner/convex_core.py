@@ -465,15 +465,13 @@ def _rows(a, b):
 
 
 def _det(x):
-    """x_0^2 - |x_1:|^2 of each cone, as a product of two sums."""
+    """x_0^2 - |x_1:|^2 of each cone, as a product of two sums, or None
+    unless every cone holds x strictly inside, all entries finite."""
     norm = np.sqrt(_rows(x[1:], x[1:]))
-    return (x[0] - norm) * (x[0] + norm)
-
-
-def _interior(x):
-    """Whether every cone holds x strictly inside, all entries finite."""
-    inside = x[0] - np.sqrt(_rows(x[1:], x[1:]))
-    return bool(inside.min() > 0.0 and x[0].max() < np.inf)
+    inside = x[0] - norm
+    if not (inside.min() > 0.0 and x[0].max() < np.inf):
+        return None
+    return inside * (x[0] + norm)
 
 
 def _jordan(u, v):
@@ -540,11 +538,11 @@ class NtScaling:
     G can keep every term positive.  ``matrix`` holds H itself,
     (dim, dim, cones), formed once so that ``apply`` is one product.
     ``det_lam`` is lam_0^2 - |lam_1:|^2.  s, z, ``point`` and ``lam`` are
-    cone vectors, (dim, cones).
+    cone vectors, (dim, cones), and ``det_s``, ``det_z`` their ``_det``.
     """
 
-    def __init__(self, s, z):
-        ds, dz = np.sqrt(_det(s)), np.sqrt(_det(z))
+    def __init__(self, s, z, det_s, det_z):
+        ds, dz = np.sqrt(det_s), np.sqrt(det_z)
         sn, zn = s / ds, z / dz
         gamma = np.sqrt(0.5 * (1.0 + _rows(sn, zn)))
         w = sn - zn                # w = (s/|s| + J z/|z|) / (2 gamma)
@@ -595,15 +593,17 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
 
     The primal iterate stays strictly feasible: the slacks are recomputed
     as h - G x after each step, and the step is halved until every cone
-    holds them strictly inside, so the returned x meets every constraint
-    exactly.  The dual starts at the central point z = mu s^-1, with mu
-    fitting G^T z to -c in least squares but at least ``_SOCP_MU_FLOOR``
-    |c|_inf, and its residual c + G^T z shrinks with each step.
-    Each iteration forms the scaling H once (``NtScaling``), factors the
-    scaled normal system G^T H^2 G once (``program.factor``) and solves
-    it for the predictor and the corrector.  Directions are formed in
-    scaled variables, dz~ = H G dx + t, so complementarity holds to
-    rounding however ill-conditioned the system.  While the corrector's
+    holds them and the dual strictly inside, so the returned x meets every
+    constraint exactly.  The dual starts at the central point z = mu s^-1,
+    with mu fitting G^T z to -c in least squares but at least
+    ``_SOCP_MU_FLOOR`` |c|_inf, and its residual c + G^T z shrinks with
+    each step.  That interior test (``_det``) gives each iterate's cone
+    determinants, and each iteration forms the scaling H from them once
+    (``NtScaling``), factors the scaled normal system G^T H^2 G once
+    (``program.factor``) and solves it for the predictor and the
+    corrector.  Directions are formed in scaled variables,
+    dz~ = H G dx + t, so complementarity holds to rounding however
+    ill-conditioned the system.  While the corrector's
     dual equation is off by more than a tenth of the tolerance below, it
     is refined by further solves, ``_SOCP_REFINE`` at most.
     The solve stops once s . z <= ``_SOCP_GAP_REL`` max(1, |c @ x|) and
@@ -612,16 +612,17 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     ``_SOCP_MAX_ITERS`` iterations, singular when ``program.factor``
     returns None, and stalled when 60 halvings of a step leave the cones;
     x is then the last iterate.  ``iterations`` counts the steps taken.
-    Raises ValueError if ``x0`` is not strictly feasible.
+    Raises ValueError if ``x0`` is not strictly feasible or s^-1 overflows.
     """
     c = program.c
     x = np.array(program.x0, dtype=float)
     s = program.slacks(x)
-    if not _interior(s):
+    det_s = _det(s)
+    if det_s is None:
         raise ValueError("no strictly feasible start found")
     degree = s.shape[1]
     residual_tol = _SOCP_RESIDUAL_REL * float(np.abs(c).max(initial=0.0))
-    z = s / _det(s)                # s^-1 = J s / det(s)
+    z = s / det_s                  # s^-1 = J s / det(s)
     z[1:] *= -1.0
     pull = program.g_tmul(z)
     mu = -float((c * pull).sum()) / max(
@@ -629,6 +630,9 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     )
     mu = max(mu, _SOCP_MU_FLOOR * float(np.abs(c).max(initial=0.0)))
     z *= mu if mu > 0.0 else 1.0
+    det_z = _det(z)
+    if det_z is None:              # s^-1 overflows at the boundary
+        raise ValueError("no strictly feasible start found")
     minus_c = -c
     # the scaled steps ds~ and dz~ of a direction, side by side for room
     pair = np.empty((2,) + s.shape)
@@ -643,7 +647,7 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
             and np.abs(residual).max(initial=0.0) <= residual_tol
         ):
             return SolveOutcome(x, objective, STATUS_OPTIMAL, iteration)
-        nt = NtScaling(s, z)
+        nt = NtScaling(s, z, det_s, det_z)
         solve = program.factor(nt)
         if solve is None:
             status = STATUS_SINGULAR
@@ -677,7 +681,9 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
             x_new = x + alpha * dx
             s_new = program.slacks(x_new)
             z_new = z + alpha * z_step
-            if _interior(s_new) and _interior(z_new):
+            det_s = _det(s_new)
+            det_z = None if det_s is None else _det(z_new)
+            if det_z is not None:
                 break
             alpha *= 0.5
         else:

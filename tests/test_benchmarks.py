@@ -1,5 +1,6 @@
 """Benchmark planners and the end-to-end joint pipeline."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +282,26 @@ def test_fly_hover_fly_tight_duration_falls_back(small_scenario):
     scn = load_scenario(doc)
     res = run_fly_hover_fly(scn, GridSpec.from_scenario(scn, resolution=9))
     assert plan_violations(scn, res.trajectory, res.schedule) == []
+
+
+def test_fly_hover_fly_without_detour_reports_the_direct_flight():
+    """With no slack for a detour fly-hover-fly is the power-only plan,
+    and its details carry the keys of the main path."""
+    doc = json.loads(DEMO_SCENARIO.read_text())
+    doc["q_f"] = [200.0, 137.3]
+    doc["t_s"] = float(np.hypot(*doc["q_f"])) / doc["vmax_mps"]
+    doc["n_slots"] = 16
+    scn = load_scenario(doc)
+    res = run_fly_hover_fly(scn, GridSpec.from_scenario(scn, resolution=21))
+    direct = run_power_only(scn)
+    assert res.details == {
+        "via": None, "hover_s": 0.0, "n_active": 8, "evaluations": 1,
+        "budget_norm": "horizon",
+    }
+    assert res.details["n_active"] == direct.details["n_active"]
+    assert res.outage == direct.outage
+    assert np.array_equal(res.trajectory.waypoints, direct.trajectory.waypoints)
+    assert np.array_equal(res.schedule.powers, direct.schedule.powers)
 
 
 def test_joint_plan_dominates_benchmarks(small_scenario):

@@ -368,11 +368,33 @@ def squared_scaling(nt):
     return (2.0 * jw[:, :, None] * jw[:, None, :] - J4) / nt.beta[:, None, None] ** 2
 
 
+def cone_det(x):
+    """x_0^2 - |x_1:|^2 of each cone of x (cones, 4)."""
+    return x[:, 0] ** 2 - (x[:, 1:] ** 2).sum(axis=1)
+
+
+def test_det_is_none_unless_every_cone_is_strictly_inside():
+    rng = np.random.default_rng(5)
+    x = interior_cones(rng, 6, 4)
+    np.testing.assert_allclose(convex_core._det(x.T), cone_det(x), rtol=1e-12)
+    for row, value in [
+        (2, [3.0, 0.0, 4.0, 0.0]),        # on the boundary
+        (3, [-1.0, 0.0, 0.0, 0.0]),
+        (1, [1.0, 0.0, np.nan, 0.0]),
+        (4, [np.nan, 0.0, 0.0, 0.0]),
+        (5, [1.0, 0.0, 0.0, np.inf]),
+        (0, [np.inf, 0.0, 0.0, 0.0]),
+    ]:
+        bad = x.copy()
+        bad[row] = value
+        assert convex_core._det(bad.T) is None, value
+
+
 @pytest.mark.parametrize("dim", [1, 3, 4])
 def test_nt_scaling_identities(dim):
     rng = np.random.default_rng(dim)
     s, z = interior_cones(rng, 6, dim), interior_cones(rng, 6, dim)
-    nt = NtScaling(s.T, z.T)
+    nt = NtScaling(s.T, z.T, cone_det(s), cone_det(z))
     lam = nt.lam.T
 
     def apply(u):
@@ -446,6 +468,16 @@ def test_socp_rejects_infeasible_start():
     h = np.array([[1.0, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="strictly feasible"):
         solve_socp(dense_cone_program([1.0, 0.0], g, h, [1.0, 0.0]))
+
+
+def test_socp_rejects_a_start_whose_inverse_overflows():
+    """s = (1e-200, 0, 0, 0) is strictly inside, but its determinant
+    underflows to 0, so the dual start mu s^-1 is not finite."""
+    g = np.zeros((1, 4, 1))
+    g[0, 1, 0] = -1.0
+    h = np.array([[1e-200, 0.0, 0.0, 0.0]])
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="strictly feasible"):
+        solve_socp(dense_cone_program([1.0], g, h, [0.0]))
 
 
 def test_socp_reports_iteration_cap(monkeypatch):
