@@ -116,61 +116,54 @@ def run_fly_hover_fly(
     hover = scenario.duration - legs / v
     reachable = np.flatnonzero(hover >= -1e-9 * scenario.duration)
     hover = np.maximum(hover, 0.0)
-    if reachable.size == 0:
+    per_block = max(1, BOUND_BLOCK // (scenario.n_slots * scenario.n_sensors))
+    best_n, best_idx, best, evaluations = -1, -1, None, 0
+    if reachable.size:         # np.concatenate needs at least one block
+        bounds = np.concatenate([
+            served_upper_bounds(
+                scenario,
+                itinerary_waypoints(
+                    scenario, points[block][:, None], hover[block][:, None]
+                )[:, 1:],
+                budget_norm,
+            )
+            for block in np.split(
+                reachable, range(per_block, reachable.size, per_block)
+            )
+        ])
+        # best bound first: once a bound falls below the incumbent's
+        # served count, no later candidate can beat it
+        for j in np.lexsort((reachable, -bounds)):
+            idx, bound = int(reachable[j]), int(bounds[j])
+            if bound < best_n:
+                break
+            if bound == best_n and idx > best_idx:
+                continue
+            trajectory = itinerary_trajectory(
+                scenario, [points[idx]], [hover[idx]]
+            )
+            rec = recover_powers(scenario, trajectory, budget_norm)
+            evaluations += 1
+            if (rec.n_active, -idx) > (best_n, -best_idx):
+                best_n, best_idx, best = rec.n_active, idx, (trajectory, rec)
+
+    if best is None:
         # no detour fits; degenerate to the straight flight
         trajectory = direct_flight(scenario)
-        recovered = recover_powers(scenario, trajectory, budget_norm)
-        return _evaluated(
-            "fly_hover_fly",
-            trajectory,
-            recovered.schedule,
-            scenario,
-            via=None,
-            hover_s=0.0,
-            n_active=recovered.n_active,
-            evaluations=1,
-            budget_norm=budget_norm,
-        )
-
-    def build(idx: int) -> Trajectory:
-        return itinerary_trajectory(scenario, [points[idx]], [hover[idx]])
-
-    per_block = max(1, BOUND_BLOCK // (scenario.n_slots * scenario.n_sensors))
-    bounds = np.concatenate([
-        served_upper_bounds(
-            scenario,
-            itinerary_waypoints(
-                scenario, points[block][:, None], hover[block][:, None]
-            )[:, 1:],
-            budget_norm,
-        )
-        for block in np.split(
-            reachable, range(per_block, reachable.size, per_block)
-        )
-    ])
-    # best bound first: once a bound falls below the incumbent's served
-    # count, no later candidate can beat it
-    best_n, best_idx, best_rec, evaluations = -1, -1, None, 0
-    for j in np.lexsort((reachable, -bounds)):
-        idx, bound = int(reachable[j]), int(bounds[j])
-        if bound < best_n:
-            break
-        if bound == best_n and idx > best_idx:
-            continue
-        rec = recover_powers(scenario, build(idx), budget_norm)
-        evaluations += 1
-        if (rec.n_active, -idx) > (best_n, -best_idx):
-            best_n, best_idx, best_rec = rec.n_active, idx, rec
-
-    trajectory = build(best_idx)
+        rec = recover_powers(scenario, trajectory, budget_norm)
+        via, hover_s, evaluations = None, 0.0, 1
+    else:
+        trajectory, rec = best
+        via = tuple(np.round(points[best_idx], 12))
+        hover_s = float(hover[best_idx])
     return _evaluated(
         "fly_hover_fly",
         trajectory,
-        best_rec.schedule,
+        rec.schedule,
         scenario,
-        via=tuple(np.round(points[best_idx], 12)),
-        hover_s=float(hover[best_idx]),
-        n_active=best_rec.n_active,
+        via=via,
+        hover_s=hover_s,
+        n_active=rec.n_active,
         evaluations=evaluations,
         budget_norm=budget_norm,
     )

@@ -18,7 +18,6 @@ import numpy as np
 
 from outage_planner.benchmarks import (
     FHF_GRID_POINTS,
-    BenchmarkResult,
     run_fly_hover_fly,
     run_power_only,
     run_trajectory_only,
@@ -44,8 +43,6 @@ from outage_planner.scenario import (
 
 log = logging.getLogger("outage_planner")
 
-COMMANDS = ("relaxed", "sca", "recover", "benchmark", "sweep-power", "sweep-duration")
-SCHEMES = ("fly_hover_fly", "joint", "power_only", "relaxed", "trajectory_only")
 DEFAULT_POWER_SWEEP = (26.0, 28.0, 30.0, 32.0, 34.0, 36.0)
 DEFAULT_DURATION_SWEEP = ((10.0, 16), (20.0, 32), (40.0, 64), (80.0, 128))
 
@@ -270,21 +267,24 @@ def _cmd_recover(args) -> None:
     )
 
 
-def _run_benchmark(scenario, scheme: str, args) -> BenchmarkResult:
-    if scheme == "trajectory_only":
-        return run_trajectory_only(scenario, max_rounds=args.max_rounds)
-    if scheme == "power_only":
-        return run_power_only(scenario, budget_norm=args.budget_norm)
-    if scheme == "fly_hover_fly":
-        resolution = min(args.grid, FHF_GRID_POINTS)
-        grid = GridSpec.from_scenario(scenario, resolution=resolution)
-        return run_fly_hover_fly(scenario, grid, budget_norm=args.budget_norm)
-    raise ScenarioError("scheme", f"unknown benchmark scheme {scheme!r}")
+def _fly_hover_fly(scenario, args):
+    resolution = min(args.grid, FHF_GRID_POINTS)
+    grid = GridSpec.from_scenario(scenario, resolution=resolution)
+    return run_fly_hover_fly(scenario, grid, budget_norm=args.budget_norm)
+
+
+# the benchmark schemes, in the order --scheme lists them
+_BENCHMARKS = {
+    "trajectory_only": lambda scn, args: run_trajectory_only(scn, args.max_rounds),
+    "power_only": lambda scn, args: run_power_only(scn, args.budget_norm),
+    "fly_hover_fly": _fly_hover_fly,
+}
+SCHEMES = tuple(sorted(("joint", "relaxed", *_BENCHMARKS)))
 
 
 def _cmd_benchmark(args) -> None:
     scenario = _load(args)
-    result = _run_benchmark(scenario, args.scheme, args)
+    result = _BENCHMARKS[args.scheme](scenario, args)
     _write_trajectory(args.out / "trajectory.csv", result.trajectory)
     _write_schedule(
         args.out / "schedule.csv", scenario, result.trajectory, result.schedule
@@ -295,10 +295,7 @@ def _cmd_benchmark(args) -> None:
             "command": "benchmark",
             "scheme": result.name,
             "outage": result.outage,
-            "details": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in result.details.items()
-            },
+            "details": result.details,
             "violations": _violation_records(
                 scenario, result.trajectory, result.schedule
             ),
@@ -321,7 +318,7 @@ def _scheme_outages(scenario, args) -> dict[str, float]:
         outages["relaxed"] = relaxed.outage
     for scheme in args.schemes:
         if scheme not in outages:
-            outages[scheme] = _run_benchmark(scenario, scheme, args).outage
+            outages[scheme] = _BENCHMARKS[scheme](scenario, args).outage
     return outages
 
 
@@ -376,6 +373,7 @@ _DISPATCH = {
     "sweep-power": _cmd_sweep_power,
     "sweep-duration": _cmd_sweep_duration,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -411,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-rounds", type=int, default=DEFAULT_ROUNDS)
     parser.add_argument(
         "--scheme",
-        choices=("trajectory_only", "power_only", "fly_hover_fly"),
+        choices=tuple(_BENCHMARKS),
         default=None,
         help="benchmark scheme (benchmark command)",
     )

@@ -466,12 +466,12 @@ def _rows(a, b):
 
 def _det(x):
     """x_0^2 - |x_1:|^2 of each cone, as a product of two sums, or None
-    unless every cone holds x strictly inside, all entries finite."""
+    unless every one is positive with x_0 > 0, all entries finite."""
     norm = np.sqrt(_rows(x[1:], x[1:]))
-    inside = x[0] - norm
-    if not (inside.min() > 0.0 and x[0].max() < np.inf):
+    det = (x[0] - norm) * (x[0] + norm)
+    if not (det.min() > 0.0 and 0.0 < x[0].min() and x[0].max() < np.inf):
         return None
-    return inside * (x[0] + norm)
+    return det
 
 
 def _jordan(u, v):
@@ -532,11 +532,13 @@ class NtScaling:
 
         H^2 = (2 J w w^T J - J) / beta^2,   H = (2 J v v^T J - J) / beta,
 
-    where v = (w + e) / sqrt(2 (w_0 + 1)) is the square root of w.  A
-    program's ``factor`` builds G^T H^2 G from the first form: per cone it
-    is (2 g g^T - G^T J G) / beta^2 with g = G^T J w, where a structured
-    G can keep every term positive.  ``matrix`` holds H itself,
-    (dim, dim, cones), formed once so that ``apply`` is one product.
+    where v = (w + e) / sqrt(2 (w_0 + 1)) is the square root of w.  lam is
+    formed as there, from s~ = s / sqrt(det s), z~ = z / sqrt(det z) and
+    gamma, with no cancelling difference.  A program's ``factor`` builds
+    G^T H^2 G from the first form: per cone it is (2 g g^T - G^T J G) /
+    beta^2 with g = G^T J w, where a structured G can keep every term
+    positive.  ``matrix`` holds H itself, (dim, dim, cones), formed once
+    so that ``apply`` is one product.
     ``det_lam`` is lam_0^2 - |lam_1:|^2.  s, z, ``point`` and ``lam`` are
     cone vectors, (dim, cones), and ``det_s``, ``det_z`` their ``_det``.
     """
@@ -555,14 +557,10 @@ class NtScaling:
         self.point = w
         self.beta = np.sqrt(ds / dz)
         self.det_lam = ds * dz     # det(lam) = sqrt(det(s) det(z))
-        # lam = H^-1 z = beta (2 v (v . z) - J z), v . z = (J v) . (J z):
-        # H s would cancel where H is far from the identity
-        vz = v[0] * z[0] - _rows(v[1:], z[1:])
-        lam = (2.0 * vz) * v
-        lam[1:] *= -1.0
-        lam[0] -= z[0]
-        lam[1:] += z[1:]
-        lam *= self.beta
+        lam = (gamma + zn[0]) * sn + (gamma + sn[0]) * zn
+        lam /= sn[0] + zn[0] + 2.0 * gamma
+        lam[0] = gamma
+        lam *= np.sqrt(self.det_lam)
         self.lam = lam
         dim = len(s)
         h = (2.0 * v)[:, None] * v

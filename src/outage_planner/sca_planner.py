@@ -756,10 +756,7 @@ def init_shf(scenario: Scenario, plan: HoverPlan) -> Trajectory:
     stops = [locs[i] for i in order]
     stop_taus = np.array([taus[i] for i in order])
 
-    path = [q_i] + stops + [q_f]
-    t_fly = sum(
-        math.dist(path[i], path[i + 1]) for i in range(len(path) - 1)
-    ) / scenario.v_max
+    t_fly = _tour_length(order, locs, q_i, q_f) / scenario.v_max
     if scenario.duration < t_fly * (1.0 + 1e-12):
         return direct_flight(scenario)
 

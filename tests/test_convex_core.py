@@ -384,6 +384,7 @@ def test_det_is_none_unless_every_cone_is_strictly_inside():
         (4, [np.nan, 0.0, 0.0, 0.0]),
         (5, [1.0, 0.0, 0.0, np.inf]),
         (0, [np.inf, 0.0, 0.0, 0.0]),
+        (2, [1e-200, 0.0, 0.0, 0.0]),     # inside, but det underflows to 0
     ]:
         bad = x.copy()
         bad[row] = value
@@ -472,7 +473,8 @@ def test_socp_rejects_infeasible_start():
 
 def test_socp_rejects_a_start_whose_inverse_overflows():
     """s = (1e-200, 0, 0, 0) is strictly inside, but its determinant
-    underflows to 0, so the dual start mu s^-1 is not finite."""
+    underflows to 0, so s^-1 is not finite: the start is rejected as not
+    inside, since the interior test is the determinant's sign."""
     g = np.zeros((1, 4, 1))
     g[0, 1, 0] = -1.0
     h = np.array([[1e-200, 0.0, 0.0, 0.0]])

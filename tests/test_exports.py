@@ -1,5 +1,6 @@
 """Package exports: a pinned public list; each name is its defining module's object."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -80,3 +81,42 @@ def test_package_loads_scenarios_without_jsonschema():
         text=True, check=True,
     )
     assert out.stdout.strip() == "10"
+
+
+# imported but never read: module attributes that perfbench/tracing.py
+# wraps by name, and nothing else
+UNREAD_IMPORTS = {
+    ("benchmarks", "max_active_upper_bound"),
+    ("power_recovery", "solve_barrier"),
+    ("sca_planner", "solve_barrier"),
+}
+
+
+def unread_imports(tree: ast.Module) -> set[str]:
+    """Names a module imports but never reads; ``__all__`` counts as read."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_every_import_is_read_but_the_traced_ones():
+    package = Path(outage_planner.__file__).parent
+    unread = {
+        (path.stem, name)
+        for path in sorted(package.glob("*.py"))
+        for name in unread_imports(ast.parse(path.read_text()))
+    }
+    assert unread == UNREAD_IMPORTS

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from outage_planner import sca_planner
+from outage_planner import convex_core, sca_planner
 from outage_planner.benchmarks import run_trajectory_only
 from outage_planner.channel import gain_at, snr_series
 from outage_planner.convex_core import (
@@ -889,6 +889,24 @@ def test_trajectory_step_iterates_are_pinned(monkeypatch, scheme, n_slots):
     plan = run_trajectory_only if scheme == "trajectory_only" else plan_joint
     outage = plan(scn).outage
     assert (counts, outage) == PINNED_STEPS[scheme, n_slots]
+
+
+def test_scaled_points_stay_inside_their_cones(monkeypatch):
+    """plan_joint on paper.json at N = 32 and 28 dBm, where some cone
+    solves run to the iteration cap: the scaled point lam of every
+    Nesterov-Todd scaling has lam_0 > |lam_1:| in every cone."""
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=32, p_ave_dbm=28.0)
+    outside = []
+
+    class Checked(convex_core.NtScaling):
+        def __init__(self, *args):
+            super().__init__(*args)
+            lam = self.lam
+            outside.append(int((lam[0] <= np.linalg.norm(lam[1:], axis=0)).sum()))
+
+    monkeypatch.setattr(convex_core, "NtScaling", Checked)
+    plan_joint(scn)
+    assert len(outside) > 0 and sum(outside) == 0
 
 
 _RANDOM_STEPS = """
