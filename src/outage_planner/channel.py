@@ -74,13 +74,15 @@ def snr_from_gains(
 
 
 def outage_indicator(snr_value: float, gamma_min: float) -> int:
-    """1 if the slot is in outage (SNR strictly below threshold), else 0."""
-    return 1 if snr_value < gamma_min else 0
+    """0 if the slot is served (SNR at or above threshold), else 1, NaN
+    included."""
+    return 0 if snr_value >= gamma_min else 1
 
 
 def outage_probability(
     trajectory: Trajectory, schedule: PowerSchedule, scenario: Scenario
 ) -> float:
-    """Fraction of slots in outage for the given plan."""
+    """Fraction of slots in outage for the given plan; a slot is served
+    only when its SNR reaches the threshold, so a NaN SNR is outage."""
     series = snr_series(trajectory, schedule, scenario)
-    return float(np.mean(series < scenario.gamma_min))
+    return float(np.mean(~(series >= scenario.gamma_min)))

@@ -121,7 +121,7 @@ def _write_schedule(path: Path, scenario, trajectory, schedule) -> None:
     rows = []
     for n in range(scenario.n_slots):
         x, y = trajectory.slot_positions[n]
-        flag = 1 if snr[n] < scenario.gamma_min else 0
+        flag = 0 if snr[n] >= scenario.gamma_min else 1
         powers = [_power_dbm(p) for p in schedule.powers[:, n]]
         rows.append([str(n + 1), _fmt(x), _fmt(y), _fmt(snr[n]), str(flag)] + powers)
     _write_csv(path, header, rows)

@@ -6,20 +6,24 @@ grid of candidate locations this is a linear program in the time shares,
 with a column for every grid point and threshold-meeting power vector.
 It is solved by Dantzig-Wolfe column generation.  A master LP over the
 columns found so far maximizes the served time share subject to the
-per-sensor average-power budgets.  At any prices mu every grid point has
-a closed-form cheapest power vector that meets the SNR threshold exactly
-(pricing); the cheapest grid point gives the next column.  The first pass
-prices at zero and the second at uniform prices that spend exactly 1.
+per-sensor average-power budgets.  Powers are counted in shares of
+each sensor's budget, e_k = p_k / budget_k, and priced per share,
+nu_k = mu_k * budget_k, so that every budget row and price is O(1) in
+any unit of power.  At any prices nu every grid point has a closed-form
+cheapest share vector that meets the SNR threshold exactly (pricing);
+the cheapest grid point gives the next column.  The first pass prices at
+zero and the second at the uniform prices 1 / K, which spend exactly 1.
 After that each pass prices halfway between the master's budget-row
 duals and the stability center, the best-bound prices so far after the
 first pass (Wentges' dual smoothing), and falls back to the duals
 themselves when that column does not improve the master.
 
-Pricing also evaluates the time-normalized Lagrangian dual: with v(mu)
+Pricing also evaluates the time-normalized Lagrangian dual: with v(nu)
 the optimal value of the per-point subproblem (outage indicator plus
-priced power cost), v(mu) - sum_k mu_k * budget_k is an outage-probability
-lower bound.  The master's outage minus the best such bound certifies how
-far the master is from the optimum over the grid.
+priced share cost), v(nu) - sum_k nu_k is an outage-probability lower
+bound.  The master's outage minus the best such bound certifies how far
+the master is from the optimum over the grid.  The public entries take
+and return prices per watt, mu = nu / budget, and powers in watts.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from outage_planner.channel import gain_at
 from outage_planner.convex_core import LinearProgram, solve_lp
 from outage_planner.scenario import Scenario, ScenarioError, watts_to_dbm
 
-# prices at or below this are treated as zero (degenerate branch)
+# prices per budget share at or below this are treated as zero
+# (degenerate branch)
 EPS_MU = 1e-12
 DEFAULT_GRID_POINTS = 81   # default location grid resolution per axis
 # column generation stops once the master's outage is this close to the
@@ -134,13 +139,6 @@ class HoverPlan:
     mu: np.ndarray          # prices of the dual bound the plan is checked against
 
 
-def _cap_amplitudes(scenario: Scenario, gains: np.ndarray) -> np.ndarray:
-    """Received amplitudes sqrt(g_k * N * B_k) at each point (row of
-    ``gains``) of sensors transmitting at their per-slot cap N * B_k, the
-    whole-horizon budget."""
-    return np.sqrt(gains * (scenario.n_slots * scenario.power_budgets))
-
-
 def _checked_prices(mu, scenario: Scenario) -> np.ndarray:
     """mu as a float array; ValueError unless K finite nonnegative prices."""
     mu = np.asarray(mu, dtype=float)
@@ -153,32 +151,30 @@ def _checked_prices(mu, scenario: Scenario) -> np.ndarray:
     return mu
 
 
-def _transmit(
-    mu: np.ndarray, scenario: Scenario, gains: np.ndarray, amps=None
-):
-    """Cheapest threshold-meeting powers at checked prices mu over points
-    with channel ``gains`` and cap amplitudes ``amps`` (both (M, K); the
-    amplitudes are computed here if None and some price is zero).
+def _transmit(nu: np.ndarray, scenario: Scenario, gains: np.ndarray):
+    """Cheapest threshold-meeting budget shares at checked share prices nu
+    over points with share ``gains`` e = g * budget, shape (M, K).
 
-    Zero-priced sensors are free, so they transmit at their per-slot cap.
-    The priced ones split the leftover amplitude r = max(0, b - sum of the
-    free amplitudes), b = sqrt(gamma_min * noise_power), as
-    rho_k = r * sqrt(g_k) / (mu_k * s) with s = sum_j g_j / mu_j over the
-    priced sensors; this meets the threshold with equality at priced cost
-    r^2 / s.  Returns (costs, index, powers): that cost at every point,
-    shape (M,), infinite where nothing is priced and the caps fall short;
-    the first cheapest point's index; and its powers (watts).
+    Zero-priced sensors are free, so they transmit at their per-slot cap
+    of N shares, received amplitude sqrt(N * e_k).  The priced ones split
+    the leftover amplitude r = max(0, b - sum of the free amplitudes),
+    b = sqrt(gamma_min * noise_power), as rho_k = r * sqrt(e_k) / (nu_k * s)
+    with s = sum_j e_j / nu_j over the priced sensors; this meets the
+    threshold with equality at priced cost r^2 / s.  Returns (costs,
+    index, shares): that cost at every point, shape (M,), infinite where
+    nothing is priced and the caps fall short; the first cheapest point's
+    index; and its shares.
     """
     b_amp = math.sqrt(scenario.gamma_min * scenario.noise_power)
-    priced = mu > EPS_MU
+    n = scenario.n_slots
+    priced = nu > EPS_MU
     all_priced = priced.all()
     if all_priced:
-        resid, s_vals = b_amp, gains @ (1.0 / mu)
+        resid, s_vals = b_amp, gains @ (1.0 / nu)
     else:
-        if amps is None:
-            amps = _cap_amplitudes(scenario, gains)
-        resid = np.maximum(b_amp - amps[:, ~priced].sum(axis=1), 0.0)
-        s_vals = gains[:, priced] @ (1.0 / mu[priced])
+        caps = np.sqrt(n * gains[:, ~priced]).sum(axis=1)
+        resid = np.maximum(b_amp - caps, 0.0)
+        s_vals = gains[:, priced] @ (1.0 / nu[priced])
     with np.errstate(divide="ignore", invalid="ignore"):
         costs = resid**2 / s_vals
     # with nothing priced s = 0: r^2 / 0 is inf where the caps fall short,
@@ -187,12 +183,12 @@ def _transmit(
         costs[resid == 0.0] = 0.0
     idx = int(costs.argmin())
     r = resid if all_priced else resid[idx]
-    powers = np.where(priced, 0.0, scenario.n_slots * scenario.power_budgets)
+    shares = np.where(priced, 0.0, float(n))
     if r > 0.0 and priced.any():
-        g = gains[idx, priced]
-        s_val = float((g / mu[priced]).sum())
-        powers[priced] = (r * np.sqrt(g) / (mu[priced] * s_val)) ** 2
-    return costs, idx, powers
+        e = gains[idx, priced]
+        s_val = float((e / nu[priced]).sum())
+        shares[priced] = (r * np.sqrt(e) / (nu[priced] * s_val)) ** 2
+    return costs, idx, shares
 
 
 def powers_given_location(
@@ -209,22 +205,22 @@ def powers_given_location(
     q = np.asarray(q, dtype=float)
     if q.shape != (2,) or not np.isfinite(q).all():
         raise ValueError("q must be two finite numbers")
-    return _transmit(mu, scenario, gain_at(q[None, :], scenario))[2]
+    budgets = scenario.power_budgets
+    gains = gain_at(q[None, :], scenario) * budgets
+    return _transmit(mu * budgets, scenario, gains)[2] * budgets
 
 
-def _price(mu: np.ndarray, scenario: Scenario, gains: np.ndarray, amps=None):
-    """The dual at checked prices mu over the grid points with channel
-    ``gains`` and cap amplitudes ``amps`` (see ``_transmit``), as (value,
-    powers, grid index or None).
+def _price(nu: np.ndarray, scenario: Scenario, gains: np.ndarray):
+    """The dual at checked share prices nu over the grid points with share
+    ``gains`` (see ``_transmit``), as (value, shares, grid index or None).
 
-    ``powers`` are the cheapest threshold-meeting powers at the first
+    ``shares`` are the cheapest threshold-meeting shares at the first
     (row-major) cheapest grid point, or zeros on the outage branch.
     """
-    budgets = scenario.power_budgets
-    costs, idx, powers = _transmit(mu, scenario, gains, amps)
+    costs, idx, shares = _transmit(nu, scenario, gains)
     if costs[idx] < 1.0:
-        return float(costs[idx]) - float(mu @ budgets), powers, idx
-    return 1.0 - float(mu @ budgets), np.zeros_like(budgets), None
+        return float(costs[idx]) - float(nu.sum()), shares, idx
+    return 1.0 - float(nu.sum()), np.zeros_like(shares), None
 
 
 def dual_function(
@@ -236,39 +232,40 @@ def dual_function(
     subproblem either transmits at the grid point of cheapest priced
     threshold-meeting power (ties resolve to the first point in row-major
     order) or stays silent in outage at cost exactly 1.  value =
-    min(1, cheapest transmit cost) - mu @ budgets; the supergradient is the
-    minimizing power vector minus the budgets (zero powers on the outage
-    branch).  Raises ValueError unless mu holds K finite nonnegative prices.
+    min(1, cheapest transmit cost) - mu @ budgets, priced in budget shares
+    at nu = mu * budgets; the supergradient is the minimizing power vector
+    minus the budgets (zero powers on the outage branch), in watts.
+    Raises ValueError unless mu holds K finite nonnegative prices.
     """
     mu = _checked_prices(mu, scenario)
-    value, powers, idx = _price(mu, scenario, gains)
-    return DualPoint(mu.copy(), value, powers - scenario.power_budgets, idx)
+    budgets = scenario.power_budgets
+    value, shares, idx = _price(mu * budgets, scenario, gains * budgets)
+    return DualPoint(mu.copy(), value, (shares - 1.0) * budgets, idx)
 
 
 def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     """Maximize the dual over the grid by stabilized column generation.
 
-    A column is a grid point with its cheapest threshold-meeting powers at
-    the prices it was priced at.  The master LP gives each column a time
-    share x_j >= 0 and maximizes sum_j x_j subject to one row per budget,
-    sum_j powers_jk x_j <= budget_k, and one for the total time, sum_j
-    x_j <= 1; its duals are y (budget rows) and y0 (time row).  Each
-    pricing pass prices the whole grid (``dual_function``) and keeps the
-    best dual value as the bound.  Each master solve goes on from the
+    A column is a grid point with its cheapest threshold-meeting budget
+    shares at the share prices it was priced at.  The master LP gives each
+    column a time share x_j >= 0 and maximizes sum_j x_j subject to one row
+    per budget, sum_j shares_jk x_j <= 1, and one for the total time,
+    sum_j x_j <= 1; its duals are y (budget rows, per share) and y0 (time
+    row).  Each pricing pass prices the whole grid (``dual_function`` in
+    shares) and keeps the best dual value as the bound.  Each master solve goes on from the
     previous solve's final tableau with the new column appended, which
     leaves it primal feasible.
 
     The passes are smoothed (Wentges 1997):
 
     * Start: the first pass prices at zero and adds its column; the second
-      prices at the uniform budget-normalized prices 1 / (K * budget_k),
-      which spend exactly 1, and adds its column if it transmits.  The
-      second is skipped when those prices overflow.
+      prices at the uniform share prices 1 / K, which spend exactly 1, and
+      adds its column if it transmits.
     * Center: the best-bound prices among the passes after the first.  The
       zero-price bound would hold the center at zero for about half the
       passes.
     * Each later pass prices at (center + y) / 2 and adds the column if it
-      prices out at the master's duals, 1 - y @ powers - y0 > 0.  If it
+      prices out at the master's duals, 1 - y @ shares - y0 > 0.  If it
       does not, or if nothing transmits there, the next pass prices at y
       itself and adds its column.
 
@@ -276,17 +273,15 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     ``GAP_TOL`` of the bound, when no grid point can transmit at the
     master's duals, or after ``_MAX_ITERATIONS`` pricing passes.  Returns
     the best-bound evaluation with the iteration count, the final ``gap``
-    and the master's positive-time columns.
+    and the master's positive-time columns, converted to prices per watt
+    and powers in watts.
     """
     k = scenario.n_sensors
     budgets = scenario.power_budgets
-    gains = gain_at(grid.points(), scenario)
-    amps = _cap_amplitudes(scenario, gains)
-    rows = np.append(budgets, 1.0)
-    with np.errstate(over="ignore"):
-        uniform = 1.0 / (k * budgets)
+    gains = gain_at(grid.points(), scenario) * budgets
+    rows = np.ones(k + 1)
     points: list[int] = []
-    table = np.ones((k + 1, _MAX_ITERATIONS))   # column powers over a ones row
+    table = np.ones((k + 1, _MAX_ITERATIONS))   # column shares over a ones row
     duals = np.zeros(k + 1)   # the master's budget-row duals, then y0
     shares = np.zeros(0)
     master = None
@@ -294,13 +289,13 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     center, center_value = None, -math.inf
     # each pass prices at the master's duals, at the uniform prices or at
     # the smoothed prices; an empty master's duals are zero
-    mu, kind = np.zeros(k), "duals"
+    nu, kind = np.zeros(k), "duals"
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        value, column, idx = _price(mu, scenario, gains, amps)
+        value, column, idx = _price(nu, scenario, gains)
         if best is None or value > best.value:
-            best = DualPoint(mu, value, column - budgets, idx)
+            best = DualPoint(nu, value, column - 1.0, idx)
         if iterations > 1 and value > center_value:
-            center, center_value = mu, value
+            center, center_value = nu, value
         gap = 1.0 - float(shares.sum()) - best.value
         if gap <= GAP_TOL or iterations == _MAX_ITERATIONS:
             break
@@ -315,24 +310,24 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
             )
             shares, duals = master.x, master.duals
         elif kind == "smoothed":   # Wentges' fallback
-            mu, kind = duals[:k], "duals"
+            nu, kind = duals[:k], "duals"
             continue
         elif kind == "duals":   # nothing transmits at the master's duals
             break
         if iterations > 1:
-            mu, kind = 0.5 * (center + duals[:k]), "smoothed"
-        elif np.isfinite(uniform).all():
-            mu, kind = uniform, "uniform"
+            nu, kind = 0.5 * (center + duals[:k]), "smoothed"
         else:
-            mu = duals[:k]
+            nu, kind = np.full(k, 1.0 / k), "uniform"
 
     used = np.flatnonzero(shares > 0.0)
     return replace(
         best,
+        mu=best.mu / budgets,
+        subgradient=best.subgradient * budgets,
         iterations=iterations,
         gap=gap,
         columns=np.array(points, dtype=int)[used],
-        column_powers=table[:k, used].T,
+        column_powers=table[:k, used].T * budgets,
         shares=shares[used],
     )
 

@@ -210,8 +210,8 @@ class Trajectory:
         wp = np.asarray(self.waypoints, dtype=float)
         if wp.ndim != 2 or wp.shape[1] != 2 or wp.shape[0] < 2:
             raise PlanShapeError("waypoints must have shape (N + 1, 2)")
-        if self.slot_length <= 0.0:
-            raise PlanShapeError("slot length must be positive")
+        if not 0.0 < self.slot_length < math.inf:   # NaN fails too
+            raise PlanShapeError("slot length must be positive and finite")
         wp = wp.copy()
         wp.flags.writeable = False
         object.__setattr__(self, "waypoints", wp)
@@ -246,7 +246,7 @@ class Trajectory:
                 "trajectory",
                 f"trajectory has {self.n_slots} slots, scenario expects {n}",
             )
-        if abs(self.slot_length - delta) > _allowed(delta):
+        if not abs(self.slot_length - delta) <= _allowed(delta):
             raise ScenarioError(
                 "trajectory",
                 f"slot length {self.slot_length} s, scenario expects {delta} s",
@@ -263,6 +263,8 @@ class PowerSchedule:
         p = np.asarray(self.powers, dtype=float)
         if p.ndim != 2:
             raise PlanShapeError("powers must have shape (K, N)")
+        if not (np.isfinite(p).all() and (p >= 0.0).all()):
+            raise PlanShapeError("powers must be finite and nonnegative")
         p = p.copy()
         p.flags.writeable = False
         object.__setattr__(self, "powers", p)

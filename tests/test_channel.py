@@ -102,6 +102,7 @@ def test_outage_indicator_is_strict():
     assert outage_indicator(99.999, 100.0) == 1
     assert outage_indicator(100.0, 100.0) == 0  # threshold met exactly
     assert outage_indicator(100.001, 100.0) == 0
+    assert outage_indicator(math.nan, 100.0) == 1   # only a met threshold serves
 
 
 def test_outage_probability_counts_slots(small_scenario):
@@ -120,3 +121,14 @@ def test_outage_probability_counts_slots(small_scenario):
     # silent plan: everything is outage
     quiet = PowerSchedule(np.zeros_like(full))
     assert outage_probability(tr, quiet, small_scenario) == 1.0
+
+
+def test_outage_probability_counts_a_nan_snr_as_outage(demo_scenario):
+    # a NaN waypoint gives its slot a NaN SNR, which is not served
+    scn = demo_scenario.with_overrides(n_slots=4)
+    wp = np.linspace(scn.q_start, scn.q_final, scn.n_slots + 1)
+    wp[2, 0] = np.nan
+    quiet = PowerSchedule(np.zeros((scn.n_sensors, scn.n_slots)))
+    tr = Trajectory(wp, scn.slot_length)
+    assert np.isnan(snr_series(tr, quiet, scn)[1])
+    assert outage_probability(tr, quiet, scn) == 1.0

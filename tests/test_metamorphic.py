@@ -69,6 +69,7 @@ TRANSFORMS = {
     "power -100 dB": _power_shift(-100.0),
     "power +60 dB": _power_shift(60.0),
     "power -120 dB": _power_shift(-120.0),
+    "power -150 dB": _power_shift(-150.0),
 }
 
 
@@ -95,28 +96,10 @@ def _outcomes(transform):
     }
 
 
-def _xfail(transform, reason):
-    return pytest.param(
-        transform, marks=pytest.mark.xfail(strict=True, reason="ROADMAP " + reason)
-    )
+CASES = [name for name in TRANSFORMS if name != "identity"]
 
 
-# the relaxation is not yet unit-free: its LP tolerances are absolute
-MINUS_100_DB = _xfail(
-    "power -100 dB",
-    "item 3: at -70 dBm budgets the column generation takes 110 passes for "
-    "108 and stops 4e-11 (1.5e-9 relative) higher, inside its 1e-9 gap",
-)
-MINUS_120_DB = _xfail(
-    "power -120 dB",
-    "item 3: at -90 dBm budgets the dual falls from 0.02733 to 0 and "
-    "plan_joint serves one slot less (outage 0.21875 for 0.1875)",
-)
-EXACT = ["reverse sensors", "mirror", "lengths x1e-3", "lengths x1e3",
-         "power -60 dB", "power +60 dB"]
-
-
-@pytest.mark.parametrize("transform", [*EXACT, "power -100 dB", MINUS_120_DB])
+@pytest.mark.parametrize("transform", CASES)
 def test_same_mission_in_other_terms_plans_the_same(transform):
     reference = _outcomes("identity")[1]
     # trajectory_only must serve slots for its comparison to mean anything
@@ -124,7 +107,7 @@ def test_same_mission_in_other_terms_plans_the_same(transform):
     assert _outcomes(transform)[1] == reference
 
 
-@pytest.mark.parametrize("transform", [*EXACT, MINUS_100_DB, MINUS_120_DB])
+@pytest.mark.parametrize("transform", CASES)
 def test_same_mission_in_other_terms_has_the_same_dual(transform):
     assert _outcomes(transform)[0] == pytest.approx(
         _outcomes("identity")[0], rel=1e-9, abs=0.0

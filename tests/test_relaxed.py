@@ -319,6 +319,30 @@ def test_maximize_dual_matches_full_grid_loop(case, resolution):
         assert snr(grid.points()[idx], powers, scn) >= scn.gamma_min * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("shift_db", [0.0, -120.0, 60.0])
+@pytest.mark.parametrize("p_dbm", [24.0, 30.0, 36.0])
+def test_dual_function_reads_back_the_maximized_dual(p_dbm, shift_db):
+    """maximize_dual prices budget shares and converts its prices and its
+    supergradient to watts on the way out; dual_function converts them
+    back.  The round trip keeps the value exactly, the grid point, and
+    the supergradient to 1e-15 of the budget, in any unit of power."""
+    doc = json.loads(DEMO_SCENARIO.read_text())
+    doc["n_slots"] = 32
+    for sensor in doc["sensors"]:
+        sensor["p_ave_dbm"] = p_dbm + shift_db
+    doc["noise_dbm"] += shift_db
+    scn = load_scenario(doc)
+    grid = GridSpec.from_scenario(scn)
+    got = maximize_dual(scn, grid)
+    again = dual_function(got.mu, scn, gain_at(grid.points(), scn))
+    assert again.value == got.value
+    assert again.grid_index == got.grid_index
+    np.testing.assert_allclose(
+        again.subgradient, got.subgradient, rtol=0.0,
+        atol=1e-15 * scn.power_budgets[0],
+    )
+
+
 @pytest.mark.parametrize("case", ["gamma 0.47x", "gamma 0.8x", "32 dBm"])
 def test_hover_plan_reaches_the_bound_with_degenerate_duals(case):
     # master duals are 0 on slack budgets here: the hover plan must still
@@ -436,8 +460,8 @@ def test_smoothed_loop_reaches_the_unsmoothed_dual(case):
 
 
 def _record_passes(monkeypatch):
-    """Record every pricing pass's prices and every master's duals, in
-    call order, as ("price", mu) and ("master", duals)."""
+    """Record every pricing pass's prices per budget share and every
+    master's duals, in call order, as ("price", nu) and ("master", duals)."""
     events = []
     price, solve = relaxed_optimum._price, relaxed_optimum.solve_lp
 
@@ -467,10 +491,9 @@ def test_paper_json_passes_stay_smoothed(monkeypatch):
     assert len(mus) == got.iterations <= 120
     assert got.gap <= GAP_TOL
     assert [i for i, mu in enumerate(mus) if (mu <= EPS_MU).any()] == [0]
-    # the second pass prices at the uniform budget-normalized prices
-    np.testing.assert_array_equal(
-        mus[1], 1.0 / (scn.n_sensors * scn.power_budgets)
-    )
+    # the second pass prices every budget share at the uniform 1 / K
+    k = scn.n_sensors
+    np.testing.assert_array_equal(mus[1], np.full(k, 1.0 / k))
 
 
 def test_fallback_prices_at_the_master_duals(monkeypatch, small_scenario):
@@ -492,11 +515,11 @@ def test_fallback_prices_at_the_master_duals(monkeypatch, small_scenario):
     assert got.gap <= GAP_TOL
 
 
-def test_uniform_start_is_skipped_when_it_overflows(monkeypatch):
-    """Budgets of 1e-311 W make the uniform prices 1 / (K * budget)
-    overflow.  The second pass then prices at the master's duals, and no
-    pass prices at a non-finite price.  (Budget rows this small fall below
-    the simplex's pivot tolerance, so only the prices are checked.)"""
+def test_subnormal_budgets_price_at_finite_prices(monkeypatch):
+    """Budgets of 1e-311 W, subnormal numbers, still give O(1) budget rows
+    and share prices: every pass prices at finite prices, starting from
+    the uniform 1 / K, the loop closes the gap, and the master's columns
+    spend no more than each budget."""
     events = _record_passes(monkeypatch)
     sensors = [
         {"x": 20.0, "y": 10.0, "p_ave_dbm": -3080.0},
@@ -504,13 +527,14 @@ def test_uniform_start_is_skipped_when_it_overflows(monkeypatch):
     ]
     # a large reference gain lets the caps reach the threshold
     scn = load_scenario(small_doc(sensors=sensors, beta0_db=3080.0))
-    with np.errstate(over="ignore"):
-        assert not np.isfinite(1.0 / (2 * scn.power_budgets)).any()
     got = maximize_dual(scn, GridSpec.from_scenario(scn, resolution=21))
     mus = [mu for kind, mu in events if kind == "price"]
     assert got.iterations == len(mus) >= 2
     assert all(np.isfinite(mu).all() for mu in mus)
+    np.testing.assert_array_equal(mus[1], [0.5, 0.5])
     assert got.gap <= GAP_TOL
+    spent = got.shares @ got.column_powers / scn.power_budgets
+    assert np.all(spent <= 1.0 + 1e-9)
 
 
 def test_iteration_cap_reports_the_open_gap(monkeypatch):

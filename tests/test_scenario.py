@@ -206,12 +206,39 @@ def test_trajectory_invariants():
         Trajectory(wp, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trajectory_rejects_a_non_finite_slot_length(demo_scenario, bad):
+    # NaN compares false against every bound, so "<= 0" alone let it pass
+    scn = demo_scenario.with_overrides(n_slots=4)
+    wp = np.linspace(scn.q_start, scn.q_final, scn.n_slots + 1)
+    with pytest.raises(PlanShapeError, match="slot length"):
+        Trajectory(wp, bad)
+    # a slot length set past the constructor does not fit either
+    tr = Trajectory(wp, scn.slot_length)
+    object.__setattr__(tr, "slot_length", bad)
+    with pytest.raises(ScenarioError, match="slot length"):
+        tr.require_fit(scn)
+
+
 def test_power_schedule_invariants():
     sched = PowerSchedule(np.ones((2, 4)))
     assert sched.n_sensors == 2 and sched.n_slots == 4
     assert not sched.powers.flags.writeable
     with pytest.raises(PlanShapeError):
         PowerSchedule(np.ones(4))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_power_schedule_rejects_negative_or_non_finite_powers(
+    demo_scenario, bad
+):
+    # -1 W in slot 1 and 2 W in slot 2 keep every average within budget,
+    # so validate_plan alone would pass the plan; its SNR would be NaN
+    scn = demo_scenario.with_overrides(n_slots=4)
+    powers = np.zeros((scn.n_sensors, scn.n_slots))
+    powers[:, 0], powers[:, 1] = bad, 2.0
+    with pytest.raises(PlanShapeError, match="powers"):
+        PowerSchedule(powers)
 
 
 def _feasible_plan(scn: Scenario):
