@@ -584,7 +584,13 @@ _SOCP_GAP_REL = 1e-10     # stop: s . z <= this max(1, |c @ x|)
 _SOCP_RESIDUAL_REL = 1e-9  # and |c + G^T z|_inf <= this |c|_inf
 
 
-def solve_socp(program: ConeProgram) -> SolveOutcome:
+def solve_socp(
+    program: ConeProgram,
+    *,
+    gap_rel: float = _SOCP_GAP_REL,
+    residual_rel: float = _SOCP_RESIDUAL_REL,
+    max_iters: int = _SOCP_MAX_ITERS,
+) -> SolveOutcome:
     """Solve a second-order cone program by a feasible-start primal-dual
     interior-point method with Nesterov-Todd scaling and Mehrotra's
     predictor-corrector (as in ECOS, Domahidi, Chu & Boyd, ECC 2013).
@@ -604,12 +610,14 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     ill-conditioned the system.  While the corrector's
     dual equation is off by more than a tenth of the tolerance below, it
     is refined by further solves, ``_SOCP_REFINE`` at most.
-    The solve stops once s . z <= ``_SOCP_GAP_REL`` max(1, |c @ x|) and
-    |c + G^T z|_inf <= ``_SOCP_RESIDUAL_REL`` |c|_inf, with status
-    optimal.  It also stops with status max-iters after
-    ``_SOCP_MAX_ITERS`` iterations, singular when ``program.factor``
-    returns None, and stalled when 60 halvings of a step leave the cones;
-    x is then the last iterate.  ``iterations`` counts the steps taken.
+    The solve stops once s . z <= ``gap_rel`` max(1, |c @ x|) and
+    |c + G^T z|_inf <= ``residual_rel`` |c|_inf, with status optimal.
+    It also stops with status max-iters after ``max_iters`` iterations,
+    singular when ``program.factor`` returns None, and stalled when 60
+    halvings of a step leave the cones; x is then the last iterate, still
+    strictly feasible.  The defaults (1e-10, 1e-9, 60) solve to about
+    machine precision; a caller that needs less, such as one round of
+    SCA, passes a looser stop.  ``iterations`` counts the steps taken.
     Raises ValueError if ``x0`` is not strictly feasible or s^-1 overflows.
     """
     c = program.c
@@ -619,7 +627,7 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     if det_s is None:
         raise ValueError("no strictly feasible start found")
     degree = s.shape[1]
-    residual_tol = _SOCP_RESIDUAL_REL * float(np.abs(c).max(initial=0.0))
+    residual_tol = residual_rel * float(np.abs(c).max(initial=0.0))
     z = s / det_s                  # s^-1 = J s / det(s)
     z[1:] *= -1.0
     pull = program.g_tmul(z)
@@ -636,12 +644,12 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
     pair = np.empty((2,) + s.shape)
     ds, dz = pair
 
-    for iteration in range(_SOCP_MAX_ITERS):
+    for iteration in range(max_iters):
         residual = c + program.g_tmul(z)
         gap = float((s * z).sum())
         objective = float((c * x).sum())
         if (
-            gap <= _SOCP_GAP_REL * max(1.0, abs(objective))
+            gap <= gap_rel * max(1.0, abs(objective))
             and np.abs(residual).max(initial=0.0) <= residual_tol
         ):
             return SolveOutcome(x, objective, STATUS_OPTIMAL, iteration)
@@ -689,7 +697,7 @@ def solve_socp(program: ConeProgram) -> SolveOutcome:
             break
         x, s, z = x_new, s_new, z_new
     else:
-        iteration, status = _SOCP_MAX_ITERS, STATUS_MAX_ITERS
+        iteration, status = max_iters, STATUS_MAX_ITERS
     return SolveOutcome(x, float((c * x).sum()), status, iteration)
 
 

@@ -18,11 +18,15 @@ accepted steps.  The trajectory step is a second-order cone program
 (the speed limits and the per-slot concave quadratic caps are cones),
 solved by the primal-dual method of ``convex_core.solve_socp``; its
 scaled normal system is block-tridiagonal once the per-slot auxiliaries
-are eliminated, so each iteration costs O(N) scalar operations.  The
-power step is solved in price space: at prices on the K budgets each
-slot's best powers have a closed form, so only the K prices are
-searched.  A step is rejected (iterate kept) if the solver fails to
-converge or the exact objective would regress beyond rounding tolerance.
+are eliminated, so each iteration costs O(N) scalar operations.  Each
+surrogate is solved only as far as SCA needs (``SURROGATE_STOP``): its
+solution is used through the exact objective alone.  The power step is
+solved in price space: at prices on the K budgets each slot's best
+powers have a closed form, so only the K prices are searched.  A step is
+rejected (iterate kept) if its solver breaks down (a singular system, a
+stalled line search, or a power-price search that settles nothing), or
+if the exact objective would regress beyond rounding tolerance.  Each
+step records why in ``ScaState.status`` and the trace.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +42,7 @@ from outage_planner.channel import gain_at
 # solve_barrier is not called here, but stays a module attribute: the
 # benchmark's tracer (perfbench/tracing.py) wraps it under this module
 from outage_planner.convex_core import (  # noqa: F401
+    STATUS_MAX_ITERS,
     STATUS_OPTIMAL,
     ConeProgram,
     minimize_prices,
@@ -51,9 +56,30 @@ from outage_planner.scenario import PowerSchedule, Scenario, Trajectory
 OBJ_TOL_REL = 1e-9     # accepted steps may regress at most this (relative)
 DEFAULT_ROUNDS = 50
 DEFAULT_REL_IMPROVEMENT = 1e-4
+# How far solve_socp solves each trajectory surrogate.  SCA reads the
+# solution only through _accept, which checks the exact objective, and
+# every iterate of solve_socp is strictly feasible, so a looser solve
+# cannot make a plan unsound; inexact SCA still converges while the
+# surrogate errors shrink (Facchinei, Scutari & Sagratella, IEEE TSP
+# 2015).  The gap is a hundredth of the round gain that ends SCA and the
+# dual residual that gain itself.  At low budgets the step lengths
+# collapse after about 15 iterations while the residual stalls above
+# its tolerance, so 20 iterations end a solve, and its x is kept
+# whenever _accept passes it.
+SURROGATE_STOP = {
+    "gap_rel": 1e-2 * DEFAULT_REL_IMPROVEMENT,
+    "residual_rel": DEFAULT_REL_IMPROVEMENT,
+    "max_iters": 20,
+}
 _PRICE_STEP_MAX_NEWTON = 50   # dual Newton steps of the power step
 _PRICE_STEP_BOUNDARY = 0.5    # their fraction to the boundary nu = 0; 0.99
                               # can land on the all-capped plateau and stall
+
+
+STATUS_REGRESSED = "regressed"      # the exact objective would fall
+STATUS_NO_INTERIOR = "no-interior"  # the trajectory program has no interior
+STATUS_FAILED = "failed"            # the power step's price search failed
+_SOLVED = (STATUS_OPTIMAL, STATUS_MAX_ITERS)  # solves whose x _accept judges
 
 
 @dataclass(frozen=True)
@@ -62,6 +88,7 @@ class TraceEntry:
     objective: float
     step_kind: str   # "trajectory" | "power"
     accepted: bool
+    status: str      # why the step was kept or rejected: ScaState.status
 
 
 @dataclass
@@ -72,6 +99,13 @@ class ScaState:
     current plan (the linearization point of the next step).
     ``objective`` is the mean SNR clipped at gamma_min, a number in
     [0, gamma_min] that increases weakly across accepted steps.
+    ``status`` says how the step that returned this state ended.  A
+    trajectory step reports its cone solve's status: optimal or
+    max-iters when kept, singular or stalled when rejected, or
+    no-interior when the speed limits leave nothing to solve.  A power
+    step reports optimal, or failed when its price search settles
+    nothing.  Either reports regressed when the exact objective would
+    fall.  A rejected step returns the old plan with its own status.
     """
 
     trajectory: Trajectory
@@ -79,6 +113,7 @@ class ScaState:
     amplitudes: np.ndarray    # (K, N)
     objective: float
     trace: list[TraceEntry] = field(default_factory=list)
+    status: str = STATUS_OPTIMAL
 
     @property
     def schedule(self) -> PowerSchedule:
@@ -128,10 +163,18 @@ def _state_from_plan(
     )
 
 
+def _rejected(old: ScaState, status: str) -> tuple[ScaState, bool]:
+    """(old plan, False), with ``status`` saying why."""
+    return replace(old, status=status), False
+
+
 def _accept(old: ScaState, candidate: ScaState) -> tuple[ScaState, bool]:
-    """(candidate, True) unless its objective regresses, else (old, False)."""
+    """(candidate, True) unless its objective regresses, else the old plan
+    with status regressed and False."""
     floor = old.objective - OBJ_TOL_REL * max(1.0, abs(old.objective))
-    return (candidate, True) if candidate.objective >= floor else (old, False)
+    if candidate.objective >= floor:
+        return candidate, True
+    return _rejected(old, STATUS_REGRESSED)
 
 
 def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
@@ -144,9 +187,12 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     affine and increasing in them, so they sit at their position-dependent
     upper bounds, leaving a concave quadratic cap in the waypoint.
 
-    The program is solved in cone form by ``solve_socp``: see
-    ``_trajectory_cones``.  Returns (state, False) when the solver fails,
-    and otherwise the new plan unless its exact objective regresses.
+    The program is solved in cone form by ``solve_socp`` to
+    ``SURROGATE_STOP``: see ``_trajectory_cones``.  Returns the old plan
+    and False when the solver breaks down (singular or stalled), and
+    otherwise the new plan unless its exact objective regresses.  A solve
+    stopped at the iteration cap counts: its x is feasible, and
+    ``_accept`` judges it on the exact objective like any other.
     """
     n = scenario.n_slots
     wp = state.trajectory.waypoints
@@ -159,21 +205,25 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     leg = scenario.v_max * delta
     direct = math.dist(scenario.q_final, scenario.q_start) / n
     if leg - direct <= 1e-6 * leg:
-        return state, False  # speed budget leaves no interior to search
+        # speed budget leaves no interior to search
+        return _rejected(state, STATUS_NO_INTERIOR)
 
     program, waypoints = _trajectory_cones(state, scenario)
     try:
-        outcome = solve_socp(program)
+        outcome = solve_socp(program, **SURROGATE_STOP)
     except ValueError:
-        return state, False
-    if outcome.status != STATUS_OPTIMAL:
-        return state, False
+        return _rejected(state, STATUS_NO_INTERIOR)
+    if outcome.status not in _SOLVED:
+        return _rejected(state, outcome.status)
 
     new_wp = wp.copy()
     new_wp[1:-1] = waypoints(outcome.x)
-    return _accept(state, _state_from_plan(
+    new, ok = _accept(state, _state_from_plan(
         Trajectory(new_wp, delta), state.powers, scenario, state.trace
     ))
+    if ok:
+        new.status = outcome.status
+    return new, ok
 
 
 def _trajectory_cones(state: ScaState, scenario: Scenario):
@@ -478,7 +528,7 @@ def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
         gains.T * budgets[:, None], 2.0 * s_ref / cap, off, scenario.gamma_min
     )
     if shares is None:
-        return state, False
+        return _rejected(state, STATUS_FAILED)
     return _accept(state, _state_from_plan(
         state.trajectory, shares * budgets[:, None], scenario, state.trace
     ))
@@ -585,9 +635,9 @@ def plan_sca(
         for kind, step_fn in steps:
             state, ok = step_fn(state, scenario)
             accepted |= ok
-            state.trace.append(
-                TraceEntry(len(state.trace) + 1, state.objective, kind, ok)
-            )
+            state.trace.append(TraceEntry(
+                len(state.trace) + 1, state.objective, kind, ok, state.status
+            ))
         if not accepted:
             break
         gain = state.objective - before

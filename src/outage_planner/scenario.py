@@ -67,13 +67,17 @@ def _from_db(convert, value: float) -> float:
         return math.inf
 
 
+# least budget in watts: the planner's prices per watt, nu / B, overflow
+# below the smallest normal float
+_MIN_BUDGET_W = float(np.finfo(float).tiny)
+_BUDGET_RANGE = "average power budget must be finite and at least 2.2e-308 W"
+
+
 def _budget_watts(value_dbm: float, field_name: str) -> float:
-    """A sensor's average-power budget in watts: positive and finite."""
+    """A sensor's average-power budget in watts: finite and normal."""
     watts = _from_db(dbm_to_watts, value_dbm)
-    if not 0.0 < watts < math.inf:
-        raise ScenarioError(
-            field_name, "average power budget must be positive and finite"
-        )
+    if not _MIN_BUDGET_W <= watts < math.inf:
+        raise ScenarioError(field_name, _BUDGET_RANGE)
     return watts
 
 
@@ -90,18 +94,15 @@ class SensorSite:
 
     sensor_id: int
     position: tuple[float, float]
-    avg_power_budget: float  # watts, > 0
+    avg_power_budget: float  # watts, finite and at least the smallest normal
 
     def __post_init__(self):
         prefix = f"sensors[{self.sensor_id - 1}]"
         for axis, value in zip("xy", self.position):
             if not math.isfinite(value):
                 raise ScenarioError(f"{prefix}.{axis}", "must be finite")
-        if not 0.0 < self.avg_power_budget < math.inf:
-            raise ScenarioError(
-                f"{prefix}.p_ave_dbm",
-                "average power budget must be positive and finite",
-            )
+        if not _MIN_BUDGET_W <= self.avg_power_budget < math.inf:
+            raise ScenarioError(f"{prefix}.p_ave_dbm", _BUDGET_RANGE)
 
 
 @dataclass(frozen=True)

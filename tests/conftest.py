@@ -27,7 +27,9 @@ from outage_planner.scenario import (
     PowerSchedule,
     Scenario,
     Trajectory,
+    dbm_to_watts,
     load_scenario,
+    watts_to_dbm,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +39,17 @@ DEMO_SCENARIO = REPO_ROOT / "scenarios" / "paper.json"
 @pytest.fixture(scope="session")
 def demo_scenario() -> Scenario:
     return load_scenario(DEMO_SCENARIO)
+
+
+def smallest_normal_budget_dbm() -> float:
+    """The least budget in dBm that converts to at least the smallest
+    normal float in watts, about -3046.5 dBm (2.2e-308 W): the least
+    budget a scenario accepts."""
+    tiny = float(np.finfo(float).tiny)
+    p_dbm = watts_to_dbm(tiny)
+    while dbm_to_watts(p_dbm) < tiny:       # round-off of the dB conversion
+        p_dbm = math.nextafter(p_dbm, math.inf)
+    return p_dbm
 
 
 def small_doc(**overrides) -> dict:

@@ -1,6 +1,7 @@
 """Solver checks against hand oracles and brute-force enumeration."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -482,15 +483,27 @@ def test_socp_rejects_a_start_whose_inverse_overflows():
         solve_socp(dense_cone_program([1.0], g, h, [0.0]))
 
 
-def test_socp_reports_iteration_cap(monkeypatch):
-    monkeypatch.setattr(convex_core, "_SOCP_MAX_ITERS", 2)
+def test_socp_reports_iteration_cap():
     g = np.zeros((1, 4, 2))
     g[0, 1, 0] = g[0, 2, 1] = -1.0
     h = np.array([[1.0, 0.0, 0.0, 0.0]])
-    out = solve_socp(dense_cone_program([1.0, 2.0], g, h, [0.3, -0.2]))
+    out = solve_socp(dense_cone_program([1.0, 2.0], g, h, [0.3, -0.2]), max_iters=2)
     assert out.status == STATUS_MAX_ITERS
     assert out.iterations == 2
     assert np.hypot(*out.x) < 1.0
+
+
+def test_socp_looser_stop_ends_sooner():
+    """A looser gap and dual residual end the solve in fewer iterations,
+    at a feasible x whose objective lies above the tight optimum by no
+    more than the looser gap (min c @ x over the unit disk is -sqrt(5))."""
+    tight = solve_socp(_unit_disk_program())
+    loose = solve_socp(_unit_disk_program(), gap_rel=1e-6, residual_rel=1e-4)
+    assert tight.status == loose.status == STATUS_OPTIMAL
+    assert loose.iterations < tight.iterations
+    assert np.hypot(*loose.x) < 1.0
+    assert tight.objective == pytest.approx(-math.sqrt(5.0), rel=1e-9)
+    assert 0.0 <= loose.objective - tight.objective <= 1e-6 * math.sqrt(5.0)
 
 
 def _unit_disk_program():

@@ -12,6 +12,7 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from outage_planner.benchmarks import (
@@ -22,7 +23,7 @@ from outage_planner.benchmarks import (
 from outage_planner.pipeline import plan_joint
 from outage_planner.relaxed_optimum import GridSpec
 from outage_planner.scenario import load_scenario
-from tests.conftest import DEMO_SCENARIO
+from tests.conftest import DEMO_SCENARIO, small_doc, smallest_normal_budget_dbm
 
 
 def _reverse_sensors(doc):
@@ -112,3 +113,23 @@ def test_same_mission_in_other_terms_has_the_same_dual(transform):
     assert _outcomes(transform)[0] == pytest.approx(
         _outcomes("identity")[0], rel=1e-9, abs=0.0
     )
+
+
+def test_smallest_normal_budget_plans_as_at_27_dbm():
+    """Budgets at the smallest normal float, about 2.2e-308 W (-3046.5
+    dBm), with beta0 raised to keep every gain times budget: small_doc
+    plans the outage and served slots it plans at 27 dBm, with finite
+    prices per watt near 1.9e307 and no warning (an error under the test
+    configuration).  Budgets below it are rejected at load."""
+    plans = []
+    for p in (27.0, smallest_normal_budget_dbm()):
+        doc = small_doc(beta0_db=-30.0 + 27.0 - p)
+        for sensor in doc["sensors"]:
+            sensor["p_ave_dbm"] = p
+        plans.append(plan_joint(load_scenario(doc)))
+    usual, smallest = plans
+    assert smallest.outage == usual.outage
+    assert smallest.recovered.active_slots.tolist() == (
+        usual.recovered.active_slots.tolist()
+    )
+    assert np.isfinite(smallest.dual.mu).all() and smallest.dual.mu.min() > 1e307

@@ -37,6 +37,7 @@ from tests.conftest import (
     full_grid_maximize_dual,
     random_scenario,
     small_doc,
+    smallest_normal_budget_dbm,
 )
 
 
@@ -515,18 +516,20 @@ def test_fallback_prices_at_the_master_duals(monkeypatch, small_scenario):
     assert got.gap <= GAP_TOL
 
 
-def test_subnormal_budgets_price_at_finite_prices(monkeypatch):
-    """Budgets of 1e-311 W, subnormal numbers, still give O(1) budget rows
-    and share prices: every pass prices at finite prices, starting from
-    the uniform 1 / K, the loop closes the gap, and the master's columns
-    spend no more than each budget."""
+def test_smallest_normal_budgets_price_at_finite_prices(monkeypatch):
+    """Budgets of 2.2e-308 W, the least a scenario accepts (subnormal
+    ones are rejected at load), still give O(1) budget rows and share
+    prices: every pass prices at finite prices, starting from the uniform
+    1 / K, the loop closes the gap, and the master's columns spend no
+    more than each budget."""
     events = _record_passes(monkeypatch)
+    p_dbm = smallest_normal_budget_dbm()
     sensors = [
-        {"x": 20.0, "y": 10.0, "p_ave_dbm": -3080.0},
-        {"x": 60.0, "y": 40.0, "p_ave_dbm": -3080.0},
+        {"x": 20.0, "y": 10.0, "p_ave_dbm": p_dbm},
+        {"x": 60.0, "y": 40.0, "p_ave_dbm": p_dbm},
     ]
     # a large reference gain lets the caps reach the threshold
-    scn = load_scenario(small_doc(sensors=sensors, beta0_db=3080.0))
+    scn = load_scenario(small_doc(sensors=sensors, beta0_db=-p_dbm))
     got = maximize_dual(scn, GridSpec.from_scenario(scn, resolution=21))
     mus = [mu for kind, mu in events if kind == "price"]
     assert got.iterations == len(mus) >= 2

@@ -34,6 +34,7 @@ from outage_planner.scenario import (
     plan_violations,
 )
 from outage_planner.sca_planner import (
+    SURROGATE_STOP,
     amplitude_lower_bound,
     direct_flight,
     init_shf,
@@ -636,28 +637,34 @@ def test_spring_chain_factor_rejects_a_non_finite_block(blocks, entry, value):
 def _checked_trajectory_steps(monkeypatch, gap_rel=1e-11):
     """A trajectory step that checks its optimum against the dense barrier.
 
-    Returns (values, step): each step asserts that ``solve_socp`` solved
-    it to optimality and appends (cone optimum, barrier optimum) to
-    ``values``, the barrier solving the same program from the same
-    iterate down to ``gap_rel`` times the cone optimum.
+    Returns (values, step).  Each step also solves its program with
+    ``solve_socp``'s default, tight stop, asserts that solve optimal and
+    appends (tight cone optimum, barrier optimum) to ``values``, the
+    barrier solving the same program from the same iterate down to
+    ``gap_rel`` times the cone optimum.  It asserts that the solve SCA
+    used, to ``SURROGATE_STOP``, was kept (optimal or max-iters) and lies
+    above the tight optimum by at most its stop's relative gap, and below
+    it by rounding alone: its x is feasible.
     """
     values, outcomes = [], []
     real = sca_planner.solve_socp
 
-    def recorded(program):
-        outcomes.append(real(program))
-        return outcomes[-1]
+    def recorded(program, **stop):
+        outcomes.append((real(program, **stop), real(program)))
+        return outcomes[-1][0]
 
     def step(state, scn):
         outcomes.clear()
         new, ok = sca_planner.trajectory_step(state, scn)
-        (outcome,) = outcomes
-        assert outcome.status == "optimal"
-        ref = barrier_trajectory_solve(
-            state, scn, gap_tol=gap_rel * max(1.0, abs(outcome.objective))
-        )
+        ((used, tight),) = outcomes
+        assert tight.status == "optimal"
+        assert used.status in ("optimal", "max-iters")
+        scale = max(1.0, abs(tight.objective))
+        excess = used.objective - tight.objective
+        assert -1e-12 * scale <= excess <= SURROGATE_STOP["gap_rel"] * scale
+        ref = barrier_trajectory_solve(state, scn, gap_tol=gap_rel * scale)
         assert ref is not None
-        values.append((outcome.objective, ref.objective))
+        values.append((tight.objective, ref.objective))
         return new, ok
 
     monkeypatch.setattr(sca_planner, "solve_socp", recorded)
@@ -782,8 +789,8 @@ def test_trajectory_step_far_beyond_reach(monkeypatch):
     optima = {1e12: [], 1e22: []}
     real = sca_planner.solve_socp
 
-    def recorded(program):
-        outcome = real(program)
+    def recorded(program, **stop):
+        outcome = real(program, **stop)
         assert outcome.status == "optimal"
         optima[gamma].append(outcome.objective)
         return outcome
@@ -802,15 +809,15 @@ def test_trajectory_step_far_beyond_reach(monkeypatch):
 
 def test_trajectory_only_iterations_per_step(monkeypatch):
     """trajectory_only on paper.json at N = 32: every cone solve factors
-    every system (no pivot fails), ends optimal after at most 20
+    every system (no pivot fails), ends optimal after at most 8
     iterations per step on average, and repeats its counts exactly."""
     scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=32)
     runs, factored = [], []
     real = sca_planner.solve_socp
 
-    def counted(program):
+    def counted(program, **stop):
         systems = _recorded_systems(program)
-        outcome = real(program)
+        outcome = real(program, **stop)
         factored.append(all(pairs is not None for _, pairs in systems))
         runs[-1].append((outcome.status, outcome.iterations))
         return outcome
@@ -822,80 +829,149 @@ def test_trajectory_only_iterations_per_step(monkeypatch):
     assert runs[0] == runs[1]
     assert all(factored)
     assert {status for status, _ in runs[0]} == {"optimal"}
-    assert np.mean([its for _, its in runs[0]]) <= 20
+    assert np.mean([its for _, its in runs[0]]) <= 8
 
 
-@pytest.mark.parametrize(
-    "status", [STATUS_MAX_ITERS, STATUS_SINGULAR, STATUS_STALLED]
-)
+def _stopped_step(monkeypatch, scn, status, flip=False):
+    """A trajectory step from the direct flight at full budgets whose cone
+    solve reports ``status``; with ``flip`` its x moves each free
+    waypoint the other way from the start (the displacements negated)."""
+    state = _full_budget_state(scn)
+    real = sca_planner.solve_socp
+
+    def stopped(program, **stop):
+        outcome = real(program, **stop)
+        x = outcome.x.copy()
+        if flip:
+            x[: 2 * (scn.n_slots - 1)] *= -1.0
+        return replace(outcome, x=x, status=status)
+
+    monkeypatch.setattr(sca_planner, "solve_socp", stopped)
+    return state, *sca_planner.trajectory_step(state, scn)
+
+
+def _keeps_plan(new, state):
+    return (
+        new.trajectory is state.trajectory and new.powers is state.powers
+        and new.objective == state.objective and new.trace is state.trace
+    )
+
+
+@pytest.mark.parametrize("status", [STATUS_SINGULAR, STATUS_STALLED])
 def test_trajectory_step_rejects_unfinished_solves(
     monkeypatch, small_scenario, status
 ):
-    """A cone solve that stops short of optimal, for any reason, leaves
-    the trajectory step's iterate as it was."""
-    state = _full_budget_state(small_scenario)
-    real = sca_planner.solve_socp
-
-    def stopped(program):
-        return replace(real(program), status=status)
-
-    monkeypatch.setattr(sca_planner, "solve_socp", stopped)
-    new, ok = sca_planner.trajectory_step(state, small_scenario)
-    assert not ok and new is state
+    """A cone solve that breaks down leaves the trajectory step's plan as
+    it was, with the solve's status as the reason."""
+    state, new, ok = _stopped_step(monkeypatch, small_scenario, status)
+    assert not ok and _keeps_plan(new, state) and new.status == status
 
 
-# cone iterations of each trajectory step on paper.json, and the outage
+def test_trajectory_step_keeps_a_capped_solve_that_gains(monkeypatch, small_scenario):
+    """A solve stopped at its iteration cap is used when the exact
+    objective holds, and the step reports it as max-iters."""
+    state, new, ok = _stopped_step(monkeypatch, small_scenario, STATUS_MAX_ITERS)
+    assert ok and new.status == STATUS_MAX_ITERS
+    assert new.objective > state.objective
+    assert plan_violations(small_scenario, new.trajectory, new.schedule) == []
+
+
+def test_trajectory_step_rejects_a_capped_solve_that_regresses(
+    monkeypatch, small_scenario
+):
+    """A solve stopped at its iteration cap whose x would lower the exact
+    objective (each waypoint moved away from the sensors) is rejected as
+    regressed, and the plan stays as it was."""
+    state, new, ok = _stopped_step(
+        monkeypatch, small_scenario, STATUS_MAX_ITERS, flip=True
+    )
+    assert not ok and _keeps_plan(new, state) and new.status == "regressed"
+
+
+# each trajectory step's cone solve on paper.json, as its iteration count
+# when optimal or its status otherwise, and the outage
+CAP = "max-iters"
 PINNED_STEPS = {
-    ("trajectory_only", 16): (
-        [9, 11, 7, 10, 8, 9, 10, 14, 13, 10, 8, 9, 8, 8, 8, 9, 14, 8, 10, 8,
-         9, 8, 8, 8, 8, 14, 8, 8, 8, 10, 8, 8, 8, 8, 14, 8, 8, 8, 9, 9, 9, 9,
-         8, 10, 9],
+    ("trajectory_only", 16, 30.0): (
+        [5, 8, 4, 5, 4, 4, 5, 8, 6, 5, 5, 5, 4, 4, 4, 4, 8, 5, 5, 5, 5, 4, 4,
+         4, 5, 8, 5, 5, 5, 5, 4, 4, 4, 5, 8, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
         1.0,
     ),
-    ("trajectory_only", 32): (
-        [10, 11, 9, 10, 9, 9, 13, 14, 9, 9, 10, 9, 10, 9, 14, 9, 10, 9, 14, 9,
-         9, 9, 9, 9, 9, 9, 9, 9, 9, 8, 9, 9, 9, 8, 9, 9, 9, 9, 9, 9, 9, 10],
+    ("trajectory_only", 32, 30.0): (
+        [6, 9, 6, 5, 5, 5, 8, 9, 5, 5, 8, 5, 5, 5, 8, 5, 5, 4, 9, 5, 5, 4,
+         6, 5, 5, 5, 6, 5, 5, 5, 6, 5, 5, 5, 6, 6, 6, 6, 6, 6, 5, 5],
         1.0,
     ),
-    ("joint", 16): (
-        [9, 9, 8, 11, 10, 9, 9, 9, 9, 9, 9, 10, 10, 10, 11, 11, 10, 10, 11,
-         11, 10, 10, 11, 10, 11, 11, 11],
+    ("joint", 16, 30.0): (
+        [5, 6, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+         7, 7, 7, 7, 7, 7],
         0.25,
     ),
-    ("joint", 32): ([9, 10, 9, 10, 10, 10, 10, 10, 12], 0.1875),
-    ("joint", 48): ([11, 12, 10, 11, 10, 11, 11, 12], 0.1875),
+    ("joint", 32, 30.0): ([6, 6, 7, 5, 6, 6, 6, 7, 7], 0.1875),
+    ("joint", 48, 30.0): ([9, 7, 6, 7, 7, 7, 7, 8], 0.1875),
+    ("joint", 32, 26.0): (
+        [6, 5, 7, 6, 6, 8, 9, 9, 11, 12, 14, 14, 13, CAP, CAP, CAP, CAP, CAP],
+        0.65625,
+    ),
 }
 
 
-@pytest.mark.parametrize("scheme, n_slots", sorted(PINNED_STEPS))
-def test_trajectory_step_iterates_are_pinned(monkeypatch, scheme, n_slots):
-    """The cone iterations of every trajectory step and the final outage
-    of trajectory_only and plan_joint on paper.json at N = 16 and 32,
-    and of plan_joint at N = 48 (the joint workload's size), equal the
-    recorded ones: 413, 403, 269, 90 and 88 iterations in all.  A
-    change to the cone solver's arithmetic that keeps its iterates keeps
-    these counts."""
-    scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=n_slots)
-    counts = []
+@pytest.mark.parametrize(
+    "scheme, n_slots, p_ave_dbm", sorted(PINNED_STEPS),
+    ids=[
+        f"{scheme}-{n}" + ("" if dbm == 30.0 else f"-{dbm:g}dBm")
+        for scheme, n, dbm in sorted(PINNED_STEPS)
+    ],
+)
+def test_trajectory_step_iterates_are_pinned(
+    monkeypatch, scheme, n_slots, p_ave_dbm
+):
+    """The cone solves of every trajectory step and the final outage of
+    trajectory_only and plan_joint on paper.json at N = 16 and 32, and of
+    plan_joint at N = 48 (the joint workload's size), at the bundled
+    30 dBm, equal the recorded ones: 228, 240, 176, 56 and 58 iterations
+    in all.  So do those of plan_joint at N = 32 and 26 dBm, 220
+    iterations, where the last five solves stop at SURROGATE_STOP's cap
+    and SCA keeps each of them.  A change to the cone solver's arithmetic
+    that keeps its iterates keeps these.  The trace gives each trajectory
+    step its solve's status, or regressed where SCA refused the step."""
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(
+        n_slots=n_slots, p_ave_dbm=p_ave_dbm
+    )
+    solves, statuses = [], []
     real = sca_planner.solve_socp
 
-    def counted(program):
-        outcome = real(program)
-        assert outcome.status == "optimal"
-        counts.append(outcome.iterations)
+    def counted(program, **stop):
+        outcome = real(program, **stop)
+        if outcome.status == STATUS_MAX_ITERS:
+            assert outcome.iterations == stop["max_iters"]
+        solves.append(
+            outcome.iterations if outcome.status == "optimal" else outcome.status
+        )
+        statuses.append(outcome.status)
         return outcome
 
     monkeypatch.setattr(sca_planner, "solve_socp", counted)
-    plan = run_trajectory_only if scheme == "trajectory_only" else plan_joint
-    outage = plan(scn).outage
-    assert (counts, outage) == PINNED_STEPS[scheme, n_slots]
+    if scheme == "trajectory_only":
+        outage = run_trajectory_only(scn).outage
+    else:
+        plan = plan_joint(scn)
+        outage = plan.outage
+        steps = [e for e in plan.sca.trace if e.step_kind == "trajectory"]
+        assert [e.status for e in steps] == [
+            status if e.accepted else "regressed"
+            for status, e in zip(statuses, steps, strict=True)
+        ]
+    assert (solves, outage) == PINNED_STEPS[scheme, n_slots, p_ave_dbm]
 
 
 def test_scaled_points_stay_inside_their_cones(monkeypatch):
-    """plan_joint on paper.json at N = 32 and 28 dBm, where some cone
-    solves run to the iteration cap: the scaled point lam of every
+    """plan_joint on paper.json at N = 32 and 28 dBm, each surrogate solved
+    to solve_socp's default stop, where some cone solves run to its
+    60-iteration cap with collapsing steps: the scaled point lam of every
     Nesterov-Todd scaling has lam_0 > |lam_1:| in every cone."""
     scn = load_scenario(DEMO_SCENARIO).with_overrides(n_slots=32, p_ave_dbm=28.0)
+    monkeypatch.setattr(sca_planner, "SURROGATE_STOP", {})
     outside = []
 
     class Checked(convex_core.NtScaling):

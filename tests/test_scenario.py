@@ -94,7 +94,20 @@ def test_sensor_budget_must_be_finite(budget):
         SensorSite(sensor_id=1, position=(0.0, 0.0), avg_power_budget=budget)
 
 
-@pytest.mark.parametrize("p_dbm", [float("nan"), float("inf"), 1e9])
+def test_sensor_budget_must_be_normal():
+    tiny = float(np.finfo(float).tiny)
+    SensorSite(sensor_id=1, position=(0.0, 0.0), avg_power_budget=tiny)
+    with pytest.raises(ScenarioError) as err:
+        SensorSite(sensor_id=2, position=(0.0, 0.0), avg_power_budget=tiny / 2)
+    assert err.value.field == "sensors[1].p_ave_dbm"
+
+
+# -3050 and -3080 dBm are 1e-308 and 1e-311 W, below the smallest normal
+# float, where the planner's prices per watt overflow
+BAD_BUDGETS_DBM = [float("nan"), float("inf"), 1e9, -3050.0, -3080.0]
+
+
+@pytest.mark.parametrize("p_dbm", BAD_BUDGETS_DBM)
 def test_with_overrides_rejects_bad_budget(p_dbm):
     scn = load_scenario(small_doc())
     with pytest.raises(ScenarioError) as err:
@@ -102,7 +115,7 @@ def test_with_overrides_rejects_bad_budget(p_dbm):
     assert err.value.field == "p_ave_dbm"
 
 
-@pytest.mark.parametrize("p_dbm", [float("nan"), float("inf"), 1e9])
+@pytest.mark.parametrize("p_dbm", BAD_BUDGETS_DBM)
 def test_load_scenario_rejects_bad_budget(p_dbm):
     doc = small_doc()
     doc["sensors"][1]["p_ave_dbm"] = p_dbm
