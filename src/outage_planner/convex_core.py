@@ -580,15 +580,14 @@ _SOCP_FRACTION = 0.99     # of the step to the boundary of the cones
 _SOCP_MU_FLOOR = 0.01     # least start of mu, relative to |c|_inf: a fit
                           # dominated by cones near their boundary stalls
 _SOCP_REFINE = 4          # most refinement solves of a corrector direction
-_SOCP_GAP_REL = 1e-10     # stop: s . z <= this max(1, |c @ x|)
+_SOCP_GAP_REL = 1e-10     # default stop: s . z <= this max(1, |c @ x|)
 _SOCP_RESIDUAL_REL = 1e-9  # and |c + G^T z|_inf <= this |c|_inf
 
 
 def solve_socp(
     program: ConeProgram,
     *,
-    gap_rel: float = _SOCP_GAP_REL,
-    residual_rel: float = _SOCP_RESIDUAL_REL,
+    enough: Callable[[float, float], bool] | None = None,
     max_iters: int = _SOCP_MAX_ITERS,
 ) -> SolveOutcome:
     """Solve a second-order cone program by a feasible-start primal-dual
@@ -608,16 +607,18 @@ def solve_socp(
     corrector.  Directions are formed in scaled variables,
     dz~ = H G dx + t, so complementarity holds to rounding however
     ill-conditioned the system.  While the corrector's
-    dual equation is off by more than a tenth of the tolerance below, it
-    is refined by further solves, ``_SOCP_REFINE`` at most.
-    The solve stops once s . z <= ``gap_rel`` max(1, |c @ x|) and
-    |c + G^T z|_inf <= ``residual_rel`` |c|_inf, with status optimal.
-    It also stops with status max-iters after ``max_iters`` iterations,
+    dual equation is off by more than a tenth of the default residual
+    tolerance below, it is refined by further solves, ``_SOCP_REFINE`` at
+    most.  By default the solve stops once s . z <= 1e-10 max(1, |c @ x|)
+    and |c + G^T z|_inf <= 1e-9 |c|_inf, with status optimal, which is
+    about machine precision.  A caller that needs less, such as one round
+    of SCA, passes its own stop instead: ``enough(gap, objective)``, asked
+    with s . z and c @ x before each step, ends the solve as optimal when
+    it returns True, with no residual test.  The solve also stops with
+    status max-iters after ``max_iters`` iterations (60 by default),
     singular when ``program.factor`` returns None, and stalled when 60
     halvings of a step leave the cones; x is then the last iterate, still
-    strictly feasible.  The defaults (1e-10, 1e-9, 60) solve to about
-    machine precision; a caller that needs less, such as one round of
-    SCA, passes a looser stop.  ``iterations`` counts the steps taken.
+    strictly feasible.  ``iterations`` counts the steps taken.
     Raises ValueError if ``x0`` is not strictly feasible or s^-1 overflows.
     """
     c = program.c
@@ -627,7 +628,7 @@ def solve_socp(
     if det_s is None:
         raise ValueError("no strictly feasible start found")
     degree = s.shape[1]
-    residual_tol = residual_rel * float(np.abs(c).max(initial=0.0))
+    residual_tol = _SOCP_RESIDUAL_REL * float(np.abs(c).max(initial=0.0))
     z = s / det_s                  # s^-1 = J s / det(s)
     z[1:] *= -1.0
     pull = program.g_tmul(z)
@@ -648,10 +649,14 @@ def solve_socp(
         residual = c + program.g_tmul(z)
         gap = float((s * z).sum())
         objective = float((c * x).sum())
-        if (
-            gap <= gap_rel * max(1.0, abs(objective))
-            and np.abs(residual).max(initial=0.0) <= residual_tol
-        ):
+        if enough is None:
+            done = (
+                gap <= _SOCP_GAP_REL * max(1.0, abs(objective))
+                and np.abs(residual).max(initial=0.0) <= residual_tol
+            )
+        else:
+            done = enough(gap, objective)
+        if done:
             return SolveOutcome(x, objective, STATUS_OPTIMAL, iteration)
         nt = NtScaling(s, z, det_s, det_z)
         solve = program.factor(nt)
@@ -772,8 +777,14 @@ def solve_price_feasibility(h: np.ndarray) -> np.ndarray | None:
     ``start_prices``.  Returns x / max(1, max_k u_k) once
     max_k u_k <= ``ACCEPT_USAGE``, and None (infeasible) once
     f > ``ACCEPT_USAGE`` or when ``_PRICE_MAX_NEWTON`` steps or a failed
-    step leave the verdict open (the conservative answer).
+    step leave the verdict open (the conservative answer).  A slot that
+    misses its target with every budget spent on it, sum_k sqrt(h_kn
+    ``ACCEPT_USAGE``) < 1, certifies None at once, before any price is
+    formed: its h may be too small to square, or zero by underflow.
     """
+    if (np.sqrt(h * ACCEPT_USAGE).sum(axis=0) < 1.0).any():
+        return None
+
     def priced(nu):
         s = (h / nu[:, None]).sum(axis=0)
         return float((1.0 / s).sum()), s

@@ -20,7 +20,9 @@ solved by the primal-dual method of ``convex_core.solve_socp``; its
 scaled normal system is block-tridiagonal once the per-slot auxiliaries
 are eliminated, so each iteration costs O(N) scalar operations.  Each
 surrogate is solved only as far as SCA needs (``SURROGATE_STOP``): its
-solution is used through the exact objective alone.  The power step is
+solution is used through the exact objective alone, so its solve stops
+once the remaining duality gap is a tenth of the gain it has captured
+over the current plan.  The power step is
 solved in price space: at prices on the K budgets each slot's best
 powers have a closed form, so only the K prices are searched.  A step is
 rejected (iterate kept) if its solver breaks down (a singular system, a
@@ -60,17 +62,17 @@ DEFAULT_REL_IMPROVEMENT = 1e-4
 # solution only through _accept, which checks the exact objective, and
 # every iterate of solve_socp is strictly feasible, so a looser solve
 # cannot make a plan unsound; inexact SCA still converges while the
-# surrogate errors shrink (Facchinei, Scutari & Sagratella, IEEE TSP
-# 2015).  The gap is a hundredth of the round gain that ends SCA and the
-# dual residual that gain itself.  At low budgets the step lengths
-# collapse after about 15 iterations while the residual stalls above
-# its tolerance, so 20 iterations end a solve, and its x is kept
-# whenever _accept passes it.
-SURROGATE_STOP = {
-    "gap_rel": 1e-2 * DEFAULT_REL_IMPROVEMENT,
-    "residual_rel": DEFAULT_REL_IMPROVEMENT,
-    "max_iters": 20,
-}
+# surrogate errors shrink with the gains (Facchinei, Scutari & Sagratella,
+# IEEE TSP 2015).  So a solve stops once its duality gap s . z is at most
+# ``gap_share`` of the surrogate gain it has captured, ref - c @ x, where
+# ref is the surrogate's value at the current plan: the minorant makes
+# that gain a lower bound on the exact one, and the gap measures what is
+# left, so the solve keeps about 90 % of the surrogate's whole gain.  A
+# step whose gain is below the round gain that ends SCA stops at a gap
+# of a tenth of that gain instead, and may then be refused as regressed.
+# There is no dual-residual test.  20 iterations still end a solve, whose
+# x is kept whenever _accept passes it.
+SURROGATE_STOP = {"gap_share": 0.1, "max_iters": 20}
 _PRICE_STEP_MAX_NEWTON = 50   # dual Newton steps of the power step
 _PRICE_STEP_BOUNDARY = 0.5    # their fraction to the boundary nu = 0; 0.99
                               # can land on the all-capped plateau and stall
@@ -188,11 +190,12 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
     upper bounds, leaving a concave quadratic cap in the waypoint.
 
     The program is solved in cone form by ``solve_socp`` to
-    ``SURROGATE_STOP``: see ``_trajectory_cones``.  Returns the old plan
-    and False when the solver breaks down (singular or stalled), and
-    otherwise the new plan unless its exact objective regresses.  A solve
-    stopped at the iteration cap counts: its x is feasible, and
-    ``_accept`` judges it on the exact objective like any other.
+    ``SURROGATE_STOP``, a gap tied to the gain over the current plan: see
+    ``_trajectory_cones``.  Returns the old plan and False when the solver
+    breaks down (singular or stalled), and otherwise the new plan unless
+    its exact objective regresses.  A solve stopped at the iteration cap
+    counts: its x is feasible, and ``_accept`` judges it on the exact
+    objective like any other.
     """
     n = scenario.n_slots
     wp = state.trajectory.waypoints
@@ -209,8 +212,17 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
         return _rejected(state, STATUS_NO_INTERIOR)
 
     program, waypoints = _trajectory_cones(state, scenario)
+    ref = -state.objective         # c @ x at the plan: both tangents are tight
+    floor = DEFAULT_REL_IMPROVEMENT * max(1.0, abs(ref))
+    share = SURROGATE_STOP["gap_share"]
+
+    def enough(gap, objective):
+        return gap <= share * max(ref - objective, floor)
+
     try:
-        outcome = solve_socp(program, **SURROGATE_STOP)
+        outcome = solve_socp(
+            program, enough=enough, max_iters=SURROGATE_STOP["max_iters"]
+        )
     except ValueError:
         return _rejected(state, STATUS_NO_INTERIOR)
     if outcome.status not in _SOLVED:

@@ -67,16 +67,22 @@ def _from_db(convert, value: float) -> float:
         return math.inf
 
 
-# least budget in watts: the planner's prices per watt, nu / B, overflow
-# below the smallest normal float
-_MIN_BUDGET_W = float(np.finfo(float).tiny)
+# least budget and noise power in watts: below the smallest normal float
+# the planner's prices per watt, nu / B, and the power step's slopes,
+# 2 s / (gamma noise), overflow
+_MIN_POWER_W = float(np.finfo(float).tiny)
 _BUDGET_RANGE = "average power budget must be finite and at least 2.2e-308 W"
+# least full-budget SNR of the best sensor right below it, in units of
+# gamma_min: the planner squares such ratios (its cone determinants and
+# price tests), and below the root of the smallest normal float they
+# underflow; such a mission is out of reach in every slot
+_MIN_SNR_SHARE = math.sqrt(np.finfo(float).tiny)
 
 
 def _budget_watts(value_dbm: float, field_name: str) -> float:
     """A sensor's average-power budget in watts: finite and normal."""
     watts = _from_db(dbm_to_watts, value_dbm)
-    if not _MIN_BUDGET_W <= watts < math.inf:
+    if not _MIN_POWER_W <= watts < math.inf:
         raise ScenarioError(field_name, _BUDGET_RANGE)
     return watts
 
@@ -101,7 +107,7 @@ class SensorSite:
         for axis, value in zip("xy", self.position):
             if not math.isfinite(value):
                 raise ScenarioError(f"{prefix}.{axis}", "must be finite")
-        if not _MIN_BUDGET_W <= self.avg_power_budget < math.inf:
+        if not _MIN_POWER_W <= self.avg_power_budget < math.inf:
             raise ScenarioError(f"{prefix}.p_ave_dbm", _BUDGET_RANGE)
 
 
@@ -125,7 +131,6 @@ class Scenario:
         _check_positive = [
             ("h_m", self.altitude),
             ("beta0_db", self.beta0),
-            ("noise_dbm", self.noise_power),
             ("gamma_min", self.gamma_min),
             ("vmax_mps", self.v_max),
             ("t_s", self.duration),
@@ -133,6 +138,10 @@ class Scenario:
         for name, value in _check_positive:
             if not 0.0 < value < math.inf:
                 raise ScenarioError(name, "must be positive and finite")
+        if not _MIN_POWER_W <= self.noise_power < math.inf:
+            raise ScenarioError(
+                "noise_dbm", "noise power must be finite and at least 2.2e-308 W"
+            )
         for name, point in (("q_i", self.q_start), ("q_f", self.q_final)):
             if not all(math.isfinite(v) for v in point):
                 raise ScenarioError(name, "coordinates must be finite")
@@ -143,6 +152,18 @@ class Scenario:
             raise ScenarioError("sensors", "ids must be contiguous from 1")
         if not 2.0 <= self.alpha < math.inf:
             raise ScenarioError("alpha", "path-loss exponent must be finite and >= 2")
+        # B beta0 h^-alpha / (gamma noise) in logarithms: it may underflow
+        best = max(s.avg_power_budget for s in self.sensors)
+        share = (
+            math.log(best) + math.log(self.beta0) - self.alpha * math.log(self.altitude)
+            - math.log(self.gamma_min) - math.log(self.noise_power)
+        )
+        if share < math.log(_MIN_SNR_SHARE):
+            raise ScenarioError(
+                "sensors",
+                "no sensor's full-budget SNR right below it reaches 1.5e-154 "
+                "gamma_min; the planner cannot square SNR ratios this small",
+            )
         if self.n_slots < 1:
             raise ScenarioError("n_slots", "must be a positive integer")
         dist = math.dist(self.q_start, self.q_final)

@@ -494,13 +494,23 @@ def test_socp_reports_iteration_cap():
 
 
 def test_socp_looser_stop_ends_sooner():
-    """A looser gap and dual residual end the solve in fewer iterations,
-    at a feasible x whose objective lies above the tight optimum by no
-    more than the looser gap (min c @ x over the unit disk is -sqrt(5))."""
+    """A looser stop, passed as ``enough(gap, objective)``, ends the solve
+    in fewer iterations, at a feasible x whose objective lies above the
+    tight optimum by no more than the looser gap (min c @ x over the unit
+    disk is -sqrt(5)).  The hook sees every iterate's s . z and c @ x,
+    the last of them those of the x returned."""
+    seen = []
+
+    def enough(gap, objective):
+        seen.append((gap, objective))
+        return gap <= 1e-6 * max(1.0, abs(objective))
+
     tight = solve_socp(_unit_disk_program())
-    loose = solve_socp(_unit_disk_program(), gap_rel=1e-6, residual_rel=1e-4)
+    loose = solve_socp(_unit_disk_program(), enough=enough)
     assert tight.status == loose.status == STATUS_OPTIMAL
     assert loose.iterations < tight.iterations
+    assert len(seen) == loose.iterations + 1
+    assert seen[-1][1] == loose.objective
     assert np.hypot(*loose.x) < 1.0
     assert tight.objective == pytest.approx(-math.sqrt(5.0), rel=1e-9)
     assert 0.0 <= loose.objective - tight.objective <= 1e-6 * math.sqrt(5.0)

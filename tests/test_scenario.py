@@ -1,6 +1,7 @@
 """Loading, validation, unit conversion, and plan feasibility checks."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from outage_planner.scenario import (
     validate_plan,
     watts_to_dbm,
 )
-from tests.conftest import small_doc
+from tests.conftest import small_doc, smallest_normal_budget_dbm
 
 
 def test_unit_conversions_hand_values():
@@ -122,6 +123,44 @@ def test_load_scenario_rejects_bad_budget(p_dbm):
     with pytest.raises(ScenarioError) as err:
         load_scenario(doc)
     assert err.value.field == "sensors[1].p_ave_dbm"
+
+
+@pytest.mark.parametrize("p_dbm", [-1510.0, -2000.0, -3040.0])
+def test_out_of_reach_full_budget_snrs_are_rejected(p_dbm):
+    """small_doc's best full-budget SNR right below a sensor is about
+    7.3e-154 gamma_min at -1500 dBm, which loads.  At -1510 dBm and below
+    it falls short of 1.5e-154, the root of the smallest normal float,
+    and both load_scenario and with_overrides reject the mission, naming
+    sensors, with no warning."""
+    doc = small_doc()
+    for sensor in doc["sensors"]:
+        sensor["p_ave_dbm"] = p_dbm
+    usual = load_scenario(small_doc())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for load in (lambda: load_scenario(doc),
+                     lambda: usual.with_overrides(p_ave_dbm=p_dbm)):
+            with pytest.raises(ScenarioError) as err:
+                load()
+            assert err.value.field == "sensors"
+        usual.with_overrides(p_ave_dbm=-1500.0)
+
+
+def test_noise_power_must_be_normal():
+    """Noise below the smallest normal float is rejected, naming
+    noise_dbm: -3133.5 dBm (4.5e-317 W) with budgets at the smallest
+    normal float, the mission of 27 dBm budgets against -60 dBm noise
+    shifted 3073.5 dB down, whose power step overflowed.  Noise at the
+    smallest normal float loads."""
+    p_dbm = smallest_normal_budget_dbm()
+    doc = small_doc(noise_dbm=-3133.5)
+    for sensor in doc["sensors"]:
+        sensor["p_ave_dbm"] = p_dbm
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(doc)
+    assert err.value.field == "noise_dbm"
+    scn = load_scenario(small_doc(noise_dbm=p_dbm))
+    assert scn.noise_power >= np.finfo(float).tiny
 
 
 def _set_field(doc: dict, field: str, value: float) -> None:
