@@ -2,7 +2,7 @@
 
 The discretized joint problem maximizes the per-slot received power clipped
 at the SNR threshold (a smooth stand-in for the outage count) over the
-trajectory and the power schedule.  Each round alternates two convex
+trajectory and the power schedule.  SCA alternates two convex
 subproblems obtained from two global tangent bounds:
 
 * per-sensor amplitude versus UAV position: the map
@@ -30,12 +30,18 @@ settles nothing), or if the exact objective would regress beyond
 rounding tolerance; a trajectory solve that stops short of the current
 plan on the surrogate keeps the plan as an accepted step instead.  Each
 step records why in ``ScaState.status`` and the trace.
+
+A step that gained at most ``DEFAULT_REL_IMPROVEMENT`` of the objective
+(relative) is skipped while the other one still gains more, and SCA stops
+once one run of each, back to back, gains at most that share in total:
+a round's test, on a sliding window that covers every step.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 
@@ -70,8 +76,8 @@ DEFAULT_REL_IMPROVEMENT = 1e-4
 # gain a lower bound on the exact one.  With no dual-residual test s . z
 # only estimates the gain left, so the share captured is measured, not
 # guaranteed: at least 95.4 % on the measured sets, and the tests check
-# 90 %.  A step whose gain is below the round gain that ends SCA stops at
-# a gap of a tenth of that gain instead, relative like that gain, and may
+# 90 %.  A step whose gain is below the gain that stalls SCA stops at a
+# gap of a tenth of that gain instead, relative like that gain, and may
 # stop short of the current plan.  20 iterations still end a solve,
 # whose x is kept whenever _accept passes it.
 _SURROGATE_GAP_SHARE = 0.1
@@ -87,7 +93,7 @@ STATUS_FAILED = "failed"            # the power step's price search failed
 _SOLVED = (STATUS_OPTIMAL, STATUS_MAX_ITERS)  # solves whose x _accept judges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEntry:
     iteration: int
     objective: float
@@ -100,8 +106,9 @@ class TraceEntry:
 class ScaState:
     """Current iterate of the alternating optimization.
 
-    ``amplitudes`` always holds the exact received amplitudes of the
-    current plan (the linearization point of the next step).
+    ``amplitude_sums`` always holds the exact summed received amplitude
+    of each slot of the current plan (the linearization point of the next
+    step).
     ``objective`` is the mean SNR clipped at gamma_min, a number in
     [0, gamma_min] that increases weakly across accepted steps.
     ``status`` says how the step that returned this state ended.  A
@@ -115,8 +122,8 @@ class ScaState:
     """
 
     trajectory: Trajectory
-    powers: np.ndarray        # (K, N) watts
-    amplitudes: np.ndarray    # (K, N)
+    powers: np.ndarray            # (K, N) watts
+    amplitude_sums: np.ndarray    # (N,)
     objective: float
     trace: list[TraceEntry] = field(default_factory=list)
     status: str = STATUS_OPTIMAL
@@ -159,12 +166,12 @@ def _state_from_plan(
     trace: list[TraceEntry] | None = None,
 ) -> ScaState:
     gains = gain_at(trajectory.slot_positions, scenario)  # (N, K)
-    amps = np.sqrt(powers * gains.T)
-    received = amps.sum(axis=0) ** 2
+    sums = np.sqrt(powers * gains.T).sum(axis=0)
+    received = sums**2
     cap = scenario.gamma_min * scenario.noise_power
     objective = float(np.minimum(received, cap).mean() / scenario.noise_power)
     return ScaState(
-        trajectory, powers.copy(), amps, objective,
+        trajectory, powers.copy(), sums, objective,
         trace if trace is not None else [],
     )
 
@@ -181,6 +188,16 @@ def _accept(old: ScaState, candidate: ScaState) -> tuple[ScaState, bool]:
     if candidate.objective >= floor:
         return candidate, True
     return _rejected(old, STATUS_REGRESSED)
+
+
+def _gain_floor(objective: float) -> float:
+    """A gain of at most this from ``objective`` stalls SCA."""
+    return DEFAULT_REL_IMPROVEMENT * max(abs(objective), 1e-12)
+
+
+def _stalled(before: float, after: float) -> bool:
+    """Whether going from objective ``before`` to ``after`` stalls SCA."""
+    return after - before <= _gain_floor(before)
 
 
 def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
@@ -220,7 +237,7 @@ def trajectory_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool
 
     program, waypoints = _trajectory_cones(state, scenario)
     ref = -state.objective         # c @ x at the plan: both tangents are tight
-    floor = DEFAULT_REL_IMPROVEMENT * max(abs(ref), 1e-12)   # plan_sca's end
+    floor = _gain_floor(ref)       # a gain of at most this stalls plan_sca
 
     def enough(gap, objective):
         return gap <= _SURROGATE_GAP_SHARE * max(ref - objective, floor)
@@ -294,7 +311,7 @@ def _trajectory_cones(state: ScaState, scenario: Scenario):
     msens = slope[:, :, None] * scenario.sensor_xy[None, :, :]
     msens = msens.sum(axis=1)                      # (N, 2)
     mconst = (slope * (scenario.sensor_xy**2).sum(axis=1)[None, :]).sum(axis=1)
-    s_ref = state.amplitudes.sum(axis=0)           # (N,)
+    s_ref = state.amplitude_sums                   # (N,)
     kappa = 2.0 * s_ref * msum / cap
     g1 = 4.0 * s_ref[:, None] * msens / cap
     g0 = (2.0 * s_ref * a0 - s_ref**2 - 2.0 * s_ref * mconst) / cap
@@ -540,7 +557,7 @@ def power_step(state: ScaState, scenario: Scenario) -> tuple[ScaState, bool]:
     cap = scenario.gamma_min * scenario.noise_power
     budgets = scenario.power_budgets
     gains = gain_at(state.trajectory.slot_positions, scenario)  # (N, K)
-    s_ref = state.amplitudes.sum(axis=0)                        # (N,)
+    s_ref = state.amplitude_sums                                # (N,)
     off = s_ref**2 / cap
     shares = _optimal_shares(
         gains.T * budgets[:, None], 2.0 * s_ref / cap, off, scenario.gamma_min
@@ -628,14 +645,21 @@ def plan_sca(
     steps: Sequence[tuple[str, Callable]] | None = None,
     max_rounds: int = DEFAULT_ROUNDS,
 ) -> ScaState:
-    """Run rounds of SCA steps from a feasible initialization.
+    """Run SCA steps from a feasible initialization.
 
-    ``steps`` is a sequence of ``(kind, step_fn)`` pairs run in order each
-    round; the default alternates ``trajectory_step`` and ``power_step``.
-    Powers start uniformly at the budgets.  The loop stops when no step of
-    a round is accepted, when a round improves the clipped objective by at
-    most ``DEFAULT_REL_IMPROVEMENT`` (relative), or after ``max_rounds``
-    rounds.  The trace records every step.  Raises ScenarioError when
+    ``steps`` is a sequence of ``(kind, step_fn)`` pairs, walked in cyclic
+    order; the default alternates ``trajectory_step`` and ``power_step``.
+    Powers start uniformly at the budgets.  A run is stalled when it gains
+    at most ``DEFAULT_REL_IMPROVEMENT`` of the objective it started from
+    (relative, and a refused step gains nothing).  A stalled kind is
+    skipped while the run just before it was not stalled; the loop stops
+    once the last runs of all the kinds, taken back to back, gain at most
+    that share of the objective before them in total, or after
+    ``max_rounds`` runs per kind.  A skipped kind runs again as soon as
+    the others stall, so every kind is updated within a bounded number of
+    runs and the stop covers every kind (block successive minimization
+    under an essentially cyclic rule: Razaviyayn, Hong & Luo, SIAM J.
+    Optim. 2013).  The trace records every run.  Raises ScenarioError when
     ``init`` has a non-finite waypoint or does not fit the scenario.
     """
     init.require_finite()
@@ -647,19 +671,24 @@ def plan_sca(
         (scenario.n_sensors, scenario.n_slots),
     ).copy()
     state = _state_from_plan(init, powers0, scenario)
-    for _ in range(max_rounds):
-        before = state.objective
-        accepted = False
-        for kind, step_fn in steps:
-            state, ok = step_fn(state, scenario)
-            accepted |= ok
-            state.trace.append(TraceEntry(
-                len(state.trace) + 1, state.objective, kind, ok, state.status
-            ))
-        if not accepted:
+    kinds = len(steps)
+    stalled = [False] * kinds      # whether each kind's last run stalled
+    window = deque(maxlen=kinds)   # (kind, objective before) of the last runs
+    for i in itertools.cycle(range(kinds)):
+        if len(state.trace) >= max_rounds * kinds:
             break
-        gain = state.objective - before
-        if gain <= DEFAULT_REL_IMPROVEMENT * max(abs(before), 1e-12):
+        if stalled[i] and not stalled[window[-1][0]]:
+            continue
+        kind, step_fn = steps[i]
+        before = state.objective
+        state, ok = step_fn(state, scenario)
+        state.trace.append(TraceEntry(
+            len(state.trace) + 1, state.objective, kind, ok, state.status
+        ))
+        stalled[i] = _stalled(before, state.objective)
+        window.append((i, before))
+        every_kind = len({j for j, _ in window}) == kinds
+        if every_kind and _stalled(window[0][1], state.objective):
             break
     return state
 

@@ -72,10 +72,11 @@ def _from_db(convert, value: float) -> float:
 # 2 s / (gamma noise), overflow
 _MIN_POWER_W = float(np.finfo(float).tiny)
 _BUDGET_RANGE = "average power budget must be finite and at least 2.2e-308 W"
-# least full-budget SNR of the best sensor right below it, in units of
-# gamma_min: the planner squares such ratios (its cone determinants and
-# price tests), and below the root of the smallest normal float they
-# underflow; such a mission is out of reach in every slot
+# least full-budget SNR of the best sensor at the nearest point the UAV
+# can reach, in units of gamma_min: the planner squares such ratios (its
+# cone determinants and price tests), and below the root of the smallest
+# normal float they underflow; such a mission is out of reach in every
+# slot
 _MIN_SNR_SHARE = math.sqrt(np.finfo(float).tiny)
 
 
@@ -152,17 +153,28 @@ class Scenario:
             raise ScenarioError("sensors", "ids must be contiguous from 1")
         if not 2.0 <= self.alpha < math.inf:
             raise ScenarioError("alpha", "path-loss exponent must be finite and >= 2")
-        # B beta0 h^-alpha / (gamma noise) in logarithms: it may underflow
-        best = max(s.avg_power_budget for s in self.sensors)
+        # B beta0 (d^2 + h^2)^(-alpha/2) / (gamma noise) in logarithms, as
+        # it may underflow, with d the sensor's least planar distance from
+        # where the UAV can be: every waypoint lies within v T of q_i and q_f
+        reach = self.v_max * self.duration
+        best = max(
+            math.log(s.avg_power_budget) - self.alpha * math.log(math.hypot(
+                max(0.0, math.dist(s.position, self.q_start) - reach,
+                    math.dist(s.position, self.q_final) - reach),
+                self.altitude,
+            ))
+            for s in self.sensors
+        )
         share = (
-            math.log(best) + math.log(self.beta0) - self.alpha * math.log(self.altitude)
+            best + math.log(self.beta0)
             - math.log(self.gamma_min) - math.log(self.noise_power)
         )
         if share < math.log(_MIN_SNR_SHARE):
             raise ScenarioError(
                 "sensors",
-                "no sensor's full-budget SNR right below it reaches 1.5e-154 "
-                "gamma_min; the planner cannot square SNR ratios this small",
+                "no sensor's full-budget SNR anywhere the UAV can fly reaches "
+                "1.5e-154 gamma_min; the planner cannot square SNR ratios this "
+                "small",
             )
         if self.n_slots < 1:
             raise ScenarioError("n_slots", "must be a positive integer")

@@ -264,10 +264,10 @@ def power_step_objective(state, scenario, powers):
     """The power step's objective at ``powers`` (K, N), in watts.
 
     That is (gamma / N) sum_n min(1, beta_n S_n - off_n), the clipped
-    tangent bound taken at ``state``'s amplitudes.
+    tangent bound taken at ``state``'s amplitude sums.
     """
     cap = scenario.gamma_min * scenario.noise_power
-    s_ref = state.amplitudes.sum(axis=0)
+    s_ref = state.amplitude_sums
     gains = gain_at(state.trajectory.slot_positions, scenario)
     amp = np.sqrt(powers * gains.T).sum(axis=0)
     clipped = np.minimum(1.0, (2.0 * s_ref * amp - s_ref**2) / cap)
@@ -291,7 +291,7 @@ def barrier_power_step_reference(state, scenario):
     budgets = scenario.power_budgets
     gains = gain_at(state.trajectory.slot_positions, scenario)   # (N, K)
     e = np.sqrt(gains * budgets[None, :]).T                      # (K, N)
-    s_ref = state.amplitudes.sum(axis=0)
+    s_ref = state.amplitude_sums
     beta = 2.0 * s_ref / cap
     off = s_ref**2 / cap
     cols = np.arange(k)[:, None] * n + np.arange(n)[None, :]
@@ -409,7 +409,7 @@ def surrogate_caps(state, scenario):
     msum = slope.sum(axis=1)
     msens = (slope[:, :, None] * scenario.sensor_xy[None, :, :]).sum(axis=1)
     mconst = (slope * (scenario.sensor_xy**2).sum(axis=1)[None, :]).sum(axis=1)
-    s_ref = state.amplitudes.sum(axis=0)
+    s_ref = state.amplitude_sums
     c0 = 2.0 * s_ref * a0 - s_ref**2
 
     def value(slot, q):
