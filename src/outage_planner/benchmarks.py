@@ -38,7 +38,7 @@ FHF_GRID_POINTS = 41   # default via-point grid resolution per axis
 BOUND_BLOCK = 20_000   # slot-sensor entries per block of bounded candidates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BenchmarkResult:
     name: str
     trajectory: Trajectory

@@ -5,12 +5,15 @@ locations, initializes a hover-and-fly trajectory from them, refines
 trajectory and powers by successive convex approximation, and finally
 recovers an exact power schedule on the refined trajectory.  The
 recovered schedule is the deliverable; the SCA powers are only an
-intermediate (they are strictly interior and never declare outage).
+intermediate (they are strictly interior and never declare outage), so
+once recovery has ranked the slots with them ``JointPlan.sca`` drops them
+and their amplitude sums and keeps the SCA trajectory, objective, status
+and trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from outage_planner.power_recovery import RecoveredSchedule, recover_powers
 from outage_planner.relaxed_optimum import (
@@ -29,7 +32,7 @@ from outage_planner.sca_planner import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JointPlan:
     """All stages of one joint planning run."""
 
@@ -77,4 +80,7 @@ def plan_joint(
     recovered = recover_powers(
         scenario, state.trajectory, budget_norm, schedule=state.schedule
     )
-    return JointPlan(scenario, dual, relaxed, start, state, recovered)
+    return JointPlan(
+        scenario, dual, relaxed, start,
+        replace(state, powers=None, amplitude_sums=None), recovered,
+    )

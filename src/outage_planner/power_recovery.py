@@ -56,7 +56,7 @@ RANK_CAP = 1 - 1e-6       # schedule SNR above RANK_CAP * gamma ranks as served
 BUDGET_NORMS = ("horizon", "active_slots")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RecoveredSchedule:
     """Result of power recovery on a fixed trajectory.
 

@@ -1,29 +1,30 @@
-"""Speed-unconstrained lower bound and hover plan by column generation.
+"""Speed-unconstrained lower bound and hover plan over a grid.
 
 Relaxing the UAV speed limit decouples the planning problem across time:
-the optimum time-shares a small set of hover locations.  Over a planar
-grid of candidate locations this is a linear program in the time shares,
-with a column for every grid point and threshold-meeting power vector.
-It is solved by Dantzig-Wolfe column generation.  A master LP over the
-columns found so far maximizes the served time share subject to the
-per-sensor average-power budgets.  Powers are counted in shares of
-each sensor's budget, e_k = p_k / budget_k, and priced per share,
-nu_k = mu_k * budget_k, so that every budget row and price is O(1) in
+the optimum time-shares a small set of hover locations.  Powers are
+counted in shares of each sensor's budget, e_k = p_k / budget_k, and
+priced per share, nu_k = mu_k * budget_k, so that every price is O(1) in
 any unit of power.  At any prices nu every grid point has a closed-form
-cheapest share vector that meets the SNR threshold exactly (pricing);
-the cheapest grid point gives the next column.  The first pass prices at
-zero and the second at the uniform prices 1 / K, which spend exactly 1.
-After that each pass prices halfway between the master's budget-row
-duals and the stability center, the best-bound prices so far after the
-first pass (Wentges' dual smoothing), and falls back to the duals
-themselves when that column does not improve the master.
+cheapest share vector that meets the SNR threshold exactly (pricing).
+With v(nu) the optimal value of the per-point subproblem (outage
+indicator plus priced share cost) at the cheapest grid point,
+v(nu) - sum_k nu_k is the time-normalized Lagrangian dual, an
+outage-probability lower bound.
 
-Pricing also evaluates the time-normalized Lagrangian dual: with v(nu)
-the optimal value of the per-point subproblem (outage indicator plus
-priced share cost), v(nu) - sum_k nu_k is an outage-probability lower
-bound.  The master's outage minus the best such bound certifies how far
-the master is from the optimum over the grid.  The public entries take
-and return prices per watt, mu = nu / budget, and powers in watts.
+In the reciprocal prices u = 1 / nu a grid point q costs 1 / (e_q . u),
+with e_q the full-budget received powers in units of gamma_min *
+noise_power, so the dual's maximum over the grid is 1 - min{sum_k 1 /
+u_k : e_q . u <= 1 for every q}, floored at 0: a smooth convex program
+over a polytope.  ``maximize_dual`` solves it by fully corrective column
+generation: the restricted program over a few grid points is solved
+exactly, and one pricing pass over the grid at its prices gives the
+bound and the next point.  The restricted optimum is also a hover plan:
+it time-shares its points, meets the threshold exactly at each and
+spends every budget, and its outage minus the best bound certifies how
+far it is from the optimum over the grid.  Where the budgets serve the
+whole mission the optimum is not unique, and the hover plan is chosen by
+LP column generation with dual smoothing.  The public entries take and
+return prices per watt, mu = nu / budget, and powers in watts.
 """
 
 from __future__ import annotations
@@ -41,11 +42,22 @@ from outage_planner.scenario import Scenario, ScenarioError, watts_to_dbm
 # (degenerate branch)
 EPS_MU = 1e-12
 DEFAULT_GRID_POINTS = 81   # default location grid resolution per axis
-# column generation stops once the master's outage is this close to the
-# best dual bound
+# the relaxation stops once its hover columns' outage is this close to
+# the best dual bound
 GAP_TOL = 1e-9
 # cap on column-generation iterations (pricing passes)
 _MAX_ITERATIONS = 5000
+# the restricted problem's active-set Newton method (_restricted_optimum),
+# in units of gamma_min * noise_power: a cap on its steps, the Newton
+# decrement below which a face is solved and above which a step
+# backtracks, the least gradient with which a point enters the face, and
+# the singular-value ratio below which an entering row depends on the
+# face's rows
+_NEWTON_MAX = 100
+_DECREMENT_TOL = 1e-26
+_NEWTON_FAR = 1e-8
+_SUPPORT_TOL = 1e-12
+_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,16 +114,17 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualPoint:
     """Dual evaluation: prices, dual value, and a supergradient there.
 
     ``grid_index`` is the flat index of the grid minimizer on the transmit
     branch and None on the outage branch.  ``maximize_dual`` also reports
-    its iteration count, the certificate ``gap`` (the master's outage
-    minus ``value``; infinite for a single evaluation) and the master's
-    positive-time columns, at most K + 1: their grid indices ``columns``,
-    powers ``column_powers`` (V, K, watts) and time shares ``shares``.
+    its pricing passes ``iterations``, the certificate ``gap`` (the
+    outage of its hover columns minus ``value``; infinite for a single
+    evaluation) and those positive-time columns, at most K + 1: their
+    grid indices ``columns``, powers ``column_powers`` (V, K, watts) and
+    time shares ``shares``.
     """
 
     mu: np.ndarray
@@ -125,9 +138,9 @@ class DualPoint:
     shares: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HoverPlan:
-    """Time-shared hover locations from the master's optimal columns.
+    """Time-shared hover locations from the relaxation's optimal columns.
 
     ``durations`` are seconds per location; unassigned time is outage.
     """
@@ -243,45 +256,44 @@ def dual_function(
     return DualPoint(mu.copy(), value, (shares - 1.0) * budgets, idx)
 
 
-def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
-    """Maximize the dual over the grid by stabilized column generation.
+def _column_generation(
+    scenario: Scenario, gains: np.ndarray, zero: tuple, spent: int
+) -> DualPoint:
+    """The stabilized column generation of ``maximize_dual``, in budget
+    shares over the grid's share ``gains``.
 
-    A column is a grid point with its cheapest threshold-meeting budget
-    shares at the share prices it was priced at.  The master LP gives each
-    column a time share x_j >= 0 and maximizes sum_j x_j subject to one row
-    per budget, sum_j shares_jk x_j <= 1, and one for the total time,
-    sum_j x_j <= 1; its duals are y (budget rows, per share) and y0 (time
-    row).  Each pricing pass prices the whole grid (``dual_function`` in
-    shares) and keeps the best dual value as the bound.  Each master solve goes on from the
-    previous solve's final tableau with the new column appended, which
-    leaves it primal feasible.
+    It goes on from the zero-price pass ``zero``, ``_price``'s result, after
+    ``spent`` other pricing passes, which count toward the returned
+    iterations and ``_MAX_ITERATIONS``.  A column is a grid point with its
+    cheapest threshold-meeting budget shares at the share prices it was
+    priced at.  The master LP gives each column a time share x_j >= 0 and
+    maximizes sum_j x_j subject to one row per budget, sum_j shares_jk x_j
+    <= 1, and one for the total time, sum_j x_j <= 1; its duals are y
+    (budget rows, per share) and y0 (time row).  Each master solve goes on
+    from the previous solve's final tableau with the new column appended,
+    which leaves it primal feasible.  The passes are smoothed (Wentges
+    1997):
 
-    The passes are smoothed (Wentges 1997):
-
-    * Start: the first pass prices at zero and adds its column; the second
-      prices at the uniform share prices 1 / K, which spend exactly 1, and
-      adds its column if it transmits.
-    * Center: the best-bound prices among the passes after the first.  The
-      zero-price bound would hold the center at zero for about half the
-      passes.
+    * Start: the zero-price pass adds its column; the next pass prices at
+      the uniform share prices 1 / K, which spend exactly 1, and adds its
+      column if it transmits.
+    * Center: the best-bound prices among the passes after the zero one,
+      which would hold the center at zero for about half the passes.
     * Each later pass prices at (center + y) / 2 and adds the column if it
       prices out at the master's duals, 1 - y @ shares - y0 > 0.  If it
       does not, or if nothing transmits there, the next pass prices at y
       itself and adds its column.
 
     The loop stops once the master's outage, 1 - sum_j x_j, is within
-    ``GAP_TOL`` of the bound, when no grid point can transmit at the
-    master's duals, or after ``_MAX_ITERATIONS`` pricing passes.  Returns
-    the best-bound evaluation with the iteration count, the final ``gap``
-    and the master's positive-time columns, converted to prices per watt
-    and powers in watts.
+    ``GAP_TOL`` of the best bound, when no grid point can transmit at the
+    master's duals, or at the pass cap.
     """
     k = scenario.n_sensors
     budgets = scenario.power_budgets
-    gains = gain_at(grid.points(), scenario) * budgets
+    cap = _MAX_ITERATIONS - spent
     rows = np.ones(k + 1)
     points: list[int] = []
-    table = np.ones((k + 1, _MAX_ITERATIONS))   # column shares over a ones row
+    table = np.ones((k + 1, cap))   # column shares over a ones row
     duals = np.zeros(k + 1)   # the master's budget-row duals, then y0
     shares = np.zeros(0)
     master = None
@@ -290,14 +302,14 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     # each pass prices at the master's duals, at the uniform prices or at
     # the smoothed prices; an empty master's duals are zero
     nu, kind = np.zeros(k), "duals"
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        value, column, idx = _price(nu, scenario, gains)
+    for iterations in range(1, cap + 1):
+        value, column, idx = _price(nu, scenario, gains) if iterations > 1 else zero
         if best is None or value > best.value:
             best = DualPoint(nu, value, column - 1.0, idx)
         if iterations > 1 and value > center_value:
             center, center_value = nu, value
         gap = 1.0 - float(shares.sum()) - best.value
-        if gap <= GAP_TOL or iterations == _MAX_ITERATIONS:
+        if gap <= GAP_TOL or iterations == cap:
             break
         if idx is not None and (
             kind != "smoothed" or 1.0 - duals[:k] @ column - duals[k] > 0.0
@@ -324,7 +336,7 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
         best,
         mu=best.mu / budgets,
         subgradient=best.subgradient * budgets,
-        iterations=iterations,
+        iterations=iterations + spent,
         gap=gap,
         columns=np.array(points, dtype=int)[used],
         column_powers=table[:k, used].T * budgets,
@@ -332,10 +344,162 @@ def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
     )
 
 
+def _restricted_optimum(e: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Time shares lam >= 0 maximizing 2 sum_k sqrt((e^T lam)_k) - sum(lam).
+
+    ``e`` (m, K) holds the full-budget received powers of m grid points in
+    units of gamma_min * noise_power, all positive, and ``lam`` (m,) a
+    start: the shares of a face optimum, or zeros.  A primal active-set
+    method: damped Newton steps on the face of positive shares, cut where
+    a share reaches zero, which then leaves the face; at a face optimum
+    the point off the face with the largest gradient e_q . u - 1 > 0,
+    u = (e^T lam)^(-1/2), enters it.  Its gradient points into the
+    feasible side, so it enters at share zero; where its row depends on
+    the face's, a ratio test along the null direction swaps it for the
+    face point whose share first reaches zero, a simplex pivot along
+    which the objective rises linearly.  Ends at a face optimum where no
+    other point enters, or after ``_NEWTON_MAX`` steps.
+    """
+    lam = lam.copy()
+    face = list(np.flatnonzero(lam > 0.0))
+    if not face:   # the one-point optimum of the first point
+        lam[0], face = np.sqrt(e[0]).sum() ** 2, [0]
+    for _ in range(_NEWTON_MAX):
+        rows, shares = e[face], lam[face]
+        u = (shares @ rows) ** -0.5
+        grad = rows @ u - 1.0
+        step = np.linalg.solve(0.5 * (rows * u**3) @ rows.T, grad)
+        decrement = float(grad @ step)
+        if decrement > _DECREMENT_TOL:
+            blocking = np.flatnonzero(step < 0.0)
+            ratios = shares[blocking] / -step[blocking]
+            limit = ratios.min() if blocking.size else math.inf
+            alpha = min(1.0, limit)
+            if decrement > _NEWTON_FAR:   # backtrack (Armijo) far out
+                start = _restricted_value(rows, shares)
+                while (
+                    _restricted_value(rows, shares + alpha * step)
+                    < start + 0.25 * alpha * decrement
+                ):
+                    alpha *= 0.5
+            lam[face] = shares + alpha * step
+            if alpha == limit:   # a share reaches zero and leaves the face
+                out = face[int(blocking[ratios.argmin()])]
+                lam[out] = 0.0
+                face.remove(out)
+            continue
+        slopes = e @ u - 1.0
+        slopes[face] = -math.inf
+        q = int(slopes.argmax())
+        if slopes[q] <= _SUPPORT_TOL:
+            return lam
+        left, sing, _ = np.linalg.svd(e[face + [q]])
+        null = left[:, -1]
+        # q's row depends on the face's (a zero null[-1] would mean the
+        # face's rows depend on each other, which the pivots rule out)
+        if (len(face) == e.shape[1] or sing[-1] <= _RANK_TOL * sing[0]) and (
+            null[-1] != 0.0
+        ):
+            null = null / null[-1]   # q's share grows along it
+            blocking = np.flatnonzero(null[:-1] < 0.0)
+            ratios = shares[blocking] / -null[blocking]
+            t = float(ratios.min())
+            out = face[int(blocking[ratios.argmin()])]
+            lam[face] = shares + t * null[:-1]
+            lam[q], lam[out] = t, 0.0
+            face.remove(out)
+        face.append(q)
+    return lam
+
+
+def _restricted_value(rows: np.ndarray, shares: np.ndarray) -> float:
+    """The restricted program's objective at time shares ``shares``."""
+    return 2.0 * float(np.sqrt(shares @ rows).sum()) - float(shares.sum())
+
+
+def maximize_dual(scenario: Scenario, grid: GridSpec) -> DualPoint:
+    """Maximize the dual over the grid by fully corrective column generation.
+
+    Write u_k = 1 / nu_k for the reciprocal share prices and e_q =
+    g(q) * budgets / (gamma_min * noise_power) for the full-budget received
+    powers at grid point q.  At prices nu every point costs 1 / (e_q . u),
+    so the dual's maximum is 1 - min{sum_k 1 / u_k : e_q . u <= 1 for
+    every grid point q}, floored at 0: a smooth convex program over a
+    polytope.  Its Lagrange dual over a support S of grid points is
+    max over lam >= 0 of 2 sum_k sqrt((E_S^T lam)_k) - sum(lam), with lam_q
+    point q's time share; at its optimum u = (E_S^T lam)^(-1/2), point q's
+    budget shares e_qk * u_k^2 meet the threshold exactly, every budget
+    is spent, and the served time sum(lam) equals sum_k nu_k.
+
+    * The first pass prices the grid at zero prices.  If no point reaches
+      the threshold at the caps, the bound is 1 and the loop ends there.
+      Otherwise its point starts S.
+    * Each later pass solves the restricted problem over S exactly
+      (``_restricted_optimum``, at most K + 1 unknowns), drops the points
+      of zero share, and prices the whole grid once at nu = 1 / u
+      (``dual_function``'s closed form).  That gives a bound, valid at
+      every pass, and the cheapest point, which joins S while it prices
+      out (simplicial decomposition; von Hohenbalken 1977).
+
+    The loop stops once the restricted outage 1 - sum(lam) is within
+    ``GAP_TOL`` of the best bound, when the cheapest point no longer
+    prices out, or after ``_MAX_ITERATIONS`` pricing passes.  If the
+    budgets alone serve the whole mission (sum(lam) >= 1 on some S), the
+    bound and the relaxed outage are 0 and the optimum is not unique;
+    the stabilized LP column generation (``_column_generation``) then
+    picks the hover plan, going on from the zero-price pass, in a few
+    more passes.
+
+    Returns the best-bound evaluation in prices per watt, with the
+    number of pricing passes (all of them), the final ``gap`` and the
+    positive-time columns: here at most K + 1 distinct grid points, their
+    powers in watts and time shares.
+    """
+    k = scenario.n_sensors
+    budgets = scenario.power_budgets
+    gains = gain_at(grid.points(), scenario) * budgets
+    zero = _price(np.zeros(k), scenario, gains)
+    value, column, idx = zero
+    best = DualPoint(np.zeros(k), value, (column - 1.0) * budgets, idx)
+    e = gains / (scenario.gamma_min * scenario.noise_power)
+    support, lam, shares = np.zeros(0, dtype=int), np.zeros(0), np.zeros((0, k))
+    iterations, gap = 1, 1.0 - value
+    while (
+        idx is not None and idx not in support
+        and gap > GAP_TOL and iterations < _MAX_ITERATIONS
+    ):
+        lam = _restricted_optimum(e[np.append(support, idx)], np.append(lam, 0.0))
+        support = np.append(support, idx)[lam > 0.0]
+        lam = lam[lam > 0.0]
+        rows = e[support]
+        nu = np.sqrt(lam @ rows)
+        # each point's cheapest shares at nu meet the threshold exactly;
+        # at the optimum they spend every budget, and the scaling keeps the
+        # rounding from spending more
+        shares = rows / nu**2 / ((rows / nu).sum(axis=1) ** 2)[:, None]
+        lam /= max(1.0, float((lam @ shares).max()))
+        if lam.sum() >= 1.0:   # the budgets serve the whole mission
+            return _column_generation(scenario, gains, zero, iterations - 1)
+        mu = nu / budgets   # priced as dual_function prices mu, bit for bit
+        value, column, idx = _price(mu * budgets, scenario, gains)
+        iterations += 1
+        if value > best.value:
+            best = DualPoint(mu, value, (column - 1.0) * budgets, idx)
+        gap = 1.0 - float(lam.sum()) - best.value
+    return replace(
+        best,
+        iterations=iterations,
+        gap=gap,
+        columns=support,
+        column_powers=shares * budgets,
+        shares=lam,
+    )
+
+
 def build_hover_plan(
     dual: DualPoint, scenario: Scenario, grid: GridSpec
 ) -> HoverPlan:
-    """Turn the master's positive-time columns into a hover plan.
+    """Turn the relaxation's positive-time columns into a hover plan.
 
     ``dual`` is a result of ``maximize_dual`` on ``grid``.  Columns at the
     same grid point merge into one hover location, in row-major grid

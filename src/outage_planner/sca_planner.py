@@ -102,13 +102,14 @@ class TraceEntry:
     status: str      # why the step was kept or rejected: ScaState.status
 
 
-@dataclass
+@dataclass(slots=True)
 class ScaState:
     """Current iterate of the alternating optimization.
 
     ``amplitude_sums`` always holds the exact summed received amplitude
     of each slot of the current plan (the linearization point of the next
-    step).
+    step).  ``JointPlan.sca`` keeps the final state with ``powers`` and
+    ``amplitude_sums`` set to None.
     ``objective`` is the mean SNR clipped at gamma_min, a number in
     [0, gamma_min] that increases weakly across accepted steps.
     ``status`` says how the step that returned this state ended.  A
@@ -122,8 +123,8 @@ class ScaState:
     """
 
     trajectory: Trajectory
-    powers: np.ndarray            # (K, N) watts
-    amplitude_sums: np.ndarray    # (N,)
+    powers: np.ndarray | None          # (K, N) watts
+    amplitude_sums: np.ndarray | None  # (N,)
     objective: float
     trace: list[TraceEntry] = field(default_factory=list)
     status: str = STATUS_OPTIMAL

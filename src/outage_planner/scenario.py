@@ -233,7 +233,7 @@ class Scenario:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """UAV waypoints, one per slot boundary: shape (N + 1, 2), q[0] first."""
 
@@ -287,7 +287,7 @@ class Trajectory:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PowerSchedule:
     """Per-sensor, per-slot transmit powers: shape (K, N), watts, >= 0."""
 

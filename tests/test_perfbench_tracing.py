@@ -5,7 +5,9 @@
 ``perfbench/run.py --trace 1`` with a KeyError, and a layer that its
 caller stops calling through the traced name drops out of the trace
 silently.  The first test installs and uninstalls the tracer without
-planning anything; the second traces one small joint plan.
+planning anything; the second traces a small joint plan in each of the
+relaxation's two regimes: budgets that leave outage, and budgets that
+serve the whole mission.
 """
 
 import importlib.util
@@ -41,8 +43,13 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_tracer_records_the_relaxation_layers():
+    for gamma_min in (100.0, 50.0):
+        _trace_relaxation_layers(gamma_min)
+
+
+def _trace_relaxation_layers(gamma_min):
     tracing = _tracing_module()
-    scn = load_scenario(small_doc())
+    scn = load_scenario(small_doc(gamma_min=gamma_min))
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -59,10 +66,17 @@ def test_tracer_records_the_relaxation_layers():
     (hover,) = spans["relaxed_optimum.build_hover_plan"]
     assert dual.info == plan.dual.iterations >= 1
     assert hover.info == len(plan.relaxed.locations)
-    # the master LP runs inside the column-generation loop, once after
-    # each pass that adds a column; a smoothed pass whose column does not
-    # price out adds none, and the last pass adds none
-    masters = spans["convex_core.solve_lp"]
+    masters = spans.get("convex_core.solve_lp", [])
+    if gamma_min == 100.0:
+        # the budgets leave outage: the restricted problems are solved
+        # exactly and no master LP runs
+        assert plan.dual.value > 0.0 and masters == []
+        return
+    # the budgets serve the whole mission: the stabilized column
+    # generation runs its master LP once after each pass that adds a
+    # column; a smoothed pass whose column does not price out adds none,
+    # and the last pass adds none
+    assert plan.dual.value == 0.0
     assert 1 <= len(masters) <= plan.dual.iterations - 1
     assert all(span.parent is dual for span in masters)
     # each master solve goes on from the last one's tableau, so its span

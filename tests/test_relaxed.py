@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -386,10 +387,12 @@ def test_degenerate_scenarios_relax_and_plan_cleanly(case):
 
 
 def test_final_master_matches_an_exact_solve(monkeypatch):
-    """On paper.json at 81 x 81 the master is solved 107 times, each solve
-    going on from the last one's tableau.  The final shares and prices
-    match an exact rational solve of the final basis within 1e-11: each
-    solve refines its basic values against the original rows, so
+    """On paper.json at 32 dBm and 81 x 81 the budgets serve the whole
+    mission, so the stabilized column generation picks the hover plan and
+    its master LP is solved after every pass that adds a column, each
+    solve going on from the last one's tableau.  The final shares and
+    prices match an exact rational solve of the final basis within 1e-11:
+    each solve refines its basic values against the original rows, so
     rounding does not build up along the chain.
     """
     masters = []
@@ -400,9 +403,10 @@ def test_final_master_matches_an_exact_solve(monkeypatch):
         return masters[-1][1]
 
     monkeypatch.setattr(relaxed_optimum, "solve_lp", kept)
-    scn = load_scenario(DEMO_SCENARIO)
-    maximize_dual(scn, GridSpec.from_scenario(scn))
-    assert len(masters) >= 100
+    scn = load_scenario(DEMO_SCENARIO).with_overrides(p_ave_dbm=32.0)
+    got = maximize_dual(scn, GridSpec.from_scenario(scn))
+    assert got.value == 0.0 and got.gap <= GAP_TOL
+    assert len(masters) >= 3
     lp, out = masters[-1]
     m, n = lp.a_ub.shape
     vertex = np.concatenate([out.x, lp.b_ub - lp.a_ub @ out.x])
@@ -480,32 +484,57 @@ def _record_passes(monkeypatch):
     return events
 
 
+def _after_first_master(events):
+    """The prices of the first pass after the first master solve."""
+    first = [kind for kind, _ in events].index("master")
+    return next(arr for kind, arr in events[first:] if kind == "price")
+
+
 def test_paper_json_passes_stay_smoothed(monkeypatch):
-    """On paper.json at 81 x 81 the smoothed loop makes 108 pricing
-    passes, where pricing from zero at the master's duals made 236, and
-    only its first pass has a zero price.  A loop that heads in from zero
-    again fails the ceiling."""
+    """On paper.json at 81 x 81, only the first pass has a zero price.  At
+    30 dBm the budgets leave outage, and the exact restricted solves reach
+    the bound in 10 passes; no master LP runs.  At 32 dBm the
+    budgets serve the whole mission after 2 such passes, and the
+    stabilized loop picks the hover plan from the zero-price column on:
+    its next pass prices every budget share at the uniform 1 / K."""
     events = _record_passes(monkeypatch)
-    scn = load_scenario(DEMO_SCENARIO)
-    got = maximize_dual(scn, GridSpec.from_scenario(scn))
-    mus = [mu for kind, mu in events if kind == "price"]
-    assert len(mus) == got.iterations <= 120
-    assert got.gap <= GAP_TOL
-    assert [i for i, mu in enumerate(mus) if (mu <= EPS_MU).any()] == [0]
-    # the second pass prices every budget share at the uniform 1 / K
-    k = scn.n_sensors
-    np.testing.assert_array_equal(mus[1], np.full(k, 1.0 / k))
+    for p_dbm in (30.0, 32.0):
+        events.clear()
+        scn = load_scenario(DEMO_SCENARIO).with_overrides(p_ave_dbm=p_dbm)
+        got = maximize_dual(scn, GridSpec.from_scenario(scn))
+        mus = [mu for kind, mu in events if kind == "price"]
+        assert len(mus) == got.iterations <= 10
+        assert got.gap <= GAP_TOL
+        assert [i for i, mu in enumerate(mus) if (mu <= EPS_MU).any()] == [0]
+        k = scn.n_sensors
+        if p_dbm == 30.0:
+            assert got.value > 0.0
+            assert "master" not in [kind for kind, _ in events]
+            # the restricted optimum's prices add up to its served time
+            assert all(0.0 < mu.sum() < 1.0 for mu in mus[1:])
+        else:
+            assert got.value == 0.0
+            np.testing.assert_array_equal(
+                _after_first_master(events), np.full(k, 1.0 / k)
+            )
 
 
 def test_fallback_prices_at_the_master_duals(monkeypatch, small_scenario):
-    """On the two-sensor scenario at 5 x 5 a smoothed column fails to price
-    out at the master's duals, so the next pass prices at those duals
-    (Wentges' fallback); the loop still closes the gap."""
+    """Wentges' fallback of the stabilized loop: on the two-sensor
+    scenario at 5 x 5, run on its own from the zero-price pass, a smoothed
+    column fails to price out at the master's duals, so the next pass
+    prices at those duals; the loop still closes the gap.  ``maximize_dual``
+    runs this loop only once the budgets serve the whole mission, where
+    no case measured so far reaches the fallback, so the loop is run on
+    its own here."""
     events = _record_passes(monkeypatch)
     k = small_scenario.n_sensors
-    got = maximize_dual(
-        small_scenario, GridSpec.from_scenario(small_scenario, resolution=5)
-    )
+    gains = gain_at(
+        GridSpec.from_scenario(small_scenario, resolution=5).points(),
+        small_scenario,
+    ) * small_scenario.power_budgets
+    zero = relaxed_optimum._price(np.zeros(k), small_scenario, gains)
+    got = relaxed_optimum._column_generation(small_scenario, gains, zero, 0)
     duals, fallbacks = None, 0
     for (kind, arr), (before, _) in zip(events[1:], events):
         if kind == "master":
@@ -514,41 +543,206 @@ def test_fallback_prices_at_the_master_duals(monkeypatch, small_scenario):
             fallbacks += 1
     assert fallbacks >= 1
     assert got.gap <= GAP_TOL
+    # the zero-price pass, priced above, counts as the loop's first
+    assert got.iterations == len([e for e in events if e[0] == "price"])
 
 
 def test_smallest_normal_budgets_price_at_finite_prices(monkeypatch):
     """Budgets of 2.2e-308 W, the least a scenario accepts (subnormal
     ones are rejected at load), still give O(1) budget rows and share
-    prices: every pass prices at finite prices, starting from the uniform
-    1 / K, the loop closes the gap, and the master's columns spend no
-    more than each budget."""
+    prices: every pass prices at finite prices, the loop closes the gap,
+    and the columns spend no more than each budget.  At gamma 100 the
+    budgets serve the whole mission, and the stabilized loop's first pass
+    prices at the uniform 1 / K; at gamma 400 they do not, and every pass
+    after the zero one prices at shares that add up to the served time."""
     events = _record_passes(monkeypatch)
     p_dbm = smallest_normal_budget_dbm()
     sensors = [
         {"x": 20.0, "y": 10.0, "p_ave_dbm": p_dbm},
         {"x": 60.0, "y": 40.0, "p_ave_dbm": p_dbm},
     ]
-    # a large reference gain lets the caps reach the threshold
-    scn = load_scenario(small_doc(sensors=sensors, beta0_db=-p_dbm))
-    got = maximize_dual(scn, GridSpec.from_scenario(scn, resolution=21))
-    mus = [mu for kind, mu in events if kind == "price"]
-    assert got.iterations == len(mus) >= 2
-    assert all(np.isfinite(mu).all() for mu in mus)
-    np.testing.assert_array_equal(mus[1], [0.5, 0.5])
-    assert got.gap <= GAP_TOL
-    spent = got.shares @ got.column_powers / scn.power_budgets
-    assert np.all(spent <= 1.0 + 1e-9)
+    for gamma_min in (100.0, 400.0):
+        events.clear()
+        # a large reference gain lets the caps reach the threshold
+        scn = load_scenario(
+            small_doc(sensors=sensors, beta0_db=-p_dbm, gamma_min=gamma_min)
+        )
+        got = maximize_dual(scn, GridSpec.from_scenario(scn, resolution=21))
+        mus = [mu for kind, mu in events if kind == "price"]
+        assert got.iterations == len(mus) >= 2
+        assert all(np.isfinite(mu).all() for mu in mus)
+        if gamma_min == 100.0:
+            assert got.value == 0.0
+            np.testing.assert_array_equal(
+                _after_first_master(events), [0.5, 0.5]
+            )
+        else:
+            assert got.value > 0.0
+            assert all(0.0 < mu.sum() < 1.0 for mu in mus[1:])
+        assert got.gap <= GAP_TOL
+        spent = got.shares @ got.column_powers / scn.power_budgets
+        assert np.all(spent <= 1.0 + 1e-9)
 
 
 def test_iteration_cap_reports_the_open_gap(monkeypatch):
-    monkeypatch.setattr(relaxed_optimum, "_MAX_ITERATIONS", 5)
+    """paper.json at 21 x 21 reaches its bound in 5 passes; capped at 3,
+    the loop reports the open gap, and the plan of its restricted
+    optimum keeps within the budgets."""
     scn = load_scenario(DEMO_SCENARIO)
-    dual, plan = solve_relaxed(scn, GridSpec.from_scenario(scn, resolution=21))
-    assert dual.iterations == 5
+    grid = GridSpec.from_scenario(scn, resolution=21)
+    assert solve_relaxed(scn, grid)[0].iterations == 5
+    monkeypatch.setattr(relaxed_optimum, "_MAX_ITERATIONS", 3)
+    dual, plan = solve_relaxed(scn, grid)
+    assert dual.iterations == 3
     assert dual.gap > GAP_TOL
     assert plan.outage == pytest.approx(dual.value + dual.gap, abs=1e-12)
     used = (plan.powers * plan.durations[:, None]).sum(axis=0) / scn.duration
     assert np.all(used <= scn.power_budgets * (1 + 1e-9))
+
+
+def _below_full_time(case):
+    """(scenario, grid resolution) whose budgets leave some outage."""
+    if case.startswith("paper.json"):
+        p_dbm = float(case.split()[1])
+        return load_scenario(DEMO_SCENARIO).with_overrides(
+            n_slots=32, p_ave_dbm=p_dbm
+        ), 81
+    if case.startswith("joint"):
+        return _workloads_module().build(
+            REPO_ROOT, "joint", int(case.split()[1])
+        ).scenario, 81
+    if case == "small_doc":
+        return load_scenario(small_doc()), 21
+    if case == "just short of full time":
+        return _at_threshold(small_doc(), 1.2), 21
+    if case.endswith(" 2x"):   # a degenerate layout at twice its threshold
+        scn = load_scenario(DEGENERATE[case[:-3]])
+        return replace(scn, gamma_min=2.0 * scn.gamma_min), 21
+    seed = int(case.split()[1])   # a random layout at 5 x its threshold
+    scn = random_scenario(seed, k_hi=6)
+    return replace(scn, gamma_min=5.0 * scn.gamma_min), 21
+
+
+BELOW_FULL_TIME = [
+    "paper.json 24", "paper.json 28", "paper.json 30", "joint 3",
+    "small_doc", "just short of full time", "random 0", "random 1", "random 2",
+    "random 3",
+    # one sensor: every entering point swaps out the face's one point;
+    # co-located sensors: each row depends on any other
+    "one sensor 2x", "co-located sensors 2x",
+]
+
+
+@pytest.mark.parametrize("case", BELOW_FULL_TIME)
+def test_restricted_optimum_certifies_the_bound(case):
+    """Where the budgets leave outage, the returned prices certify the
+    restricted optimum: no grid point prices below the bound, 1 - gap,
+    and every support point prices at exactly 1, so its column is the
+    closed-form cheapest one there.  The columns are distinct grid
+    points, at most K + 1, and spend every budget, none beyond it but
+    for rounding; the served time equals the sum of the share prices
+    (strong duality)."""
+    scn, resolution = _below_full_time(case)
+    grid = GridSpec.from_scenario(scn, resolution=resolution)
+    got = maximize_dual(scn, grid)
+    assert got.value > 0.0 and got.gap <= GAP_TOL
+    budgets = scn.power_budgets
+    nu = got.mu * budgets
+    gains = gain_at(grid.points(), scn) * budgets
+    costs = relaxed_optimum._transmit(nu, scn, gains)[0]
+    assert costs.min() >= 1.0 - got.gap - 1e-12
+    np.testing.assert_allclose(costs[got.columns], 1.0, rtol=0, atol=1e-12)
+    assert got.shares.sum() == pytest.approx(nu.sum(), rel=0, abs=1e-12)
+    assert got.value == pytest.approx(1.0 - nu.sum(), rel=0, abs=GAP_TOL)
+    assert np.unique(got.columns).size == got.columns.size
+    assert got.columns.size <= scn.n_sensors + 1
+    assert np.all(got.shares > 0.0)
+    spent = got.shares @ got.column_powers / budgets
+    np.testing.assert_allclose(spent, 1.0, rtol=0, atol=1e-12)
+    for idx, powers in zip(got.columns, got.column_powers):
+        np.testing.assert_allclose(
+            powers, powers_given_location(got.mu, grid.points()[idx], scn),
+            rtol=1e-12,
+        )
+
+
+def _least_price_sum(scn, grid):
+    """min sum_k 1 / u_k subject to e_q . u <= 1 at every grid point q,
+    with e_q the full-budget received powers in units of gamma * noise,
+    by scipy's SLSQP over log u."""
+    from scipy.optimize import minimize
+
+    e = gain_at(grid.points(), scn) * scn.power_budgets
+    e /= scn.gamma_min * scn.noise_power
+    start = np.full(scn.n_sensors, -math.log(e.sum(axis=1).max()))
+    out = minimize(
+        lambda z: np.exp(-z).sum(),
+        start,
+        jac=lambda z: -np.exp(-z),
+        constraints=[{
+            "type": "ineq",
+            "fun": lambda z: 1.0 - e @ np.exp(z),
+            "jac": lambda z: -e * np.exp(z),
+        }],
+        method="SLSQP",
+        options={"ftol": 1e-15, "maxiter": 1000},
+    )
+    assert out.success, out.message
+    return float(out.fun)
+
+
+@pytest.mark.parametrize("resolution", [3, 5, 9])
+@pytest.mark.parametrize("case", BELOW_FULL_TIME[4:])
+def test_dual_matches_the_oracles_on_small_grids(case, resolution):
+    """On small grids the dual reaches the ellipsoid method's value, and
+    both match 1 - min{sum_k 1 / u_k : e_q . u <= 1 for every q} found by
+    a general-purpose minimizer."""
+    scn, _ = _below_full_time(case)
+    grid = GridSpec.from_scenario(scn, resolution=resolution)
+    got = maximize_dual(scn, grid)
+    assert got.gap <= GAP_TOL
+    ellipsoid = full_grid_maximize_dual(scn, grid).value
+    assert ellipsoid - 1e-9 <= got.value <= ellipsoid + 1e-6
+    least = _least_price_sum(scn, grid)
+    assert got.value == pytest.approx(max(0.0, 1.0 - least), rel=0, abs=1e-8)
+
+
+FULL_TIME = ["paper.json 32", "paper.json 34", "trivial threshold"] + [
+    f"random {seed}" for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("case", FULL_TIME)
+def test_full_time_keeps_the_stabilized_loop_plan(case):
+    """Where the budgets serve the whole mission, ``maximize_dual`` hands
+    over to the stabilized column generation from its zero-price pass,
+    so the dual point and hover plan are bit for bit those of that loop
+    run on its own; only the passes spent finding the regime are added."""
+    if case.startswith("paper.json"):
+        scn = load_scenario(DEMO_SCENARIO).with_overrides(
+            n_slots=32, p_ave_dbm=float(case.split()[1])
+        )
+    elif case in DEGENERATE:
+        scn = load_scenario(DEGENERATE[case])
+    else:
+        scn = random_scenario(int(case.split()[1]), k_hi=10, n_hi=32)
+    grid = GridSpec.from_scenario(scn)
+    got = maximize_dual(scn, grid)
+    gains = gain_at(grid.points(), scn) * scn.power_budgets
+    zero = relaxed_optimum._price(np.zeros(scn.n_sensors), scn, gains)
+    alone = relaxed_optimum._column_generation(scn, gains, zero, 0)
+    assert got.value == alone.value == 0.0
+    assert got.grid_index == alone.grid_index
+    assert got.gap == alone.gap <= GAP_TOL
+    assert got.iterations >= alone.iterations
+    for name in ("mu", "subgradient", "columns", "column_powers", "shares"):
+        assert getattr(got, name).tobytes() == getattr(alone, name).tobytes()
+    plans = [build_hover_plan(d, scn, grid) for d in (got, alone)]
+    for name in ("locations", "powers", "durations", "mu"):
+        assert getattr(plans[0], name).tobytes() == (
+            getattr(plans[1], name).tobytes()
+        )
+    assert plans[0].outage == plans[1].outage
 
 
 def test_hover_plan_merges_columns_of_one_grid_point(small_scenario):

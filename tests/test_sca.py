@@ -1,5 +1,6 @@
 """Convexified refinement: tangent bounds, steps, initial trajectories."""
 
+import dataclasses
 import itertools
 import math
 import os
@@ -480,6 +481,33 @@ def test_plan_joint_ends_on_one_stalled_run_of_each_kind(make):
         if kinds[i - 1] == kinds[i]:
             last_other = max(j for j in range(i) if kinds[j] != kinds[i])
             assert stalled[last_other] and not stalled[i - 1]
+
+
+def test_joint_plan_holds_no_sca_power_array(small_scenario):
+    """A JointPlan drops the SCA power iterate and its amplitude sums once
+    recovery has ranked the slots with them: the only (K, N) array it
+    holds is the recovered schedule.  Its records have no per-instance
+    __dict__ (slots), so a retained plan stays small."""
+    plan = plan_joint(
+        small_scenario, grid=GridSpec.from_scenario(small_scenario, resolution=21)
+    )
+    assert plan.sca.powers is None and plan.sca.amplitude_sums is None
+    shape = (small_scenario.n_sensors, small_scenario.n_slots)
+    held = []
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            held.extend([obj] if obj.shape == shape else [])
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif dataclasses.is_dataclass(obj) and obj is not small_scenario:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+            for f in dataclasses.fields(obj):
+                walk(getattr(obj, f.name))
+
+    walk(plan)
+    assert len(held) == 1 and held[0] is plan.recovered.schedule.powers
 
 
 @pytest.mark.parametrize("case", sorted(DEGENERATE))

@@ -9,10 +9,17 @@ The first form plans every case with the planner in this checkout's
 ``src`` and writes, per case, the delivered outage, the SCA objective,
 the SCA steps by kind, every SCA trajectory cone solve as its status and
 iteration count, a SHA-256 of the plan's waypoints and powers, and the
-wall time.  The second form lists every case whose record differs
-between two such files (the time aside), then totals per set: outages
-changed (better or worse), cone iterations, SCA steps, solves that ended
-max-iters, the largest relative change of the SCA objective, and time.
+wall time.  For a joint plan it also writes the relaxation's dual value,
+pricing passes and final gap, the hover support (its locations) with
+each location's share of the mission time, and the recovery's
+feasibility probes; the trajectory-only scheme has none of these
+(null).  The second form lists every case whose record differs between
+two such files (the time aside, and the hover durations as their
+largest change), then totals per set: outages changed (better or
+worse), cone iterations, SCA steps, solves that ended max-iters,
+relaxation passes, recovery probes, time, the largest relaxation gap,
+and the largest changes of the SCA objective (relative), the dual value
+and a hover duration (shares of the mission time).
 
 The sets:
 
@@ -51,7 +58,10 @@ SWEEP_DURATIONS = (10.0, 40.0, 80.0)
 JOINT_SEEDS = range(21)
 RANDOM_SEEDS = range(40)
 SCHEMES_SEEDS = range(10)
-FIELDS = ("outage", "objective", "steps", "solves", "digest")
+FIELDS = (
+    "outage", "objective", "steps", "solves", "digest",
+    "dual", "passes", "gap", "support", "probes",
+)
 
 
 def _import_planner():
@@ -114,10 +124,21 @@ def record(plan_fn) -> dict:
         seconds = perf_counter() - start
     finally:
         sca_planner.solve_socp = real
+    stages = dict.fromkeys(
+        ("dual", "passes", "gap", "support", "durations", "probes")
+    )
     if hasattr(plan, "sca"):       # a JointPlan
         state = plan.sca
         steps = Counter(e.step_kind for e in state.trace)
         objective = state.objective
+        stages.update(
+            dual=plan.dual.value,
+            passes=plan.dual.iterations,
+            gap=plan.dual.gap,
+            support=plan.relaxed.locations.tolist(),
+            durations=(plan.relaxed.durations / plan.scenario.duration).tolist(),
+            probes=plan.recovered.probes,
+        )
     else:                          # a BenchmarkResult
         steps = {"trajectory": plan.details["steps"]}
         objective = plan.details["objective"]
@@ -127,6 +148,7 @@ def record(plan_fn) -> dict:
         "steps": dict(sorted(steps.items())),
         "solves": solves,
         "digest": _digest(plan.trajectory.waypoints, plan.schedule.powers),
+        **stages,
         "seconds": seconds,
     }
 
@@ -147,8 +169,27 @@ def _totals(plans: dict, group: str) -> dict:
         "iterations": sum(its for _, its in solves),
         "steps": sum(sum(p["steps"].values()) for p in chosen),
         "max-iters": sum(status == "max-iters" for status, _ in solves),
+        "passes": sum(p["passes"] or 0 for p in chosen),
+        "probes": sum(p["probes"] or 0 for p in chosen),
         "seconds": sum(p["seconds"] for p in chosen),
+        "largest gap": max((p["gap"] or 0.0 for p in chosen), default=0.0),
     }
+
+
+def _largest_change(before, after, relative=False) -> float:
+    """after - before (relative to |before| if asked), 0 where either is
+    null; for two lists, the change of largest size, 0 unless they have
+    one length."""
+    if before is None or after is None:
+        return 0.0
+    if isinstance(before, list):
+        if len(before) != len(after):
+            return 0.0
+        return max(
+            (_largest_change(b, a, relative) for b, a in zip(before, after)),
+            key=abs, default=0.0,
+        )
+    return (after - before) / (max(abs(before), 1e-300) if relative else 1.0)
 
 
 def compare(path_a: Path, path_b: Path) -> int:
@@ -161,7 +202,10 @@ def compare(path_a: Path, path_b: Path) -> int:
     groups = {}
     for key in sorted(a.keys() & b.keys()):
         group = key.split("/")[0]
-        stats = groups.setdefault(group, {"better": 0, "worse": 0, "objective": 0.0})
+        stats = groups.setdefault(
+            group,
+            {"better": 0, "worse": 0, "objective": 0.0, "dual": 0.0, "durations": 0.0},
+        )
         for name in FIELDS:
             if a[key][name] != b[key][name]:
                 print(f"{key}: {name} {a[key][name]} -> {b[key][name]}")
@@ -169,16 +213,20 @@ def compare(path_a: Path, path_b: Path) -> int:
         if delta:
             changed_outage += 1
             stats["worse" if delta > 0 else "better"] += 1
-        before, after = a[key]["objective"], b[key]["objective"]
-        rel = (after - before) / max(abs(before), 1e-300)
-        if abs(rel) > abs(stats["objective"]):
-            stats["objective"] = rel
+        for name in ("objective", "dual", "durations"):
+            change = _largest_change(
+                a[key][name], b[key][name], relative=name == "objective"
+            )
+            if abs(change) > abs(stats[name]):
+                stats[name] = change
     for group, stats in groups.items():
         ta, tb = _totals(a, group), _totals(b, group)
         print(
             f"{group}: outages better {stats['better']}, worse {stats['worse']}; "
             + "; ".join(f"{k} {ta[k]:.4g} -> {tb[k]:.4g}" for k in ta)
-            + f"; largest objective change {stats['objective']:+.3%}"
+            + f"; largest relative objective change {stats['objective']:+.2g}"
+            + f", dual change {stats['dual']:+.2g}"
+            + f", hover duration change {stats['durations']:+.2g}"
         )
     return 1 if changed_outage else 0
 
